@@ -9,13 +9,15 @@ exponential timers with cancellation is kept as a validation path; the two
 agree in distribution.
 
 Monte Carlo runs draw from per-run derived streams, so results are
-reproducible and independent of worker count. Exact expectations come from
-propagating subset probabilities through the chain (2^V states).
+reproducible and independent of worker count. One numpy kernel moves a batch
+of runs through the chain in lockstep, one step per iteration; per run it
+does the arithmetic of a one-run loop, so results are also independent of
+the batch size. Exact expectations come from propagating subset
+probabilities through the chain (2^V states).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, sqrt
@@ -48,6 +50,13 @@ __all__ = [
     "simulate_ensemble_profile",
     "ensemble_monte_carlo",
 ]
+
+# Runs the jump-chain kernel moves in lockstep. Each step costs a fixed
+# number of numpy calls whatever the batch, so a larger batch spreads them over
+# more runs; its buffers grow with it (a 64-run batch of the order-11 plane
+# peaks at 0.75 MB under a ranked policy, plus 0.13 MB of stream words).
+# Results do not depend on this value.
+BATCH_RUNS = 64
 
 SERVER_UNIFORM = "server"
 FRAGMENT_UNIFORM = "fragment"
@@ -107,20 +116,68 @@ class SimulationSummary:
     max_trajectory_aggregate: int
 
 
+_NONADAPTIVE, _RANDOM, _RANKED, _MDP = "nonadaptive", "random", "ranked", "mdp"
+
+
 class _Runtime:
-    """Per-worker immutable arrays for the jump-chain inner loop (0-based)."""
+    """Per-worker immutable tables for the jump chain (0-based).
+
+    The padded kernel tables give every server K fragment columns, filled up
+    with the dummy fragment V (always downloaded), and every fragment R host
+    columns, filled up with the dummy server B (never useful, rank value 0).
+    """
 
     def __init__(self, scheme: StorageScheme, policy) -> None:
         self.scheme = scheme
         self.policy = policy
-        self.V = scheme.V
-        self.B = scheme.B
+        self.V = V = scheme.V
+        self.B = B = scheme.B
         self.frag_sets = [sorted(v - 1 for v in s) for s in scheme.fragment_sets]
         self.occ = [sorted(b - 1 for b in s) for s in scheme.occupancy]
-        k_max = max(len(s) for s in self.frag_sets)
+        self.K = k_max = max(len(s) for s in self.frag_sets)
+        r_max = max(len(s) for s in self.occ)
         scale = lcm(*range(1, k_max + 1))
         self.inv_scaled = [0] + [scale // k for k in range(1, k_max + 1)]
         self.kind, self.extra = self._classify(policy)
+        self.family = self.kind.split("-", 1)[0]
+        self.seeded_ties = self.kind.endswith("seeded") and self.extra is None
+        # 64-bit words per run and step: holding time, winner, extra pick
+        self.draws = 3 if self.kind == "random" or self.kind.endswith("seeded") else 2
+
+        self.hosts = _padded(self.occ + [[]], r_max, B)
+        self.candidates = _padded(
+            self.extra if self.family == _NONADAPTIVE else self.frag_sets, k_max, V
+        )
+        sizes = [len(s) for s in self.frag_sets]
+        self.useful0 = [b for b in range(B) if sizes[b]]
+        # the dummy server's residual stays above K for all V * r_max decrements
+        self.residual0 = np.array(sizes + [k_max + 1 + V * r_max], dtype=np.int64)
+        if self.family == _RANKED:
+            self._rank_tables(r_max)
+
+    def _rank_tables(self, r_max: int) -> None:
+        """Rank value per residual size, times K + 1 (index K+1 and above: 0),
+        the hosts of every server's candidates, and per-candidate tie
+        positions; keys ``score * (K + 1) + tie position`` stay exact in the
+        chosen dtype."""
+        K = self.K
+        if self.kind.startswith("ranked-greedy"):
+            table = [0, 1] + [0] * K
+        else:
+            table = self.inv_scaled + [0]
+        table = [x * (K + 1) for x in table]
+        key_max = r_max * max(table) + K
+        dtype = next((d for d in (np.int32, np.int64)
+                      if key_max < np.iinfo(d).max), object)
+        self.key_none = key_max + 1  # key of a downloaded candidate
+        self.rank_values = np.array(table, dtype=dtype)
+        # (R, B, K): host r of candidate j of server b
+        self.cand_hosts = np.ascontiguousarray(self.hosts[self.candidates].transpose(2, 0, 1))
+        if self.extra is None:  # lowest fragment index first
+            self.tie_pos = np.tile(np.arange(K, dtype=dtype), (self.B, 1))
+        else:  # init-order positions
+            ranks = [[self.extra[b][v] for v in s] for b, s in enumerate(self.frag_sets)]
+            self.tie_pos = _padded(ranks, K, 0, dtype)
 
     def _classify(self, policy):
         if isinstance(policy, NonadaptivePolicy):
@@ -143,98 +200,157 @@ class _Runtime:
         raise InvalidParams(f"unsupported policy {policy!r}")
 
 
-def _run_trajectory(rt: _Runtime, mu: float, gen: np.random.Generator):
-    """One jump-chain run; returns (instants, order, profile) as lists."""
-    V, B = rt.V, rt.B
-    exps = _rng.standard_exponentials(gen, V)
-    winner_words = _rng.bounded_picks(gen, V)
-    needs_extra = rt.kind == "random" or rt.kind.endswith("seeded")
-    extra_words = _rng.bounded_picks(gen, V) if needs_extra else None
+def _padded(rows, width: int, fill, dtype=np.intp) -> np.ndarray:
+    """The ragged ``rows`` as one array, each filled up to ``width``."""
+    return np.array([list(r) + [fill] * (width - len(r)) for r in rows], dtype=dtype)
 
-    frag_sets, occ = rt.frag_sets, rt.occ
-    downloaded = [False] * V
-    residual_count = [len(s) for s in frag_sets]
-    useful = [b for b in range(B) if residual_count[b] > 0]
-    pos = [-1] * B
-    for i, b in enumerate(useful):
-        pos[b] = i
-    kind = rt.kind
-    greedy_rank = kind.startswith("ranked-greedy")
-    if kind == "nonadaptive":
-        pointers = [0] * B
-    mask = 0
 
-    instants = [0.0]
-    order: list[int] = []
-    profile: list[int] = []
-    t = 0.0
+def _nth_true(mask: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Per row, the column of the j-th (0-based) True entry."""
+    return (mask.cumsum(axis=1) > j.view(np.intp)[:, None]).argmax(axis=1)
+
+
+def _jump_chain(rt: _Runtime, mu: float, words: np.ndarray):
+    """Move one batch of runs through the V steps of the jump chain in lockstep.
+
+    Column i of ``words`` holds the ``rt.draws * V`` words of run i, laid out
+    as the seeding contract in ``rng`` says. Every run takes exactly V steps,
+    and each step does per run the arithmetic of a one-run loop in the same
+    order, so results do not depend on the batch size. Returns the instants
+    D_1..D_V, the 0-based fragment order and the useful profile, each V x n;
+    column i is run i.
+
+    Per-server state (residual counts, rank values, the swap-removed useful
+    list and its position index) and the downloaded mask are flat arrays with
+    one row per run, addressed through per-run offsets. The offsets are
+    spelled out to the full shape of each index array once: broadcasting them
+    over rows of K or R entries costs more than the gather itself.
+    """
+    n = words.shape[1]
+    V, B1, K = rt.V, rt.B + 1, rt.K
+    R = rt.hosts.shape[1]
+    family = rt.family
+    exps = _rng.word_exponentials(words[:V])
+
+    runs = np.arange(n)
+    off_b = runs * B1
+    off_v = runs * (V + 1)
+    off_k = runs * K
+    cand_off = np.repeat(off_v, K).reshape(n, K)
+    host_off = np.repeat(off_b, R).reshape(n, R)
+    host_run = np.repeat(runs, R)
+    downloaded = np.zeros(n * (V + 1), dtype=bool)
+    downloaded[off_v + V] = True
+    residual = np.tile(rt.residual0, n)
+    useful = np.zeros(n * B1, dtype=np.intp)
+    pos = np.full(n * B1, -1, dtype=np.intp)
+    for i, b in enumerate(rt.useful0):
+        useful[off_b + i] = b
+        pos[off_b + b] = i
+    nuse = np.full(n, len(rt.useful0), dtype=np.int64)
+    nuse_u = nuse.view(np.uint64)
+
+    # buffers reused by every step
+    cand = np.empty((n, K), dtype=np.intp)
+    cand_idx = np.empty((n, K), dtype=np.intp)
+    taken = np.empty((n, K), dtype=bool)
+    hosts = np.empty((n, R), dtype=np.intp)
+    if family == _RANKED:
+        rank_values = rt.rank_values
+        values = rank_values.take(residual, mode="clip")
+        host_idx = np.empty((R, n, K), dtype=np.intp)
+        host_val = np.empty((R, n, K), dtype=rank_values.dtype)
+        host_idx_off = np.broadcast_to(off_b[:, None], (R, n, K)).copy()
+        score = np.empty((n, K), dtype=rank_values.dtype)
+        tie = np.empty((n, K), dtype=rank_values.dtype)
+    elif family == _MDP:
+        masks = [0] * n
+    order = np.empty((V, n), dtype=np.int32)
+    profile = np.empty((V, n), dtype=np.int32)
+
     for ell in range(V):
-        n = len(useful)
-        profile.append(n)
-        t += exps[ell] / (n * mu)
-        instants.append(t)
-        w = useful[_rng.pick(winner_words[ell], n)]
+        profile[ell] = nuse
+        w = useful[off_b + _rng.picks(words[V + ell], nuse_u).view(np.intp)]
 
-        if kind == "nonadaptive":
-            o = rt.extra[w]
-            k = pointers[w]
-            while downloaded[o[k]]:
-                k += 1
-            pointers[w] = k
-            v = o[k]
-        elif kind == "random":
-            j = _rng.pick(extra_words[ell], residual_count[w])
-            for v in frag_sets[w]:
-                if not downloaded[v]:
-                    if j == 0:
-                        break
-                    j -= 1
-        elif kind == "mdp":
-            v = rt.extra[(mask, w)]
-        else:  # ranked
-            inv_scaled = rt.inv_scaled
-            best_s = None
-            tied: list[int] = []
-            for v2 in frag_sets[w]:
-                if downloaded[v2]:
-                    continue
-                if greedy_rank:
-                    s = 0
-                    for a in occ[v2]:
-                        if residual_count[a] == 1:
-                            s += 1
-                else:
-                    s = 0
-                    for a in occ[v2]:
-                        s += inv_scaled[residual_count[a]]
-                if best_s is None or s < best_s:
-                    best_s = s
-                    tied = [v2]
-                elif s == best_s:
-                    tied.append(v2)
-            if len(tied) == 1:
-                v = tied[0]
-            elif rt.extra is not None:  # init-order tie positions
-                pm = rt.extra[w]
-                v = min(tied, key=lambda x: pm[x])
-            elif kind.endswith("seeded"):
-                v = tied[_rng.pick(extra_words[ell], len(tied))]
+        if family == _MDP:
+            ws = w.tolist()
+            vs = [rt.extra[(masks[i], ws[i])] for i in range(n)]
+            for i, v in enumerate(vs):
+                masks[i] |= 1 << v
+            v = np.array(vs, dtype=np.intp)
+        else:
+            np.take(rt.candidates, w, axis=0, out=cand, mode="clip")
+            np.add(cand, cand_off, out=cand_idx)
+            np.take(downloaded, cand_idx, out=taken, mode="clip")
+            if family == _NONADAPTIVE:  # first fragment of the order not downloaded
+                col = taken.argmin(axis=1)
+            elif family == _RANDOM:
+                free = ~taken
+                count = free.sum(axis=1)
+                col = _nth_true(free, _rng.picks(words[2 * V + ell], count.view(np.uint64)))
             else:
-                v = tied[0]
+                np.take(rt.cand_hosts, w, axis=1, out=host_idx, mode="clip")
+                host_idx += host_idx_off
+                np.take(values, host_idx, out=host_val, mode="clip")
+                np.add.reduce(host_val, axis=0, out=score)
+                if rt.seeded_ties:
+                    np.putmask(score, taken, rt.key_none)
+                    tied = score == score.min(axis=1)[:, None]
+                    count = tied.sum(axis=1)
+                    col = _nth_true(tied, _rng.picks(words[2 * V + ell], count.view(np.uint64)))
+                else:
+                    np.take(rt.tie_pos, w, axis=0, out=tie, mode="clip")
+                    score += tie
+                    np.putmask(score, taken, rt.key_none)
+                    col = score.argmin(axis=1)
+            v = cand.ravel()[off_k + col]
 
-        order.append(v + 1)
-        downloaded[v] = True
-        mask |= 1 << v
-        for b in occ[v]:
-            residual_count[b] -= 1
-            if residual_count[b] == 0:
-                i = pos[b]
-                last = useful[-1]
-                useful[i] = last
-                pos[last] = i
-                useful.pop()
-                pos[b] = -1
-    return instants, order, profile
+        order[ell] = v
+        downloaded[off_v + v] = True
+        np.take(rt.hosts, v, axis=0, out=hosts, mode="clip")
+        hosts += host_off
+        left = residual[hosts]
+        left -= 1
+        residual[hosts] = left
+        if family == _RANKED:
+            values[hosts] = rank_values.take(left, mode="clip")
+        dead = left == 0
+        if ell < V - 1 and dead.any():  # the list is not read after the last step
+            _remove_useful(useful, pos, nuse, off_b, dead, hosts, host_run)
+
+    # D_l: the holding times added up in step order (add.accumulate is sequential)
+    exps /= profile * mu
+    return np.cumsum(exps, axis=0, out=exps), order, profile
+
+
+def _remove_useful(useful, pos, nuse, off_b, dead, hosts, host_run) -> None:
+    """Swap-remove the servers that just ran dry from each run's useful list.
+
+    A run that loses several servers in one step removes them one at a time
+    in host order, as a one-run loop does, so its list keeps the same order.
+    """
+    at = np.flatnonzero(dead)  # row-major: host order within each run
+    runs = host_run[at]
+    servers = hosts.ravel()[at]
+    if (runs[1:] == runs[:-1]).any():
+        rank = np.arange(len(runs)) - np.searchsorted(runs, runs)
+        for k in range(int(rank.max()) + 1):
+            sel = rank == k
+            _swap_remove(useful, pos, nuse, off_b, runs[sel], servers[sel])
+    else:
+        _swap_remove(useful, pos, nuse, off_b, runs, servers)
+
+
+def _swap_remove(useful, pos, nuse, off_b, runs, servers) -> None:
+    """Remove one server (flat index) from each of the distinct ``runs``."""
+    base = off_b[runs]
+    i = pos[servers]
+    k = nuse[runs]
+    k -= 1
+    nuse[runs] = k
+    last = useful[base + k]
+    useful[base + i] = last
+    pos[base + last] = i
 
 
 def simulate_run(
@@ -247,11 +363,12 @@ def simulate_run(
     clocks with instant cancellation exactly, by memorylessness.
     """
     rt = _Runtime(scheme, policy)
-    instants, order, profile = _run_trajectory(rt, mu, run_rng)
+    words = _rng.words(run_rng, rt.draws * rt.V)
+    instants, order, profile = _jump_chain(rt, mu, words[:, None])
     return TrajectoryRecord(
-        download_instants=tuple(instants),
-        fragment_order=tuple(order),
-        useful_profile=tuple(profile),
+        download_instants=(0.0, *instants[:, 0].tolist()),
+        fragment_order=tuple((order[:, 0] + 1).tolist()),
+        useful_profile=tuple(profile[:, 0].tolist()),
     )
 
 
@@ -357,23 +474,31 @@ def _simulate_chunk(args):
     rt = _Runtime(scheme, policy)
     V = scheme.V
     dv = np.empty(stop - start, dtype=np.float64)
+    aggregate = np.empty(stop - start, dtype=np.int64)
     profile_sum = np.zeros(V, dtype=np.int64)
     min_profile = np.full(V, np.iinfo(np.int64).max, dtype=np.int64)
     max_profile = np.zeros(V, dtype=np.int64)
-    min_agg = None
-    max_agg = None
-    for r in range(start, stop):
-        gen = _rng.stream(master_seed, _rng.DOMAIN_RUN, r)
-        instants, _, profile = _run_trajectory(rt, mu, gen)
-        dv[r - start] = instants[-1]
-        p = np.asarray(profile, dtype=np.int64)
-        profile_sum += p
-        np.minimum(min_profile, p, out=min_profile)
-        np.maximum(max_profile, p, out=max_profile)
-        agg = int(p.sum())
-        min_agg = agg if min_agg is None else min(min_agg, agg)
-        max_agg = agg if max_agg is None else max(max_agg, agg)
-    return dv, profile_sum, min_profile, max_profile, min_agg, max_agg
+    for lo in range(start, stop, BATCH_RUNS):
+        hi = min(lo + BATCH_RUNS, stop)
+        words = _rng.stream_words(master_seed, _rng.DOMAIN_RUN, range(lo, hi), rt.draws * V)
+        instants, _, profile = _jump_chain(rt, mu, words)
+        dv[lo - start : hi - start] = instants[-1]
+        aggregate[lo - start : hi - start] = profile.sum(axis=0, dtype=np.int64)
+        profile_sum += profile.sum(axis=1, dtype=np.int64)
+        np.minimum(min_profile, profile.min(axis=1), out=min_profile)
+        np.maximum(max_profile, profile.max(axis=1), out=max_profile)
+    return dv, profile_sum, min_profile, max_profile, int(aggregate.min()), int(aggregate.max())
+
+
+def _run_tasks(fn, tasks: list, threads: int) -> list:
+    """``fn`` over ``tasks`` in order; on a process pool when ``threads > 1``."""
+    if threads > 1 and len(tasks) > 1:
+        # imported here: the process-pool machinery costs ~2 MiB of memory
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
 
 
 def monte_carlo(config: SimulationConfig, threads: int = 1) -> SimulationSummary:
@@ -381,20 +506,17 @@ def monte_carlo(config: SimulationConfig, threads: int = 1) -> SimulationSummary
 
     Run r draws from the stream derived from (master_seed, r), and partial
     results are reduced in run order, so the summary is identical for any
-    ``threads`` value.
+    ``threads`` value and any batch size. One process runs all runs as one
+    task; a pool of ``threads`` workers gets four tasks per worker.
     """
     scheme, policy = config.scheme, config.policy
     runs = config.runs
-    chunk = max(1, (runs + max(1, threads) * 4 - 1) // (max(1, threads) * 4))
+    chunk = runs if threads <= 1 else -(-runs // (threads * 4))
     tasks = [
         (scheme, policy, config.mu, config.master_seed, lo, min(lo + chunk, runs))
         for lo in range(0, runs, chunk)
     ]
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_simulate_chunk, tasks))
-    else:
-        parts = [_simulate_chunk(t) for t in tasks]
+    parts = _run_tasks(_simulate_chunk, tasks, threads)
 
     dv = np.concatenate([p[0] for p in parts])
     profile_sum = np.sum([p[1] for p in parts], axis=0)
@@ -603,11 +725,7 @@ def ensemble_monte_carlo(
         (B, V, R, kind, order_mode, seed, lo, min(lo + chunk, samples))
         for lo in range(0, samples, chunk)
     ]
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_ensemble_chunk, tasks))
-    else:
-        parts = [_ensemble_chunk(t) for t in tasks]
+    parts = _run_tasks(_ensemble_chunk, tasks, threads)
     psum = np.sum([p[0] for p in parts], axis=0)
     psumsq = np.sum([p[1] for p in parts], axis=0)
     dup = sum(p[2] for p in parts)

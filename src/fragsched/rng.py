@@ -5,6 +5,21 @@ consumer can be derived independently of execution order: run r of a Monte
 Carlo experiment, sample s of an ensemble, or fragment v of a placement each
 get their own stream as a pure function of the master seed. Parallel workers
 therefore produce bit-identical results regardless of scheduling.
+
+Seeding contract of a Monte Carlo run (jump chain, V fragments). Run r of an
+experiment with master seed s reads the stream ``stream(s, DOMAIN_RUN, r)``
+and draws 64-bit words in three blocks of V:
+
+1. V words for the holding times: step l waits ``-log((u + 0.5) / 2**64)``
+   divided by ``N(I_l) * mu``;
+2. V winner words: step l picks position ``pick(u, N(I_l))`` of the useful
+   list;
+3. V extra words, drawn only by the uniform-random policy and by ranked
+   policies with seeded ties: step l picks the ``pick(u, m)``-th of the m
+   remaining fragments (random) or of the m tied fragments (seeded ties).
+
+A single draw of 2V or 3V words yields the same words as these separate
+draws, so a run may take its words in one call.
 """
 
 from __future__ import annotations
@@ -12,6 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 # Stream domains; keep values stable, they are part of the seeding contract.
 DOMAIN_RUN = 1          # one Monte Carlo simulation run
@@ -20,23 +37,73 @@ DOMAIN_FRAGMENT = 3     # one fragment's replica draws
 DOMAIN_TRAJECTORY = 5   # the download trajectory of one ensemble sample
 
 
-def stream(seed: int, domain: int, index: int = 0) -> np.random.Generator:
-    """Generator for (seed, domain, index); a pure function of its arguments."""
+def _key(seed: int, domain: int, index: int) -> int:
     if index < 0 or index >= 1 << 56:
         raise ValueError(f"stream index out of range: {index}")
-    key = (index << 72) | ((domain & 0xFF) << 64) | (int(seed) & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return (index << 72) | ((domain & 0xFF) << 64) | (int(seed) & _MASK64)
+
+
+def stream(seed: int, domain: int, index: int = 0) -> np.random.Generator:
+    """Generator for (seed, domain, index); a pure function of its arguments."""
+    return np.random.Generator(np.random.Philox(key=_key(seed, domain, index)))
+
+
+def stream_words(seed: int, domain: int, indices: range, count: int) -> np.ndarray:
+    """The first ``count`` 64-bit words of the stream of each index, one
+    column per index: column i equals ``words(stream(seed, domain, indices[i]),
+    count)``.
+
+    One Philox generator is re-keyed per index, which costs a fraction of
+    building a new generator.
+    """
+    out = np.empty((count, len(indices)), dtype=np.uint64)
+    bits = np.random.Philox(key=0)
+    state = {
+        "bit_generator": "Philox",
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for i, index in enumerate(indices):
+        key = _key(seed, domain, index)
+        state["state"] = {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([key & _MASK64, key >> 64], dtype=np.uint64),
+        }
+        bits.state = state
+        out[:, i] = bits.random_raw(count)
+    return out
+
+
+def words(gen: np.random.Generator, n: int) -> np.ndarray:
+    """n raw 64-bit words."""
+    return gen.integers(0, 1 << 64, size=n, dtype=np.uint64)
+
+
+def word_doubles(u: np.ndarray) -> np.ndarray:
+    """Doubles in (0, 1) from 64-bit words, (u + 0.5) / 2**64."""
+    x = u.astype(np.float64)
+    x += 0.5
+    x *= 2.0**-64
+    return x
 
 
 def uniform_doubles(gen: np.random.Generator, n: int) -> np.ndarray:
     """n doubles in (0, 1) via 64-bit draws, (u + 0.5) / 2**64."""
-    u = gen.integers(0, 1 << 64, size=n, dtype=np.uint64)
-    return (u.astype(np.float64) + 0.5) * 2.0**-64
+    return word_doubles(words(gen, n))
+
+
+def word_exponentials(u: np.ndarray) -> np.ndarray:
+    """Unit-rate exponentials by inverse transform of 64-bit words."""
+    x = word_doubles(u)
+    np.log(x, out=x)
+    return np.negative(x, out=x)
 
 
 def standard_exponentials(gen: np.random.Generator, n: int) -> np.ndarray:
     """n unit-rate exponentials by inverse transform of 64-bit uniforms."""
-    return -np.log(uniform_doubles(gen, n))
+    return word_exponentials(words(gen, n))
 
 
 def bounded_picks(gen: np.random.Generator, n: int) -> list[int]:
@@ -45,9 +112,24 @@ def bounded_picks(gen: np.random.Generator, n: int) -> list[int]:
     Reduce word u onto range m with (u * m) >> 64; the bias is at most
     m / 2**64 and the draw count stays fixed per step.
     """
-    return [int(u) for u in gen.integers(0, 1 << 64, size=n, dtype=np.uint64)]
+    return [int(u) for u in words(gen, n)]
 
 
 def pick(word: int, m: int) -> int:
     """Map a 64-bit word onto [0, m) by multiply-shift."""
     return (word * m) >> 64
+
+
+def picks(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Elementwise ``pick(u, m)`` for uint64 words u and uint64 ranges
+    m < 2**32, exact in 64-bit arithmetic: with u = hi * 2**32 + lo,
+    (u*m) >> 64 == (hi*m + (lo*m >> 32)) >> 32, and neither product nor the
+    sum reaches 2**64."""
+    high = u >> _SHIFT32
+    low = u & _LOW32
+    low *= m
+    low >>= _SHIFT32
+    high *= m
+    high += low
+    high >>= _SHIFT32
+    return high

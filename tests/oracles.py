@@ -148,3 +148,158 @@ def all_decision_maps(blocks: list[set[int]], downloaded: set[int]):
     residuals = [sorted(blocks[b - 1] - downloaded) for b in useful]
     for combo in itertools.product(*residuals):
         yield dict(zip(useful, combo))
+
+
+# ---------------------------------------------------------------------------
+# Scalar jump chain: one run, one Python step at a time. The reference for the
+# engine's batched kernel; it reads the run's stream through its own draws.
+
+
+def _stream_words(gen, n):
+    import numpy as np
+
+    return gen.integers(0, 1 << 64, size=n, dtype=np.uint64)
+
+
+def _standard_exponentials(gen, n):
+    import numpy as np
+
+    u = _stream_words(gen, n)
+    return -np.log((u.astype(np.float64) + 0.5) * 2.0**-64)
+
+
+def _bounded_picks(gen, n):
+    return [int(u) for u in _stream_words(gen, n)]
+
+
+def _pick(word, m):
+    return (word * m) >> 64
+
+
+class ScalarRuntime:
+    """0-based fragment and host lists, harmonic scale and policy tables."""
+
+    def __init__(self, scheme, policy) -> None:
+        from math import lcm
+
+        from fragsched import MdpPolicy, NonadaptivePolicy, RandomWorkConserving, RankedPolicy
+
+        self.V = scheme.V
+        self.B = scheme.B
+        self.frag_sets = [sorted(v - 1 for v in s) for s in scheme.fragment_sets]
+        self.occ = [sorted(b - 1 for b in s) for s in scheme.occupancy]
+        k_max = max(len(s) for s in self.frag_sets)
+        scale = lcm(*range(1, k_max + 1))
+        self.inv_scaled = [0] + [scale // k for k in range(1, k_max + 1)]
+        if isinstance(policy, NonadaptivePolicy):
+            self.kind, self.extra = "nonadaptive", [[v - 1 for v in o] for o in policy.order.orders]
+        elif isinstance(policy, RandomWorkConserving):
+            self.kind, self.extra = "random", None
+        elif isinstance(policy, RankedPolicy):
+            pos = None
+            if policy.init_order is not None:
+                pos = []
+                for o in policy.init_order.orders:
+                    m = [0] * self.V
+                    for i, v in enumerate(o):
+                        m[v - 1] = i
+                    pos.append(m)
+            self.kind, self.extra = f"ranked-{policy.rank}-{policy.tie}", pos
+        elif isinstance(policy, MdpPolicy):
+            self.kind, self.extra = "mdp", policy.solution.decisions
+        else:
+            raise ValueError(f"unsupported policy {policy!r}")
+
+
+def scalar_trajectory(rt: ScalarRuntime, mu: float, gen):
+    """One jump-chain run; returns (instants, order, profile) as lists."""
+    V, B = rt.V, rt.B
+    exps = _standard_exponentials(gen, V)
+    winner_words = _bounded_picks(gen, V)
+    needs_extra = rt.kind == "random" or rt.kind.endswith("seeded")
+    extra_words = _bounded_picks(gen, V) if needs_extra else None
+
+    frag_sets, occ = rt.frag_sets, rt.occ
+    downloaded = [False] * V
+    residual_count = [len(s) for s in frag_sets]
+    useful = [b for b in range(B) if residual_count[b] > 0]
+    pos = [-1] * B
+    for i, b in enumerate(useful):
+        pos[b] = i
+    kind = rt.kind
+    greedy_rank = kind.startswith("ranked-greedy")
+    if kind == "nonadaptive":
+        pointers = [0] * B
+    mask = 0
+
+    instants = [0.0]
+    order: list[int] = []
+    profile: list[int] = []
+    t = 0.0
+    for ell in range(V):
+        n = len(useful)
+        profile.append(n)
+        t += exps[ell] / (n * mu)
+        instants.append(t)
+        w = useful[_pick(winner_words[ell], n)]
+
+        if kind == "nonadaptive":
+            o = rt.extra[w]
+            k = pointers[w]
+            while downloaded[o[k]]:
+                k += 1
+            pointers[w] = k
+            v = o[k]
+        elif kind == "random":
+            j = _pick(extra_words[ell], residual_count[w])
+            for v in frag_sets[w]:
+                if not downloaded[v]:
+                    if j == 0:
+                        break
+                    j -= 1
+        elif kind == "mdp":
+            v = rt.extra[(mask, w)]
+        else:  # ranked
+            inv_scaled = rt.inv_scaled
+            best_s = None
+            tied: list[int] = []
+            for v2 in frag_sets[w]:
+                if downloaded[v2]:
+                    continue
+                if greedy_rank:
+                    s = 0
+                    for a in occ[v2]:
+                        if residual_count[a] == 1:
+                            s += 1
+                else:
+                    s = 0
+                    for a in occ[v2]:
+                        s += inv_scaled[residual_count[a]]
+                if best_s is None or s < best_s:
+                    best_s = s
+                    tied = [v2]
+                elif s == best_s:
+                    tied.append(v2)
+            if len(tied) == 1:
+                v = tied[0]
+            elif rt.extra is not None:  # init-order tie positions
+                pm = rt.extra[w]
+                v = min(tied, key=lambda x: pm[x])
+            elif kind.endswith("seeded"):
+                v = tied[_pick(extra_words[ell], len(tied))]
+            else:
+                v = tied[0]
+
+        order.append(v + 1)
+        downloaded[v] = True
+        mask |= 1 << v
+        for b in occ[v]:
+            residual_count[b] -= 1
+            if residual_count[b] == 0:
+                i = pos[b]
+                last = useful[-1]
+                useful[i] = last
+                pos[last] = i
+                useful.pop()
+                pos[b] = -1
+    return instants, order, profile

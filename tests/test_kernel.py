@@ -1,0 +1,188 @@
+"""The batched jump-chain kernel against the scalar one-run oracle, bit for
+bit, and the seeding contract the kernel reads its words by.
+
+The oracle (``oracles.scalar_trajectory``) shares only ``rng.stream`` with the
+engine: it draws its words, exponentials and picks itself.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fragsched import (
+    MdpPolicy,
+    NonadaptivePolicy,
+    RandomWorkConserving,
+    RankedPolicy,
+    SimulationConfig,
+    build_scheme,
+    mdp_solve,
+    monte_carlo,
+    pushback,
+    simulate_run,
+    smallest_index_first,
+    uniform_diversity,
+)
+from fragsched import engine, rng
+from oracles import ScalarRuntime, scalar_trajectory
+
+BATCH = engine.BATCH_RUNS
+POLICY_KINDS = [
+    "sif", "ud", "sif+pushback", "ud+pushback", "random",
+    "greedy-low", "greedy-seeded", "greedy-init",
+    "harmonic-low", "harmonic-seeded", "harmonic-init", "mdp",
+]
+
+
+def make_policy(scheme, kind: str):
+    if kind == "random":
+        return RandomWorkConserving()
+    if kind == "mdp":
+        return MdpPolicy(mdp_solve(scheme))
+    if kind.startswith(("greedy", "harmonic")):
+        rank, tie = kind.split("-")
+        if tie == "init":
+            return RankedPolicy(rank=rank, tie="low", init_order=uniform_diversity(scheme))
+        return RankedPolicy(rank=rank, tie=tie)
+    base, _, push = kind.partition("+")
+    order = smallest_index_first(scheme) if base == "sif" else uniform_diversity(scheme)
+    if push:
+        order = pushback(order, scheme, scheme.B)
+    return NonadaptivePolicy(order)
+
+
+@st.composite
+def small_schemes(draw):
+    """Up to 7 fragments on up to 6 servers; replica counts and server sizes
+    vary, and a server may hold nothing."""
+    B = draw(st.integers(1, 6))
+    V = draw(st.integers(1, 7))
+    occupancy = [draw(st.sets(st.integers(1, B), min_size=1, max_size=B)) for _ in range(V)]
+    return build_scheme(occupancy, mu=1.0, B=B)
+
+
+def oracle_runs(scheme, policy, mu, seed, runs):
+    rt = ScalarRuntime(scheme, policy)
+    return [scalar_trajectory(rt, mu, rng.stream(seed, rng.DOMAIN_RUN, r)) for r in range(runs)]
+
+
+def oracle_summary(trajectories):
+    """The summary fields monte_carlo reduces, from oracle trajectories."""
+    dv = np.asarray([instants[-1] for instants, _, _ in trajectories])
+    profiles = np.asarray([profile for _, _, profile in trajectories], dtype=np.int64)
+    aggregates = profiles.sum(axis=1)
+    return (
+        float(dv.mean()),
+        float(dv.std(ddof=1) / np.sqrt(len(dv))) if len(dv) > 1 else None,
+        profiles.sum(axis=0) / len(dv),
+        profiles.min(axis=0),
+        profiles.max(axis=0),
+        int(aggregates.min()),
+        int(aggregates.max()),
+    )
+
+
+def assert_summary_matches(summary, expected):
+    mean, stderr, mean_profile, min_profile, max_profile, min_agg, max_agg = expected
+    assert summary.mean_download_time == mean
+    assert summary.stderr == stderr
+    assert np.array_equal(summary.mean_profile, mean_profile)
+    assert np.array_equal(summary.min_profile, min_profile)
+    assert np.array_equal(summary.max_profile, max_profile)
+    assert (summary.min_trajectory_aggregate, summary.max_trajectory_aggregate) == (min_agg, max_agg)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scheme=small_schemes(), kind=st.sampled_from(POLICY_KINDS),
+       runs=st.integers(1, BATCH + 1), seed=st.integers(0, 2**63 - 1),
+       mu=st.sampled_from([1.0, 0.37, 1e-5]))
+def test_kernel_trajectories_match_oracle(scheme, kind, runs, seed, mu):
+    policy = make_policy(scheme, kind)
+    rt = engine._Runtime(scheme, policy)
+    words = rng.stream_words(seed, rng.DOMAIN_RUN, range(runs), rt.draws * scheme.V)
+    instants, order, profile = engine._jump_chain(rt, mu, words)
+    for r, (d, o, p) in enumerate(oracle_runs(scheme, policy, mu, seed, runs)):
+        assert [0.0, *instants[:, r].tolist()] == d
+        assert (order[:, r] + 1).tolist() == o
+        assert profile[:, r].tolist() == p
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scheme=small_schemes(), kind=st.sampled_from(POLICY_KINDS), seed=st.integers(0, 2**32))
+def test_simulate_run_matches_oracle(scheme, kind, seed):
+    policy = make_policy(scheme, kind)
+    rec = simulate_run(scheme, policy, 0.5, rng.stream(seed, rng.DOMAIN_RUN, 3))
+    instants, order, profile = scalar_trajectory(
+        ScalarRuntime(scheme, policy), 0.5, rng.stream(seed, rng.DOMAIN_RUN, 3))
+    assert rec.download_instants == tuple(instants)
+    assert rec.download_instants[-1] == instants[-1]
+    assert rec.fragment_order == tuple(order)
+    assert rec.useful_profile == tuple(profile)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scheme=small_schemes(), kind=st.sampled_from(POLICY_KINDS), seed=st.integers(0, 2**32))
+def test_monte_carlo_matches_oracle_across_batch_edges(scheme, kind, seed):
+    policy = make_policy(scheme, kind)
+    trajectories = oracle_runs(scheme, policy, 1.0, seed, BATCH + 1)
+    for runs in (1, BATCH - 1, BATCH, BATCH + 1):
+        summary = monte_carlo(SimulationConfig(scheme, policy, 1.0, runs, seed))
+        assert_summary_matches(summary, oracle_summary(trajectories[:runs]))
+
+
+IRREGULAR = [{1, 2}, {2, 3, 4}, {1}, {3, 4, 5}, {2, 5}, {1, 4}, {5}]
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_monte_carlo_threads_match_oracle(kind):
+    scheme = build_scheme(IRREGULAR, mu=1.0, B=6)
+    policy = make_policy(scheme, kind)
+    expected = oracle_summary(oracle_runs(scheme, policy, 1.0, 11, BATCH + 1))
+    cfg = SimulationConfig(scheme, policy, 1.0, BATCH + 1, 11)
+    assert_summary_matches(monte_carlo(cfg, threads=1), expected)
+    assert_summary_matches(monte_carlo(cfg, threads=2), expected)
+
+
+@pytest.mark.parametrize("k", [20, 43])
+@pytest.mark.parametrize("tie", ["low", "seeded"])
+def test_wide_servers_keep_exact_harmonic_keys(k, tie):
+    # lcm(1..20) * 21 * R overflows int32 and lcm(1..43) overflows int64, so
+    # the rank keys move to int64 and to Python integers
+    occupancy = [{1, 2} if v % 3 else {1, 2, 3} for v in range(k)]
+    scheme = build_scheme(occupancy, mu=1.0)
+    policy = RankedPolicy(rank="harmonic", tie=tie)
+    rt = engine._Runtime(scheme, policy)
+    assert rt.rank_values.dtype == (np.int64 if k == 20 else object)
+    words = rng.stream_words(5, rng.DOMAIN_RUN, range(4), rt.draws * k)
+    instants, order, profile = engine._jump_chain(rt, 1.0, words)
+    for r, (d, o, p) in enumerate(oracle_runs(scheme, policy, 1.0, 5, 4)):
+        assert [0.0, *instants[:, r].tolist()] == d
+        assert (order[:, r] + 1).tolist() == o
+        assert profile[:, r].tolist() == p
+
+
+class TestSeedingContract:
+    @pytest.mark.parametrize("blocks", [2, 3])
+    def test_single_draw_equals_separate_draws(self, blocks):
+        V = 13
+        gen = rng.stream(7, rng.DOMAIN_RUN, 4)
+        exps = rng.standard_exponentials(gen, V)
+        separate = [rng.bounded_picks(gen, V) for _ in range(blocks - 1)]
+        single = rng.words(rng.stream(7, rng.DOMAIN_RUN, 4), blocks * V)
+        assert np.array_equal(rng.word_exponentials(single[:V]), exps)
+        assert [single[(b + 1) * V:(b + 2) * V].tolist() for b in range(blocks - 1)] == separate
+        column = rng.stream_words(7, rng.DOMAIN_RUN, range(2, 6), blocks * V)[:, 2]
+        assert np.array_equal(column, single)
+
+    def test_stream_words_rejects_bad_index(self):
+        with pytest.raises(ValueError):
+            rng.stream_words(7, rng.DOMAIN_RUN, range(-1, 2), 4)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 133, 2**31 - 1, 2**31])
+    def test_picks_match_pick_on_edge_words(self, m):
+        edges = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
+        words = edges + rng.bounded_picks(rng.stream(3, rng.DOMAIN_RUN, m), 50)
+        got = rng.picks(np.asarray(words, dtype=np.uint64), np.full(len(words), m, np.uint64))
+        assert got.tolist() == [rng.pick(u, m) for u in words]
+        assert int(got.max()) < m
