@@ -243,6 +243,16 @@ def sample_random_mds(B: int, V: int, R: int, seed: int, index: int = 0) -> MdsP
     server; ``index`` selects an independent sample stream."""
     if min(B, V, R) < 1:
         raise InvalidParams("B, V, R must be positive")
-    gen = _rng.stream(seed, _rng.DOMAIN_PLACEMENT, index)
-    chi = tuple(int(b) + 1 for b in gen.integers(0, B, size=V * R))
+    servers = placement_servers(_rng.stream(seed, _rng.DOMAIN_PLACEMENT, index), B, V, R)
+    chi = tuple((servers.ravel() + 1).tolist())
     return MdsPlacement(B=B, V=V, R=R, chi=chi)
+
+
+def placement_servers(gen, B: int, V: int, R: int):
+    """The 0-based servers of one sampled ensemble placement, V x R i.i.d.
+    uniform on [0, B), from the sample's ``DOMAIN_PLACEMENT`` stream ``gen``.
+
+    A replication placement reads row v as the R replicas of fragment v; an
+    MDS placement reads the rows in order as its V*R coded fragments (chi).
+    """
+    return gen.integers(0, B, size=(V, R))

@@ -14,10 +14,15 @@ of runs through the chain in lockstep, one step per iteration; per run it
 does the arithmetic of a one-run loop, so results are also independent of
 the batch size. Exact expectations come from propagating subset
 probabilities through the chain (2^V states).
+
+A random-ensemble sample runs one kernel on its drawn server array, without
+building a placement object: fragment-uniform order in numpy from one
+permutation, server-uniform order over sorted lists edited in place.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, sqrt
@@ -25,7 +30,7 @@ from math import lcm, sqrt
 import numpy as np
 
 from . import rng as _rng
-from .constructions import MdsPlacement, ReplicationPlacement, sample_random_mds
+from .constructions import MdsPlacement, ReplicationPlacement, placement_servers
 from .errors import EmptyProfile, InvalidParams, TooManyFragments
 from .mdp import _forward_dp, _SchemeContext
 from .model import StorageScheme
@@ -140,7 +145,7 @@ class _Runtime:
         self.inv_scaled = [0] + [scale // k for k in range(1, k_max + 1)]
         self.kind, self.extra = self._classify(policy)
         self.family = self.kind.split("-", 1)[0]
-        self.seeded_ties = self.kind.endswith("seeded") and self.extra is None
+        self.seeded_ties = self.kind.endswith("seeded")
         # 64-bit words per run and step: holding time, winner, extra pick
         self.draws = 3 if self.kind == "random" or self.kind.endswith("seeded") else 2
 
@@ -612,52 +617,69 @@ def simulate_ensemble_profile(
     uniformly random remaining (distinct, or coded for MDS) fragment each
     step, the idealization under which the ensemble closed forms are exact.
     """
-    if order_mode not in (SERVER_UNIFORM, FRAGMENT_UNIFORM):
-        raise InvalidParams(f"unknown order mode {order_mode!r}")
+    _check_order_mode(order_mode)
     if isinstance(placement, ReplicationPlacement):
-        holders = [sorted(b - 1 for b in s) for s in placement.occupancy]
-        item_count = placement.V
-        steps = placement.V
+        servers = np.array(placement.theta, dtype=np.intp).reshape(placement.V, placement.R)
     elif isinstance(placement, MdsPlacement):
-        holders = [[b - 1] for b in placement.chi]
-        item_count = placement.V * placement.R
-        steps = placement.V
+        servers = np.array(placement.chi, dtype=np.intp).reshape(-1, 1)
     else:
         raise InvalidParams(f"unsupported placement {placement!r}")
+    return _ensemble_profile(servers - 1, placement.B, placement.V, order_mode, gen)
 
-    count = [0] * placement.B
-    for hs in holders:
-        for b in hs:
-            count[b] += 1
-    # count[b] = number of distinct remaining items stored on b
-    profile = np.empty(steps, dtype=np.int64)
-    remaining = [True] * item_count
 
-    if order_mode == FRAGMENT_UNIFORM:
-        order = gen.permutation(item_count)
-        for taken in range(steps):
-            profile[taken] = sum(1 for c in count if c > 0)
-            v = int(order[taken])
-            remaining[v] = False
-            for b in holders[v]:
-                count[b] -= 1
-        return profile
+def _check_order_mode(order_mode: str) -> None:
+    if order_mode not in (SERVER_UNIFORM, FRAGMENT_UNIFORM):
+        raise InvalidParams(f"unknown order mode {order_mode!r}")
 
-    # server-uniform jump chain
-    by_server: list[list[int]] = [[] for _ in range(placement.B)]
-    for v, hs in enumerate(holders):
-        for b in hs:
-            by_server[b].append(v)
-    for taken in range(steps):
-        useful = [b for b in range(placement.B) if count[b] > 0]
-        profile[taken] = len(useful)
-        w = useful[int(gen.integers(0, len(useful)))]
-        residual = [v for v in by_server[w] if remaining[v]]
-        v = residual[int(gen.integers(0, len(residual)))]
-        remaining[v] = False
+
+def _ensemble_profile(item_servers: np.ndarray, B: int, steps: int, mode: str,
+                      gen: np.random.Generator) -> np.ndarray:
+    """Useful-server counts of the first ``steps`` downloads (int64).
+
+    Row i of ``item_servers`` lists the 0-based servers holding item i: the
+    R replicas of a fragment (a server may repeat), or the one server of a
+    coded fragment. A server is useful while it holds an item not yet taken.
+    """
+    items = len(item_servers)
+    if mode == FRAGMENT_UNIFORM:
+        # items leave in permutation order, so a server stays useful up to
+        # the position of its last item
+        pos = np.empty(items, dtype=np.intp)
+        pos[gen.permutation(items)] = np.arange(items)
+        last = np.full(B, -1, dtype=np.intp)
+        np.maximum.at(last, item_servers, pos[:, None])
+        ends = np.bincount(last + 1, minlength=items + 1)  # [0]: servers holding nothing
+        return ends[:0:-1].cumsum()[::-1][:steps]
+
+    # server-uniform jump chain over the ascending useful list and each
+    # server's ascending list of remaining items: both picks index these lists
+    rows = np.sort(item_servers, axis=1)
+    distinct = np.ones(rows.shape, dtype=bool)
+    distinct[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    servers = rows[distinct]  # by item, then server
+    by_server = np.nonzero(distinct)[0][np.argsort(servers, kind="stable")]
+    holders = _split(servers.tolist(), distinct.sum(axis=1))
+    residual = _split(by_server.tolist(), np.bincount(servers, minlength=B))
+    useful = [b for b in range(B) if residual[b]]
+
+    profile = []
+    for _ in range(steps):
+        n = len(useful)
+        profile.append(n)
+        left = residual[useful[int(gen.integers(0, n))]]
+        v = left[int(gen.integers(0, len(left)))]
         for b in holders[v]:
-            count[b] -= 1
-    return profile
+            left = residual[b]
+            del left[bisect_left(left, v)]
+            if not left:
+                del useful[bisect_left(useful, b)]
+    return np.array(profile, dtype=np.int64)
+
+
+def _split(flat: list, sizes: np.ndarray) -> list[list]:
+    """``flat`` cut into consecutive lists of the given sizes."""
+    stops = sizes.cumsum().tolist()
+    return [flat[lo:hi] for lo, hi in zip([0] + stops, stops)]
 
 
 @dataclass(frozen=True)
@@ -684,18 +706,16 @@ def _ensemble_chunk(args):
     psum = np.zeros(V, dtype=np.int64)
     psumsq = np.zeros(V, dtype=np.int64)
     dup = 0
-    for s in range(start, stop):
-        traj_gen = _rng.stream(seed, _rng.DOMAIN_TRAJECTORY, s)
+    samples = range(start, stop)
+    for place_gen, traj_gen in zip(_rng.streams(seed, _rng.DOMAIN_PLACEMENT, samples),
+                                   _rng.streams(seed, _rng.DOMAIN_TRAJECTORY, samples)):
+        servers = placement_servers(place_gen, B, V, R)
         if kind == "rep":
-            place_gen = _rng.stream(seed, _rng.DOMAIN_PLACEMENT, s)
-            theta = place_gen.integers(0, B, size=(V, R)) + 1
-            placement = ReplicationPlacement(
-                B=B, V=V, R=R, theta=tuple(tuple(int(x) for x in row) for row in theta)
-            )
-            dup += sum(1 for v in range(1, V + 1) if placement.has_duplicate(v))
+            rows = np.sort(servers, axis=1)
+            dup += int((rows[:, 1:] == rows[:, :-1]).any(axis=1).sum())
         else:
-            placement = sample_random_mds(B, V, R, seed, index=s)
-        p = simulate_ensemble_profile(placement, order_mode, traj_gen)
+            servers = servers.reshape(V * R, 1)
+        p = _ensemble_profile(servers, B, V, order_mode, traj_gen)
         psum += p
         psumsq += p * p
     return psum, psumsq, dup
@@ -718,6 +738,9 @@ def ensemble_monte_carlo(
     """
     if kind not in ("rep", "mds"):
         raise InvalidParams(f"unknown ensemble kind {kind!r}")
+    if min(B, V, R) < 1:
+        raise InvalidParams("B, V, R must be positive")
+    _check_order_mode(order_mode)
     if samples < 1:
         raise InvalidParams("samples must be >= 1")
     chunk = max(1, (samples + max(1, threads) * 4 - 1) // (max(1, threads) * 4))

@@ -20,6 +20,22 @@ and draws 64-bit words in three blocks of V:
 
 A single draw of 2V or 3V words yields the same words as these separate
 draws, so a run may take its words in one call.
+
+Seeding contract of an ensemble sample (B servers, V fragments, R replicas
+or coded fragments per fragment). Sample s of an ensemble with seed t reads
+two streams through numpy's ``Generator`` methods:
+
+1. ``stream(t, DOMAIN_PLACEMENT, s)`` makes one draw,
+   ``integers(0, B, size=(V, R))``: row v holds the 0-based servers of the R
+   replicas of fragment v (replication), and the rows read in order are the
+   servers of the V*R coded fragments (MDS; the same values as
+   ``integers(0, B, size=V*R)``).
+2. ``stream(t, DOMAIN_TRAJECTORY, s)`` drives the download. Fragment-uniform
+   order makes one ``permutation(items)`` over the V fragments (replication)
+   or the V*R coded fragments (MDS), and step l takes its l-th entry.
+   Server-uniform order makes two ``integers(0, m)`` calls per step, in this
+   order: the winner's position in the ascending list of useful servers,
+   then a position in the ascending list of the winner's remaining items.
 """
 
 from __future__ import annotations
@@ -48,16 +64,16 @@ def stream(seed: int, domain: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed, domain, index)))
 
 
-def stream_words(seed: int, domain: int, indices: range, count: int) -> np.ndarray:
-    """The first ``count`` 64-bit words of the stream of each index, one
-    column per index: column i equals ``words(stream(seed, domain, indices[i]),
-    count)``.
+def streams(seed: int, domain: int, indices: range):
+    """Yield, for each index in turn, a generator whose draws equal those of
+    ``stream(seed, domain, index)``.
 
     One Philox generator is re-keyed per index, which costs a fraction of
-    building a new generator.
+    building a new generator; so every yielded generator is the same object,
+    valid only until the next one is taken.
     """
-    out = np.empty((count, len(indices)), dtype=np.uint64)
     bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
     state = {
         "bit_generator": "Philox",
         "buffer": np.zeros(4, dtype=np.uint64),
@@ -65,14 +81,23 @@ def stream_words(seed: int, domain: int, indices: range, count: int) -> np.ndarr
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for i, index in enumerate(indices):
+    for index in indices:
         key = _key(seed, domain, index)
         state["state"] = {
             "counter": np.zeros(4, dtype=np.uint64),
             "key": np.array([key & _MASK64, key >> 64], dtype=np.uint64),
         }
         bits.state = state
-        out[:, i] = bits.random_raw(count)
+        yield gen
+
+
+def stream_words(seed: int, domain: int, indices: range, count: int) -> np.ndarray:
+    """The first ``count`` 64-bit words of the stream of each index, one
+    column per index: column i equals ``words(stream(seed, domain, indices[i]),
+    count)``."""
+    out = np.empty((count, len(indices)), dtype=np.uint64)
+    for i, gen in enumerate(streams(seed, domain, indices)):
+        out[:, i] = gen.bit_generator.random_raw(count)
     return out
 
 

@@ -256,8 +256,9 @@ class RankedPolicy:
 
     ``tie='low'`` breaks ties toward the lowest fragment index, ``'seeded'``
     uniformly at random from the run's stream. An ``init_order`` instead
-    breaks every tie by position in that order; since all ranks tie before
-    the first download, it doubles as the initial schedule.
+    breaks every tie by position in that order, so it takes ``tie='low'``;
+    since all ranks tie before the first download, it doubles as the initial
+    schedule.
     """
 
     rank: str = "harmonic"
@@ -269,6 +270,9 @@ class RankedPolicy:
             raise InvalidParams(f"unknown rank function {self.rank!r}")
         if self.tie not in ("low", "seeded"):
             raise InvalidParams(f"unknown tie rule {self.tie!r}")
+        if self.tie == "seeded" and self.init_order is not None:
+            raise InvalidParams("tie='seeded' cannot be combined with an init order, "
+                                "which breaks every tie")
 
     def describe(self) -> str:
         init = f",init={self.init_order.label}" if self.init_order else ""

@@ -303,3 +303,86 @@ def scalar_trajectory(rt: ScalarRuntime, mu: float, gen):
                 useful.pop()
                 pos[b] = -1
     return instants, order, profile
+
+
+# ---------------------------------------------------------------------------
+# Scalar ensemble download: one sample, one Python step at a time, rescanning
+# every server per step. The reference for the engine's ensemble kernel; it
+# reads placements by their raw fields and draws from ``rng.stream`` itself.
+
+
+def _ensemble_holders(placement):
+    """(holders, item_count): the sorted 0-based servers of each item."""
+    if hasattr(placement, "theta"):  # replication: one item per fragment
+        return [sorted({b - 1 for b in t}) for t in placement.theta], placement.V
+    return [[b - 1] for b in placement.chi], placement.V * placement.R
+
+
+def scalar_ensemble_profile(placement, order_mode: str, gen):
+    """Useful-server profile N(I_0)..N(I_{V-1}) of one ensemble download."""
+    holders, item_count = _ensemble_holders(placement)
+    return _scalar_profile(holders, placement.B, item_count, placement.V, order_mode, gen)
+
+
+def _scalar_profile(holders, B: int, item_count: int, steps: int, order_mode: str, gen):
+    import numpy as np
+
+    count = [0] * B
+    for hs in holders:
+        for b in hs:
+            count[b] += 1
+    # count[b] = number of distinct remaining items stored on b
+    profile = np.empty(steps, dtype=np.int64)
+    remaining = [True] * item_count
+
+    if order_mode == "fragment":
+        order = gen.permutation(item_count)
+        for taken in range(steps):
+            profile[taken] = sum(1 for c in count if c > 0)
+            v = int(order[taken])
+            remaining[v] = False
+            for b in holders[v]:
+                count[b] -= 1
+        return profile
+
+    # server-uniform jump chain
+    by_server: list[list[int]] = [[] for _ in range(B)]
+    for v, hs in enumerate(holders):
+        for b in hs:
+            by_server[b].append(v)
+    for taken in range(steps):
+        useful = [b for b in range(B) if count[b] > 0]
+        profile[taken] = len(useful)
+        w = useful[int(gen.integers(0, len(useful)))]
+        residual = [v for v in by_server[w] if remaining[v]]
+        v = residual[int(gen.integers(0, len(residual)))]
+        remaining[v] = False
+        for b in holders[v]:
+            count[b] -= 1
+    return profile
+
+
+def scalar_ensemble_chunk(args):
+    """(psum, psumsq, duplicates) over samples start..stop-1 of an ensemble."""
+    import numpy as np
+
+    from fragsched import rng
+
+    B, V, R, kind, order_mode, seed, start, stop = args
+    psum = np.zeros(V, dtype=np.int64)
+    psumsq = np.zeros(V, dtype=np.int64)
+    dup = 0
+    for s in range(start, stop):
+        traj_gen = rng.stream(seed, rng.DOMAIN_TRAJECTORY, s)
+        place_gen = rng.stream(seed, rng.DOMAIN_PLACEMENT, s)
+        if kind == "rep":
+            theta = place_gen.integers(0, B, size=(V, R))
+            holders = [sorted(set(row)) for row in theta.tolist()]
+            dup += sum(1 for hs in holders if len(hs) < R)
+            p = _scalar_profile(holders, B, V, V, order_mode, traj_gen)
+        else:
+            chi = place_gen.integers(0, B, size=V * R)
+            p = _scalar_profile([[b] for b in chi.tolist()], B, V * R, V, order_mode, traj_gen)
+        psum += p
+        psumsq += p * p
+    return psum, psumsq, dup

@@ -193,6 +193,27 @@ class TestEnsembleCli:
         assert body[0] == "ell,mean_N,se_N,expected_N"
         assert len(body) == 1 + 8
 
+    @pytest.mark.parametrize("flag", ["--B", "--V", "--R"])
+    def test_nonpositive_size_exits_one(self, flag, tmp_path, capsys):
+        sizes = {"--B": "5", "--V": "8", "--R": "2"}
+        sizes[flag] = "0"
+        argv = ["ensemble", "--kind", "mds", "--mode", "server", "--samples", "10",
+                "--out", str(tmp_path / "ens.csv")]
+        for name, value in sizes.items():
+            argv += [name, value]
+        assert main(argv) == 1
+        assert "error: B, V, R must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "ens.csv").exists()
+
+
+class TestSimulateFlags:
+    def test_seeded_ties_with_init_order_exit_one(self, tmp_path, capsys, pp2):
+        path = tmp_path / "pp2.json"
+        write_scheme(pp2, path)
+        assert main(["simulate", "--scheme", str(path), "--scheduler", "ranked",
+                     "--tie", "seeded", "--init", "ud", "--runs", "10"]) == 1
+        assert "error: tie='seeded' cannot be combined with an init order" in capsys.readouterr().err
+
 
 class TestReproduce:
     def test_appendix_means_passes(self, capsys):

@@ -12,7 +12,9 @@ from fragsched import (
     sample_random_replication,
     simulate_ensemble_profile,
 )
+from fragsched import engine
 from fragsched.engine import FRAGMENT_UNIFORM, SERVER_UNIFORM
+from fragsched.errors import InvalidParams
 from fragsched.rng import stream
 from oracles import mds_exact_second_step, profile_tolerance
 
@@ -101,3 +103,23 @@ class TestEnsembleDeterminism:
         b = ensemble_monte_carlo(6, 12, 3, "mds", FRAGMENT_UNIFORM, samples=300, seed=5)
         assert np.array_equal(a.mean_profile, b.mean_profile)
         assert np.array_equal(a.se_profile, b.se_profile)
+
+
+class TestEnsembleArguments:
+    @pytest.mark.parametrize("B,V,R,mode", [
+        (0, 4, 2, SERVER_UNIFORM), (3, 0, 2, FRAGMENT_UNIFORM), (3, 4, 0, SERVER_UNIFORM),
+        (-1, 4, 2, FRAGMENT_UNIFORM), (3, 4, 2, "bogus"),
+    ])
+    @pytest.mark.parametrize("kind", ["rep", "mds"])
+    def test_rejected_before_any_task(self, B, V, R, mode, kind, monkeypatch):
+        def no_tasks(*args):
+            raise AssertionError("tasks started")
+
+        monkeypatch.setattr(engine, "_run_tasks", no_tasks)
+        with pytest.raises(InvalidParams):
+            ensemble_monte_carlo(B, V, R, kind, mode, samples=10, seed=1, threads=2)
+
+    def test_profile_rejects_unknown_mode(self):
+        placement = sample_random_mds(3, 4, 2, seed=1)
+        with pytest.raises(InvalidParams, match="order mode"):
+            simulate_ensemble_profile(placement, "bogus", stream(1, 9, 0))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fragsched import (
+    RankedPolicy,
     advance_state,
     build_scheme,
     greedy_rank,
@@ -17,7 +18,7 @@ from fragsched import (
     smallest_index_first,
     uniform_diversity,
 )
-from fragsched.errors import FragmentAlreadyDownloaded, ServerUseless
+from fragsched.errors import FragmentAlreadyDownloaded, InvalidParams, ServerUseless
 from oracles import all_decision_maps, immediate_reward, useful_count
 
 
@@ -243,6 +244,12 @@ class TestRankedDecide:
         decisions = ranked_decide(fano, st, rank="harmonic", init_order=ud)
         for b in range(1, 8):
             assert decisions[b] == ud.order_of(b)[0]
+
+    def test_policy_rejects_seeded_ties_with_init_order(self, fano):
+        ud = uniform_diversity(fano)
+        with pytest.raises(InvalidParams, match="init order"):
+            RankedPolicy(rank="harmonic", tie="seeded", init_order=ud)
+        assert RankedPolicy(rank="harmonic", tie="low", init_order=ud).init_order is ud
 
 
 class TestGreedyMaximizesImmediateReward:
