@@ -5,8 +5,10 @@ downloaded set is I, the next fetch completes after an Exponential(N(I)*mu)
 interval, the finishing server is uniform over the useful set (all residual
 download times are i.i.d. memoryless), and the fetched fragment is whatever
 the policy has scheduled there. A per-server-clock mode that races explicit
-exponential timers with cancellation is kept as a validation path; the two
-agree in distribution.
+exponential timers is kept as a validation path: after each download it
+re-decides every useful server, and a server whose fragment changes restarts
+its timer. The two agree in distribution. Both, and the exact DP, read the
+policy's decision rule from ``scheduling.compile_policy``.
 
 Monte Carlo runs draw from per-run derived streams, so results are
 reproducible and independent of worker count. One numpy kernel moves a batch
@@ -25,21 +27,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, sqrt
+from math import sqrt
 
 import numpy as np
 
 from . import rng as _rng
 from .constructions import MdsPlacement, ReplicationPlacement, placement_servers
 from .errors import EmptyProfile, InvalidParams, TooManyFragments
-from .mdp import _forward_dp, _SchemeContext
+from .mdp import DEFAULT_EVAL_CAP, _forward_dp
 from .model import StorageScheme
-from .scheduling import (
-    MdpPolicy,
-    NonadaptivePolicy,
-    RandomWorkConserving,
-    RankedPolicy,
-)
+from .scheduling import compile_policy
 
 __all__ = [
     "SimulationConfig",
@@ -121,56 +118,39 @@ class SimulationSummary:
     max_trajectory_aggregate: int
 
 
-_NONADAPTIVE, _RANDOM, _RANKED, _MDP = "nonadaptive", "random", "ranked", "mdp"
-
-
 class _Runtime:
-    """Per-worker immutable tables for the jump chain (0-based).
+    """Per-worker immutable tables for the jump chain, from the policy's
+    decision rule (0-based).
 
-    The padded kernel tables give every server K fragment columns, filled up
-    with the dummy fragment V (always downloaded), and every fragment R host
-    columns, filled up with the dummy server B (never useful, rank value 0).
+    The padded kernel tables give every server K fragment columns in the
+    rule's tie-break order, filled up with the dummy fragment V (always
+    downloaded), and every fragment R host columns, filled up with the dummy
+    server B (never useful, rank value 0).
     """
 
     def __init__(self, scheme: StorageScheme, policy) -> None:
-        self.scheme = scheme
-        self.policy = policy
-        self.V = V = scheme.V
-        self.B = B = scheme.B
-        self.frag_sets = [sorted(v - 1 for v in s) for s in scheme.fragment_sets]
-        self.occ = [sorted(b - 1 for b in s) for s in scheme.occupancy]
-        self.K = k_max = max(len(s) for s in self.frag_sets)
-        r_max = max(len(s) for s in self.occ)
-        scale = lcm(*range(1, k_max + 1))
-        self.inv_scaled = [0] + [scale // k for k in range(1, k_max + 1)]
-        self.kind, self.extra = self._classify(policy)
-        self.family = self.kind.split("-", 1)[0]
-        self.seeded_ties = self.kind.endswith("seeded")
-        # 64-bit words per run and step: holding time, winner, extra pick
-        self.draws = 3 if self.kind == "random" or self.kind.endswith("seeded") else 2
-
-        self.hosts = _padded(self.occ + [[]], r_max, B)
-        self.candidates = _padded(
-            self.extra if self.family == _NONADAPTIVE else self.frag_sets, k_max, V
-        )
-        sizes = [len(s) for s in self.frag_sets]
+        rule = compile_policy(scheme, policy)
+        self.V = V = rule.V
+        self.B = B = rule.B
+        self.K = K = rule.K
+        self.uniform, self.table, self.draws = rule.uniform, rule.table, rule.draws
+        r_max = max(len(s) for s in rule.occ)
+        self.hosts = _padded(rule.occ + [[]], r_max, B)
+        self.candidates = _padded(rule.orders, K, V)
+        sizes = [len(s) for s in rule.frag_sets]
         self.useful0 = [b for b in range(B) if sizes[b]]
         # the dummy server's residual stays above K for all V * r_max decrements
-        self.residual0 = np.array(sizes + [k_max + 1 + V * r_max], dtype=np.int64)
-        if self.family == _RANKED:
-            self._rank_tables(r_max)
+        self.residual0 = np.array(sizes + [K + 1 + V * r_max], dtype=np.int64)
+        self.rank_values = None
+        if rule.values is not None:
+            self._rank_tables(rule.values, r_max)
 
-    def _rank_tables(self, r_max: int) -> None:
+    def _rank_tables(self, values: list[int], r_max: int) -> None:
         """Rank value per residual size, times K + 1 (index K+1 and above: 0),
-        the hosts of every server's candidates, and per-candidate tie
-        positions; keys ``score * (K + 1) + tie position`` stay exact in the
-        chosen dtype."""
+        and the hosts of every server's candidates; keys ``score * (K + 1) +
+        column`` stay exact in the chosen dtype and break ties by column."""
         K = self.K
-        if self.kind.startswith("ranked-greedy"):
-            table = [0, 1] + [0] * K
-        else:
-            table = self.inv_scaled + [0]
-        table = [x * (K + 1) for x in table]
+        table = [x * (K + 1) for x in values + [0]]
         key_max = r_max * max(table) + K
         dtype = next((d for d in (np.int32, np.int64)
                       if key_max < np.iinfo(d).max), object)
@@ -178,31 +158,7 @@ class _Runtime:
         self.rank_values = np.array(table, dtype=dtype)
         # (R, B, K): host r of candidate j of server b
         self.cand_hosts = np.ascontiguousarray(self.hosts[self.candidates].transpose(2, 0, 1))
-        if self.extra is None:  # lowest fragment index first
-            self.tie_pos = np.tile(np.arange(K, dtype=dtype), (self.B, 1))
-        else:  # init-order positions
-            ranks = [[self.extra[b][v] for v in s] for b, s in enumerate(self.frag_sets)]
-            self.tie_pos = _padded(ranks, K, 0, dtype)
-
-    def _classify(self, policy):
-        if isinstance(policy, NonadaptivePolicy):
-            orders = [[v - 1 for v in o] for o in policy.order.orders]
-            return "nonadaptive", orders
-        if isinstance(policy, RandomWorkConserving):
-            return "random", None
-        if isinstance(policy, RankedPolicy):
-            pos = None
-            if policy.init_order is not None:
-                pos = []
-                for o in policy.init_order.orders:
-                    m = [0] * self.V
-                    for i, v in enumerate(o):
-                        m[v - 1] = i
-                    pos.append(m)
-            return f"ranked-{policy.rank}-{policy.tie}", pos
-        if isinstance(policy, MdpPolicy):
-            return "mdp", policy.solution.decisions
-        raise InvalidParams(f"unsupported policy {policy!r}")
+        self.columns = np.arange(K, dtype=dtype)
 
 
 def _padded(rows, width: int, fill, dtype=np.intp) -> np.ndarray:
@@ -234,7 +190,7 @@ def _jump_chain(rt: _Runtime, mu: float, words: np.ndarray):
     n = words.shape[1]
     V, B1, K = rt.V, rt.B + 1, rt.K
     R = rt.hosts.shape[1]
-    family = rt.family
+    ranked = rt.rank_values is not None
     exps = _rng.word_exponentials(words[:V])
 
     runs = np.arange(n)
@@ -260,15 +216,14 @@ def _jump_chain(rt: _Runtime, mu: float, words: np.ndarray):
     cand_idx = np.empty((n, K), dtype=np.intp)
     taken = np.empty((n, K), dtype=bool)
     hosts = np.empty((n, R), dtype=np.intp)
-    if family == _RANKED:
+    if ranked:
         rank_values = rt.rank_values
         values = rank_values.take(residual, mode="clip")
         host_idx = np.empty((R, n, K), dtype=np.intp)
         host_val = np.empty((R, n, K), dtype=rank_values.dtype)
         host_idx_off = np.broadcast_to(off_b[:, None], (R, n, K)).copy()
         score = np.empty((n, K), dtype=rank_values.dtype)
-        tie = np.empty((n, K), dtype=rank_values.dtype)
-    elif family == _MDP:
+    elif rt.table is not None:
         masks = [0] * n
     order = np.empty((V, n), dtype=np.int32)
     profile = np.empty((V, n), dtype=np.int32)
@@ -277,9 +232,9 @@ def _jump_chain(rt: _Runtime, mu: float, words: np.ndarray):
         profile[ell] = nuse
         w = useful[off_b + _rng.picks(words[V + ell], nuse_u).view(np.intp)]
 
-        if family == _MDP:
+        if rt.table is not None:
             ws = w.tolist()
-            vs = [rt.extra[(masks[i], ws[i])] for i in range(n)]
+            vs = [rt.table[(masks[i], ws[i])] for i in range(n)]
             for i, v in enumerate(vs):
                 masks[i] |= 1 << v
             v = np.array(vs, dtype=np.intp)
@@ -287,27 +242,26 @@ def _jump_chain(rt: _Runtime, mu: float, words: np.ndarray):
             np.take(rt.candidates, w, axis=0, out=cand, mode="clip")
             np.add(cand, cand_off, out=cand_idx)
             np.take(downloaded, cand_idx, out=taken, mode="clip")
-            if family == _NONADAPTIVE:  # first fragment of the order not downloaded
-                col = taken.argmin(axis=1)
-            elif family == _RANDOM:
-                free = ~taken
-                count = free.sum(axis=1)
-                col = _nth_true(free, _rng.picks(words[2 * V + ell], count.view(np.uint64)))
-            else:
+            if ranked:
                 np.take(rt.cand_hosts, w, axis=1, out=host_idx, mode="clip")
                 host_idx += host_idx_off
                 np.take(values, host_idx, out=host_val, mode="clip")
                 np.add.reduce(host_val, axis=0, out=score)
-                if rt.seeded_ties:
+                if rt.uniform:
                     np.putmask(score, taken, rt.key_none)
                     tied = score == score.min(axis=1)[:, None]
                     count = tied.sum(axis=1)
                     col = _nth_true(tied, _rng.picks(words[2 * V + ell], count.view(np.uint64)))
                 else:
-                    np.take(rt.tie_pos, w, axis=0, out=tie, mode="clip")
-                    score += tie
+                    score += rt.columns
                     np.putmask(score, taken, rt.key_none)
                     col = score.argmin(axis=1)
+            elif rt.uniform:  # uniform over the candidates not downloaded
+                free = ~taken
+                count = free.sum(axis=1)
+                col = _nth_true(free, _rng.picks(words[2 * V + ell], count.view(np.uint64)))
+            else:  # first candidate not downloaded
+                col = taken.argmin(axis=1)
             v = cand.ravel()[off_k + col]
 
         order[ell] = v
@@ -317,7 +271,7 @@ def _jump_chain(rt: _Runtime, mu: float, words: np.ndarray):
         left = residual[hosts]
         left -= 1
         residual[hosts] = left
-        if family == _RANKED:
+        if ranked:
             values[hosts] = rank_values.take(left, mode="clip")
         dead = left == 0
         if ell < V - 1 and dead.any():  # the list is not read after the last step
@@ -387,86 +341,38 @@ def simulate_run_clocks(
 ) -> TrajectoryRecord:
     """Validation mode: race explicit per-server exponential clocks.
 
-    Every useful server downloads its scheduled fragment under a fresh
-    Exponential(mu) timer; when a fragment completes anywhere, servers
-    downloading that fragment cancel and reschedule instantly. Slower than
-    the jump chain but structurally faithful to the modeled system.
+    Every useful server downloads a fragment under its own Exponential(mu)
+    timer. After each download every useful server reads the policy's
+    choices again and draws one; a server whose fragment changes (it was
+    fetched elsewhere, or an adaptive rule now prefers another) restarts on
+    the new one with a fresh timer, which by memorylessness costs nothing.
+    Slower than the jump chain but structurally faithful to the modeled
+    system.
     """
-    rt = _Runtime(scheme, policy)
-    V = scheme.V
-    state_gen = run_rng
-    # reuse the jump-chain decision machinery through a tiny adapter
-    downloaded = [False] * V
-    residual_count = [len(s) for s in rt.frag_sets]
-    useful = {b for b in range(rt.B) if residual_count[b] > 0}
-    pointers = [0] * rt.B
+    rule = compile_policy(scheme, policy)
     mask = 0
     current: dict[int, int] = {}
     fire: dict[int, float] = {}
-
-    def decide(w: int) -> int:
-        if rt.kind == "nonadaptive":
-            o = rt.extra[w]
-            k = pointers[w]
-            while downloaded[o[k]]:
-                k += 1
-            pointers[w] = k
-            return o[k]
-        if rt.kind == "mdp":
-            return rt.extra[(mask, w)]
-        if rt.kind == "random":
-            residual = [v for v in rt.frag_sets[w] if not downloaded[v]]
-            return residual[int(state_gen.integers(0, len(residual)))]
-        # ranked
-        greedy = rt.kind.startswith("ranked-greedy")
-        best_s, tied = None, []
-        for v2 in rt.frag_sets[w]:
-            if downloaded[v2]:
-                continue
-            if greedy:
-                s = sum(1 for a in rt.occ[v2] if residual_count[a] == 1)
-            else:
-                s = sum(rt.inv_scaled[residual_count[a]] for a in rt.occ[v2])
-            if best_s is None or s < best_s:
-                best_s, tied = s, [v2]
-            elif s == best_s:
-                tied.append(v2)
-        if len(tied) == 1:
-            return tied[0]
-        if rt.extra is not None:
-            pm = rt.extra[w]
-            return min(tied, key=lambda x: pm[x])
-        if rt.kind.endswith("seeded"):
-            return tied[int(state_gen.integers(0, len(tied)))]
-        return tied[0]
-
     t = 0.0
-    for b in useful:
-        current[b] = decide(b)
-        fire[b] = t + float(state_gen.exponential(1.0 / mu))
-
     instants = [0.0]
     order: list[int] = []
     profile: list[int] = []
-    for _ in range(V):
-        profile.append(len(useful))
-        w = min(useful, key=lambda b: (fire[b], b))
+    for _ in range(scheme.V):
+        choices = rule.choices(mask)
+        for b in current.keys() - choices.keys():  # ran dry
+            del current[b], fire[b]
+        for b, vs in choices.items():
+            v = vs[0] if len(vs) == 1 else vs[int(run_rng.integers(0, len(vs)))]
+            if current.get(b) != v:
+                current[b] = v
+                fire[b] = t + float(run_rng.exponential(1.0 / mu))
+        profile.append(len(choices))
+        w = min(fire, key=lambda b: (fire[b], b))
         t = fire[w]
         v = current[w]
         instants.append(t)
         order.append(v + 1)
-        downloaded[v] = True
         mask |= 1 << v
-        for b in rt.occ[v]:
-            residual_count[b] -= 1
-            if residual_count[b] == 0:
-                useful.discard(b)
-                current.pop(b, None)
-                fire.pop(b, None)
-        for b in list(useful):
-            if current[b] == v:  # cancelled: reschedule with a fresh clock
-                current[b] = decide(b)
-                fire[b] = t + float(state_gen.exponential(1.0 / mu))
     return TrajectoryRecord(
         download_instants=tuple(instants),
         fragment_order=tuple(order),
@@ -569,7 +475,8 @@ class ExactDownload:
 
 
 def exact_mean_download(
-    scheme: StorageScheme, policy, mu: float, exact: bool | None = None, cap: int = 24
+    scheme: StorageScheme, policy, mu: float, exact: bool | None = None,
+    cap: int = DEFAULT_EVAL_CAP,
 ) -> ExactDownload:
     """E[D_V] = sum over stages of E[1/(N(I_l)*mu)], by exact subset DP.
 
@@ -580,8 +487,7 @@ def exact_mean_download(
         raise TooManyFragments(f"V={scheme.V} exceeds the evaluation cap {cap}")
     if exact is None:
         exact = scheme.V <= 16
-    ctx = _SchemeContext(scheme)
-    per_ell, per_ell_inv, _ = _forward_dp(ctx, policy, rational=exact)
+    per_ell, per_ell_inv, _ = _forward_dp(compile_policy(scheme, policy), rational=exact)
     if exact:
         mean = sum(per_ell_inv, start=Fraction(0)) / Fraction(mu)
     else:

@@ -19,50 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import InvalidParams, TooManyFragments
 from .model import StorageScheme
-from .scheduling import (
-    MdpPolicy,
-    NonadaptivePolicy,
-    RandomWorkConserving,
-    RankedPolicy,
-)
+from .scheduling import DecisionRule, RandomWorkConserving, compile_policy
 
 __all__ = ["MdpSolution", "PolicyEvaluation", "mdp_solve", "policy_evaluate_exact"]
 
 DEFAULT_MDP_CAP = 20
 DEFAULT_EVAL_CAP = 24
-
-
-class _SchemeContext:
-    """0-based index views of a scheme for subset arithmetic."""
-
-    def __init__(self, scheme: StorageScheme):
-        self.scheme = scheme
-        self.V = scheme.V
-        self.B = scheme.B
-        self.frag_sets = [sorted(v - 1 for v in s) for s in scheme.fragment_sets]
-        self.occ = [sorted(b - 1 for b in s) for s in scheme.occupancy]
-        self.full = (1 << self.V) - 1
-        k_max = max(len(s) for s in self.frag_sets)
-        self.harmonic_scale = lcm(*range(1, k_max + 1))
-
-    def residual_sizes(self, mask: int) -> list[int]:
-        return [sum(1 for v in s if not mask >> v & 1) for s in self.frag_sets]
-
-    def useful(self, mask: int) -> list[int]:
-        return [b for b, s in enumerate(self.frag_sets) if any(not mask >> v & 1 for v in s)]
-
-    def n_useful(self, mask: int) -> int:
-        return len(self.useful(mask))
-
-    def masks_by_level(self) -> list[list[int]]:
-        levels: list[list[int]] = [[] for _ in range(self.V + 1)]
-        for mask in range(1 << self.V):
-            levels[mask.bit_count()].append(mask)
-        return levels
 
 
 def _as_mask(subset, V: int) -> int:
@@ -103,98 +68,30 @@ def mdp_solve(scheme: StorageScheme, cap: int = DEFAULT_MDP_CAP) -> MdpSolution:
     """
     if scheme.V > cap:
         raise TooManyFragments(f"V={scheme.V} exceeds the solver cap {cap}")
-    ctx = _SchemeContext(scheme)
-    V = ctx.V
-    values: dict[int, Fraction] = {ctx.full: Fraction(0)}
-    n_use: dict[int, int] = {ctx.full: 0}
+    V = scheme.V
+    # the random baseline may serve any residual fragment, so its choices are
+    # the action sets
+    actions = compile_policy(scheme, RandomWorkConserving()).choices
+    full = (1 << V) - 1
+    values: dict[int, Fraction] = {full: Fraction(0)}
+    n_use: dict[int, int] = {full: 0}
     decisions: dict[tuple[int, int], int] = {}
-    levels = ctx.masks_by_level()
-
-    for level in range(V - 1, -1, -1):
-        for mask in levels[level]:
-            n = ctx.n_useful(mask)
-            n_use[mask] = n
-            if level == V - 1:
-                v = (ctx.full ^ mask).bit_length() - 1
-                for b in ctx.occ[v]:
-                    decisions[(mask, b)] = v
-                values[mask] = Fraction(0)
-                continue
-            total = Fraction(0)
-            for b in ctx.useful(mask):
-                best_val = None
-                best_v = -1
-                for v in ctx.frag_sets[b]:
-                    if mask >> v & 1:
-                        continue
-                    child = mask | 1 << v
-                    val = Fraction(n_use[child], V) + values[child]
-                    if best_val is None or val > best_val or (val == best_val and v < best_v):
-                        best_val, best_v = val, v
-                decisions[(mask, b)] = best_v
-                total += best_val
-            values[mask] = total / n
+    # a successor's mask is larger, so descending masks meet successors first
+    for mask in range(full - 1, -1, -1):
+        servers = actions(mask)
+        total = Fraction(0)
+        for b, residual in servers.items():
+            best = None
+            for v in residual:  # ascending: the lowest optimal fragment is kept
+                child = mask | 1 << v
+                val = Fraction(n_use[child], V) + values[child]
+                if best is None or val > best:
+                    best, best_v = val, v
+            decisions[(mask, b)] = best_v
+            total += best
+        n_use[mask] = len(servers)
+        values[mask] = total / len(servers)
     return MdpSolution(V=V, optimal_value=values[0], values=values, decisions=decisions)
-
-
-def _rank_scores(ctx: _SchemeContext, mask: int, sizes: list[int], rank: str) -> dict[int, int]:
-    """Exact integer rank of every remaining fragment (harmonic ranks scaled
-    by lcm(1..K) so comparisons stay integral)."""
-    scores: dict[int, int] = {}
-    for v in range(ctx.V):
-        if mask >> v & 1:
-            continue
-        if rank == "greedy":
-            scores[v] = sum(1 for b in ctx.occ[v] if sizes[b] == 1)
-        else:
-            scores[v] = sum(ctx.harmonic_scale // sizes[b] for b in ctx.occ[v])
-    return scores
-
-
-def _decision_dists(
-    ctx: _SchemeContext, policy, mask: int
-) -> dict[int, dict[int, Fraction]]:
-    """Per useful server, the probability distribution of its scheduled
-    fragment in state ``mask``. Deterministic policies yield point masses;
-    seeded ranked ties and the random baseline yield uniform masses."""
-    out: dict[int, dict[int, Fraction]] = {}
-    if isinstance(policy, NonadaptivePolicy):
-        for b in ctx.useful(mask):
-            for v1 in policy.order.orders[b]:
-                if not mask >> (v1 - 1) & 1:
-                    out[b] = {v1 - 1: Fraction(1)}
-                    break
-        return out
-    if isinstance(policy, RandomWorkConserving):
-        for b in ctx.useful(mask):
-            residual = [v for v in ctx.frag_sets[b] if not mask >> v & 1]
-            share = Fraction(1, len(residual))
-            out[b] = {v: share for v in residual}
-        return out
-    if isinstance(policy, RankedPolicy):
-        sizes = ctx.residual_sizes(mask)
-        scores = _rank_scores(ctx, mask, sizes, policy.rank)
-        for b in ctx.useful(mask):
-            residual = [v for v in ctx.frag_sets[b] if not mask >> v & 1]
-            best = min(scores[v] for v in residual)
-            tied = [v for v in residual if scores[v] == best]
-            if len(tied) == 1:
-                out[b] = {tied[0]: Fraction(1)}
-            elif policy.init_order is not None:
-                pos = {v - 1: i for i, v in enumerate(policy.init_order.orders[b])}
-                out[b] = {min(tied, key=lambda v: pos[v]): Fraction(1)}
-            elif policy.tie == "seeded":
-                share = Fraction(1, len(tied))
-                out[b] = {v: share for v in tied}
-            else:
-                out[b] = {min(tied): Fraction(1)}
-        return out
-    if isinstance(policy, MdpPolicy):
-        sol = policy.solution
-        for b in ctx.useful(mask):
-            out[b] = {sol.decisions[(mask, b)]: Fraction(1)}
-        return out
-    raise InvalidParams(f"unsupported policy {policy!r}")
 
 
 @dataclass(frozen=True)
@@ -213,13 +110,13 @@ class PolicyEvaluation:
     aggregate_reward: Fraction
 
 
-def _forward_dp(ctx: _SchemeContext, policy, rational: bool = True):
+def _forward_dp(rule: DecisionRule, rational: bool = True):
     """Propagate subset probabilities through a policy's chain.
 
     Returns (per_ell E[N], per_ell E[1/N], aggregate reward over stages
     1..V-1), in exact rationals or floats.
     """
-    V = ctx.V
+    V = rule.V
     zero = Fraction(0) if rational else 0.0
     one = Fraction(1) if rational else 1.0
     probs = {0: one}
@@ -230,15 +127,15 @@ def _forward_dp(ctx: _SchemeContext, policy, rational: bool = True):
         level_inv = zero
         nxt: dict = {}
         for mask, p in probs.items():
-            dists = _decision_dists(ctx, policy, mask)
-            n = len(dists)
+            choices = rule.choices(mask)
+            n = len(choices)
             level_n += p * n
             level_inv += p * (Fraction(1, n) if rational else 1.0 / n)
-            for dist in dists.values():
-                for v, q in dist.items():
+            for vs in choices.values():
+                q = Fraction(1, len(vs)) if rational else 1.0 / len(vs)
+                for v in vs:
                     child = mask | 1 << v
-                    share = p * q / n if rational else p * float(q) / n
-                    nxt[child] = nxt.get(child, zero) + share
+                    nxt[child] = nxt.get(child, zero) + p * q / n
         per_ell.append(level_n)
         per_ell_inv.append(level_inv)
         probs = nxt
@@ -252,10 +149,9 @@ def policy_evaluate_exact(
     """Exact rational evaluation of a policy's download chain."""
     if scheme.V > cap:
         raise TooManyFragments(f"V={scheme.V} exceeds the evaluation cap {cap}")
-    ctx = _SchemeContext(scheme)
-    per_ell, per_ell_inv, aggregate = _forward_dp(ctx, policy, rational=True)
+    per_ell, per_ell_inv, aggregate = _forward_dp(compile_policy(scheme, policy), rational=True)
     return PolicyEvaluation(
-        V=ctx.V,
+        V=scheme.V,
         per_ell_useful=tuple(per_ell),
         per_ell_inverse_useful=tuple(per_ell_inv),
         aggregate_reward=aggregate,

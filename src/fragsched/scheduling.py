@@ -8,12 +8,24 @@ each step and serve the lowest-ranked one per server: the greedy rank counts
 the servers that would die if the fragment were fetched next, the harmonic
 rank sums reciprocals of the residual sizes of its hosts. Ranks are compared
 exactly (integers / rationals), so ties are well-defined.
+
+Each policy's decision rule is written once, in :class:`DecisionRule`, which
+:func:`compile_policy` builds. Its ``choices(mask)`` maps every useful server,
+in ascending order, to the fragments it may serve next in the downloaded set
+``mask``, in ascending order; the server serves each of them with the same
+probability. Deterministic rules give one fragment: nonadaptive orders,
+ranked rules with lowest-index or init-order ties, and the MDP table. The
+random baseline gives the whole residual and seeded ranked ties the tied set.
+Rank scores are exact integers (harmonic ranks scaled by lcm(1..K)). The jump
+chain, the clock validator, the exact forward DP, the MDP solver and the
+1-based functions below all read this one rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -33,6 +45,8 @@ __all__ = [
     "RankedPolicy",
     "RandomWorkConserving",
     "MdpPolicy",
+    "DecisionRule",
+    "compile_policy",
 ]
 
 
@@ -164,22 +178,31 @@ def pushback(order: PlacementOrder, scheme: StorageScheme, server: int) -> Place
     )
 
 
+def _mask(state: DownloadState) -> int:
+    return sum(1 << (v - 1) for v in state.downloaded_set)
+
+
 def nonadaptive_decide(order: PlacementOrder, state: DownloadState, server: int) -> int:
     """First fragment of the server's order not yet downloaded."""
-    for v in order.orders[server - 1]:
-        if v not in state.downloaded_set:
-            return v
-    raise ServerUseless(f"server {server} has no remaining fragments")
+    choices = DecisionRule(order.orders, order=order).choices(_mask(state))
+    if server - 1 not in choices:
+        raise ServerUseless(f"server {server} has no remaining fragments")
+    return choices[server - 1][0] + 1
+
+
+def _score(scheme: StorageScheme, state: DownloadState, fragment: int, rank: str):
+    """The rule's integer rank score of ``fragment`` and its scale (1 for
+    greedy, lcm(1..K) for harmonic)."""
+    if fragment in state.downloaded_set:
+        raise FragmentAlreadyDownloaded(f"fragment {fragment} already downloaded")
+    rule = compile_policy(scheme, RankedPolicy(rank=rank))
+    return rule._scores(_mask(state))[fragment - 1], rule.values[1]
 
 
 def greedy_rank(scheme: StorageScheme, state: DownloadState, fragment: int) -> int:
     """Number of servers hosting ``fragment`` whose residual is just that
     fragment, i.e. the servers that die if it is fetched next."""
-    if fragment in state.downloaded_set:
-        raise FragmentAlreadyDownloaded(f"fragment {fragment} already downloaded")
-    return sum(
-        1 for b in scheme.occupancy[fragment - 1] if len(state.residual[b - 1]) == 1
-    )
+    return _score(scheme, state, fragment, "greedy")[0]
 
 
 def harmonic_rank(scheme: StorageScheme, state: DownloadState, fragment: int) -> Fraction:
@@ -187,15 +210,7 @@ def harmonic_rank(scheme: StorageScheme, state: DownloadState, fragment: int) ->
 
     Exact rational, so equality between ranks (a tie) is unambiguous.
     """
-    if fragment in state.downloaded_set:
-        raise FragmentAlreadyDownloaded(f"fragment {fragment} already downloaded")
-    return sum(
-        (Fraction(1, len(state.residual[b - 1])) for b in scheme.occupancy[fragment - 1]),
-        start=Fraction(0),
-    )
-
-
-_RANKS = {"greedy": greedy_rank, "harmonic": harmonic_rank}
+    return Fraction(*_score(scheme, state, fragment, "harmonic"))
 
 
 def ranked_decide(
@@ -211,33 +226,17 @@ def ranked_decide(
 
     Ties break by lowest fragment index (``tie='low'``), uniformly at random
     (``tie='seeded'``, needs ``rng``), or by position in ``init_order`` when
-    one is supplied (which also fixes the all-ties first step).
+    one is supplied (which also fixes the all-ties first step). The arguments
+    are checked as :class:`RankedPolicy` checks them.
     """
-    if rank not in _RANKS:
-        raise InvalidParams(f"unknown rank function {rank!r}")
-    rank_fn = _RANKS[rank]
-    scores = {
-        v: rank_fn(scheme, state, v)
-        for v in range(1, scheme.V + 1)
-        if v not in state.downloaded_set
+    policy = RankedPolicy(rank=rank, tie=tie, init_order=init_order)
+    if tie == "seeded" and rng is None:
+        raise InvalidParams("tie='seeded' needs an rng")
+    choices = compile_policy(scheme, policy).choices(_mask(state))
+    return {
+        b + 1: (vs[0] if len(vs) == 1 else vs[int(rng.integers(0, len(vs)))]) + 1
+        for b, vs in choices.items()
     }
-    decisions: dict[int, int] = {}
-    for b in sorted(state.useful):
-        residual = state.residual[b - 1]
-        best = min(scores[v] for v in residual)
-        tied = sorted(v for v in residual if scores[v] == best)
-        if len(tied) == 1:
-            decisions[b] = tied[0]
-        elif init_order is not None:
-            pos = {v: i for i, v in enumerate(init_order.orders[b - 1])}
-            decisions[b] = min(tied, key=lambda v: pos[v])
-        elif tie == "seeded":
-            if rng is None:
-                raise InvalidParams("tie='seeded' needs an rng")
-            decisions[b] = tied[int(rng.integers(0, len(tied)))]
-        else:
-            decisions[b] = tied[0]
-    return decisions
 
 
 @dataclass(frozen=True)
@@ -266,7 +265,7 @@ class RankedPolicy:
     init_order: PlacementOrder | None = None
 
     def __post_init__(self) -> None:
-        if self.rank not in _RANKS:
+        if self.rank not in ("greedy", "harmonic"):
             raise InvalidParams(f"unknown rank function {self.rank!r}")
         if self.tie not in ("low", "seeded"):
             raise InvalidParams(f"unknown tie rule {self.tie!r}")
@@ -295,3 +294,87 @@ class MdpPolicy:
 
     def describe(self) -> str:
         return "mdp"
+
+
+class DecisionRule:
+    """A policy compiled onto the 0-based scheme index every engine shares.
+
+    Servers and fragments are 0-based and a downloaded set is a bitmask over
+    fragments. ``frag_sets[b]`` and ``occ[v]`` are sorted; ``bits[b]`` is the
+    fragment mask of server b, so its residual size under ``mask`` is
+    ``(bits[b] & ~mask).bit_count()``. ``orders[b]`` lists the fragments of
+    server b in tie-break order: ascending unless the policy fixes an order
+    (a nonadaptive placement order or a ranked init order). ``values[k]`` is
+    the rank value of a host with residual size k (k = 0..K), or None for an
+    unranked policy; ``uniform`` draws among tied fragments uniformly instead
+    of taking the first; ``table`` holds the MDP decisions by (mask, server).
+    ``draws`` is the number of 64-bit stream words a jump-chain run takes per
+    step.
+    """
+
+    def __init__(self, fragment_sets, rank: str | None = None, order: PlacementOrder | None = None,
+                 uniform: bool = False, table: dict | None = None) -> None:
+        self.frag_sets = [sorted(v - 1 for v in s) for s in fragment_sets]
+        self.B = len(self.frag_sets)
+        self.V = 1 + max(s[-1] for s in self.frag_sets if s)
+        self.occ: list[list[int]] = [[] for _ in range(self.V)]
+        for b, s in enumerate(self.frag_sets):
+            for v in s:
+                self.occ[v].append(b)
+        self.bits = [sum(1 << v for v in s) for s in self.frag_sets]
+        self.K = K = max(len(s) for s in self.frag_sets)
+        if order is None:
+            self.orders = self.frag_sets
+        else:
+            self.orders = [[v - 1 for v in o] for o in order.orders]
+        if rank == "greedy":
+            self.values = [0, 1] + [0] * (K - 1)
+        elif rank == "harmonic":
+            scale = lcm(*range(1, K + 1))
+            self.values = [0] + [scale // k for k in range(1, K + 1)]
+        else:
+            self.values = None
+        self.uniform = uniform
+        self.table = table
+        self.draws = 3 if uniform else 2  # holding time, winner, uniform pick
+
+    def _scores(self, mask: int) -> list[int]:
+        """Rank score of every fragment (meaningful for those not in ``mask``)."""
+        values = self.values
+        sizes = [(x & ~mask).bit_count() for x in self.bits]
+        return [sum([values[sizes[b]] for b in hosts]) for hosts in self.occ]
+
+    def choices(self, mask: int) -> dict[int, list[int]]:
+        """Per useful server (ascending), the fragments it may serve next in
+        state ``mask``, ascending; each is served with probability one over
+        their number."""
+        table = self.table
+        scores = None if self.values is None else self._scores(mask)
+        out = {}
+        for b, order in enumerate(self.orders):
+            if not self.bits[b] & ~mask:
+                continue
+            if table is not None:
+                out[b] = [table[mask, b]]
+                continue
+            free = [v for v in order if not mask >> v & 1]
+            if scores is not None:
+                best = min([scores[v] for v in free])
+                free = [v for v in free if scores[v] == best]
+            out[b] = free if self.uniform else free[:1]
+        return out
+
+
+def compile_policy(scheme: StorageScheme, policy) -> DecisionRule:
+    """The decision rule of ``policy`` on ``scheme``: the one place a policy's
+    type is read."""
+    if isinstance(policy, NonadaptivePolicy):
+        return DecisionRule(scheme.fragment_sets, order=policy.order)
+    if isinstance(policy, RandomWorkConserving):
+        return DecisionRule(scheme.fragment_sets, uniform=True)
+    if isinstance(policy, RankedPolicy):
+        return DecisionRule(scheme.fragment_sets, rank=policy.rank,
+                            order=policy.init_order, uniform=policy.tie == "seeded")
+    if isinstance(policy, MdpPolicy):
+        return DecisionRule(scheme.fragment_sets, table=policy.solution.decisions)
+    raise InvalidParams(f"unsupported policy {policy!r}")

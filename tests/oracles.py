@@ -151,6 +151,89 @@ def all_decision_maps(blocks: list[set[int]], downloaded: set[int]):
 
 
 # ---------------------------------------------------------------------------
+# Exact policy chains. Each decision map gives, per useful 1-based server, the
+# distribution of the fragment it serves next at the downloaded set; the
+# recursion below turns one into the exact per-step expectations.
+
+
+def _useful(blocks: list[set[int]], downloaded) -> list[int]:
+    return [b for b in range(1, len(blocks) + 1) if blocks[b - 1] - downloaded]
+
+
+def nonadaptive_decisions(blocks, downloaded, orders) -> dict[int, dict[int, Fraction]]:
+    """Each server serves the first fragment of its order not yet downloaded."""
+    return {b: {next(v for v in orders[b - 1] if v not in downloaded): Fraction(1)}
+            for b in _useful(blocks, downloaded)}
+
+
+def random_decisions(blocks, downloaded) -> dict[int, dict[int, Fraction]]:
+    """Each server serves a uniformly random fragment of its residual."""
+    out = {}
+    for b in _useful(blocks, downloaded):
+        residual = blocks[b - 1] - downloaded
+        out[b] = {v: Fraction(1, len(residual)) for v in residual}
+    return out
+
+
+def rank_of(blocks, downloaded, v: int, rank: str) -> Fraction:
+    """Greedy: hosts of v left holding v alone. Harmonic: the sum over hosts
+    of v of one over their residual size."""
+    residuals = [S - downloaded for S in blocks if v in S]
+    if rank == "greedy":
+        return Fraction(sum(1 for r in residuals if r == {v}))
+    return sum((Fraction(1, len(r)) for r in residuals), start=Fraction(0))
+
+
+def ranked_decisions(blocks, downloaded, rank: str, tie: str, init_orders=None):
+    """Each server serves a residual fragment of least rank. Ties go to the
+    lowest index, to the earliest in ``init_orders``, or (``tie='seeded'``)
+    uniformly at random."""
+    out = {}
+    for b in _useful(blocks, downloaded):
+        ranks = {v: rank_of(blocks, downloaded, v, rank) for v in blocks[b - 1] - downloaded}
+        best = min(ranks.values())
+        tied = sorted(v for v, r in ranks.items() if r == best)
+        if tie == "seeded":
+            out[b] = {v: Fraction(1, len(tied)) for v in tied}
+        elif init_orders is not None:
+            out[b] = {min(tied, key=list(init_orders[b - 1]).index): Fraction(1)}
+        else:
+            out[b] = {tied[0]: Fraction(1)}
+    return out
+
+
+def table_decisions(blocks, downloaded, table) -> dict[int, dict[int, Fraction]]:
+    """Each server serves what an MDP table, keyed by (downloaded bitmask,
+    0-based server) and holding 0-based fragments, says."""
+    mask = sum(1 << (v - 1) for v in downloaded)
+    return {b: {table[mask, b - 1] + 1: Fraction(1)} for b in _useful(blocks, downloaded)}
+
+
+def chain_expectations(blocks: list[set[int]], V: int, decisions):
+    """(E[N(I_l)], E[1/N(I_l)]) for l = 0..V-1 of the chain whose decision
+    map at a downloaded set I is ``decisions(I)``, by recursion over
+    downloaded frozensets: the expectations from I on are N(I), 1/N(I) at I
+    itself, then the mean over the finishing server and its fragment."""
+    memo: dict[frozenset, list[tuple[Fraction, Fraction]]] = {}
+
+    def from_state(done: frozenset) -> list[tuple[Fraction, Fraction]]:
+        if done not in memo:
+            n = len(_useful(blocks, done))
+            later = [[Fraction(0), Fraction(0)] for _ in range(V - len(done) - 1)]
+            if later:
+                for dist in decisions(done).values():
+                    for v, q in dist.items():
+                        for acc, (x, y) in zip(later, from_state(done | {v})):
+                            acc[0] += q * x / n
+                            acc[1] += q * y / n
+            memo[done] = [(Fraction(n), Fraction(1, n))] + [tuple(acc) for acc in later]
+        return memo[done]
+
+    rows = from_state(frozenset())
+    return [x for x, _ in rows], [y for _, y in rows]
+
+
+# ---------------------------------------------------------------------------
 # Scalar jump chain: one run, one Python step at a time. The reference for the
 # engine's batched kernel; it reads the run's stream through its own draws.
 

@@ -27,6 +27,9 @@ from fragsched import (
 )
 from fragsched.errors import EmptyProfile, TooManyFragments
 
+# server fragment sets: six servers of three, every fragment on three servers
+SIX_SERVERS = [{1, 2, 3}, {2, 3, 4}, {4, 5, 6}, {1, 5, 6}, {1, 3, 5}, {2, 4, 6}]
+
 
 class TestSimulateRun:
     def test_trajectory_shape(self, fano):
@@ -168,6 +171,20 @@ class TestClockModeEquivalence:
             times[r] = rec.download_instants[-1]
         se = math.hypot(jump.stderr, times.std(ddof=1) / math.sqrt(runs))
         assert abs(times.mean() - jump.mean_download_time) <= 3 * se
+
+    @pytest.mark.parametrize("kind", ["harmonic", "greedy", "mdp"])
+    def test_clock_profile_matches_exact_under_adaptive_policies(self, kind):
+        # adaptive decisions go stale as other fragments arrive, so a clock
+        # sampler that decides only when a server starts drifts from the DP
+        scheme = build_scheme(
+            [{b for b, s in enumerate(SIX_SERVERS, start=1) if v in s} for v in range(1, 7)])
+        policy = MdpPolicy(mdp_solve(scheme)) if kind == "mdp" else RankedPolicy(rank=kind)
+        runs = 4000
+        profiles = np.array([simulate_run_clocks(scheme, policy, 1.0, run_stream(9, r)).useful_profile
+                             for r in range(runs)])
+        exact = np.array([float(x) for x in policy_evaluate_exact(scheme, policy).per_ell_useful])
+        se = profiles.std(axis=0, ddof=1) / math.sqrt(runs)
+        assert np.all(np.abs(profiles.mean(axis=0) - exact) <= 4 * se)
 
     def test_clock_mode_trajectory_sanity(self, fano):
         rec = simulate_run_clocks(fano, NonadaptivePolicy(smallest_index_first(fano)),

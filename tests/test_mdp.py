@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fragsched import (
     MdpPolicy,
@@ -20,7 +22,17 @@ from fragsched import (
 )
 from fragsched.errors import TooManyFragments
 from fragsched.mdp import MdpSolution
-from oracles import enumerate_completion_sequences, profile_expectations
+from oracles import (
+    chain_expectations,
+    enumerate_completion_sequences,
+    nonadaptive_decisions,
+    profile_expectations,
+    random_decisions,
+    ranked_decisions,
+    table_decisions,
+)
+from test_kernel import POLICY_KINDS, make_policy
+from test_kernel import small_schemes as drawn_schemes
 
 from conftest import FANO_OCCUPANCY, PAIRED_OCCUPANCY, RING_OCCUPANCY
 
@@ -173,3 +185,27 @@ class TestPolicyEvaluateExact:
     def test_cap_enforced(self):
         with pytest.raises(TooManyFragments):
             policy_evaluate_exact(cyclic_shift(30, 2), RandomWorkConserving(), cap=24)
+
+
+def oracle_decisions(kind: str, policy, blocks):
+    """The oracle decision map of a ``make_policy`` policy, from its fields."""
+    if kind == "random":
+        return lambda done: random_decisions(blocks, done)
+    if kind == "mdp":
+        return lambda done: table_decisions(blocks, done, policy.solution.decisions)
+    if kind.startswith(("greedy", "harmonic")):
+        init = policy.init_order.orders if policy.init_order else None
+        return lambda done: ranked_decisions(blocks, done, policy.rank, policy.tie, init)
+    return lambda done: nonadaptive_decisions(blocks, done, policy.order.orders)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scheme=drawn_schemes(), kind=st.sampled_from(POLICY_KINDS))
+def test_policy_evaluate_exact_matches_oracle(scheme, kind):
+    policy = make_policy(scheme, kind)
+    blocks = [set(s) for s in scheme.fragment_sets]
+    useful, inverse = chain_expectations(blocks, scheme.V, oracle_decisions(kind, policy, blocks))
+    ev = policy_evaluate_exact(scheme, policy)
+    assert ev.per_ell_useful == tuple(useful)
+    assert ev.per_ell_inverse_useful == tuple(inverse)
+    assert ev.aggregate_reward == sum(useful[1:], start=Fraction(0)) / scheme.V

@@ -245,6 +245,20 @@ class TestRankedDecide:
         for b in range(1, 8):
             assert decisions[b] == ud.order_of(b)[0]
 
+    def test_rejects_unknown_tie_rule(self, pp2):
+        with pytest.raises(InvalidParams, match="tie rule"):
+            ranked_decide(pp2, initial_state(pp2), tie="bogus")
+
+    def test_rejects_seeded_ties_with_init_order(self, pp2):
+        gen = np.random.default_rng(1)
+        with pytest.raises(InvalidParams, match="init order"):
+            ranked_decide(pp2, initial_state(pp2), tie="seeded", rng=gen,
+                          init_order=uniform_diversity(pp2))
+
+    def test_seeded_ties_need_rng(self, pp2):
+        with pytest.raises(InvalidParams, match="rng"):
+            ranked_decide(pp2, initial_state(pp2), tie="seeded")
+
     def test_policy_rejects_seeded_ties_with_init_order(self, fano):
         ud = uniform_diversity(fano)
         with pytest.raises(InvalidParams, match="init order"):
