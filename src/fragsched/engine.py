@@ -33,8 +33,8 @@ import numpy as np
 
 from . import rng as _rng
 from .constructions import MdsPlacement, ReplicationPlacement, placement_servers
-from .errors import EmptyProfile, InvalidParams, TooManyFragments
-from .mdp import DEFAULT_EVAL_CAP, _forward_dp
+from .errors import EmptyProfile, InvalidParams
+from .mdp import DEFAULT_EVAL_CAP, _forward_dp, check_size
 from .model import StorageScheme
 from .scheduling import compile_policy
 
@@ -125,7 +125,8 @@ class _Runtime:
     The padded kernel tables give every server K fragment columns in the
     rule's tie-break order, filled up with the dummy fragment V (always
     downloaded), and every fragment R host columns, filled up with the dummy
-    server B (never useful, rank value 0).
+    server B (never useful, rank value 0). An MDP policy's decisions are the
+    rule's dense (2^V, B) table, read with one gather per step.
     """
 
     def __init__(self, scheme: StorageScheme, policy) -> None:
@@ -133,10 +134,11 @@ class _Runtime:
         self.V = V = rule.V
         self.B = B = rule.B
         self.K = K = rule.K
-        self.uniform, self.table, self.draws = rule.uniform, rule.table, rule.draws
+        self.uniform, self.draws = rule.uniform, rule.draws
+        self.table = None if rule.table is None else rule.table_array
         r_max = max(len(s) for s in rule.occ)
         self.hosts = _padded(rule.occ + [[]], r_max, B)
-        self.candidates = _padded(rule.orders, K, V)
+        self.candidates = rule.slot_frags
         sizes = [len(s) for s in rule.frag_sets]
         self.useful0 = [b for b in range(B) if sizes[b]]
         # the dummy server's residual stays above K for all V * r_max decrements
@@ -224,7 +226,7 @@ def _jump_chain(rt: _Runtime, mu: float, words: np.ndarray):
         host_idx_off = np.broadcast_to(off_b[:, None], (R, n, K)).copy()
         score = np.empty((n, K), dtype=rank_values.dtype)
     elif rt.table is not None:
-        masks = [0] * n
+        masks = np.zeros(n, dtype=np.int64)
     order = np.empty((V, n), dtype=np.int32)
     profile = np.empty((V, n), dtype=np.int32)
 
@@ -233,11 +235,8 @@ def _jump_chain(rt: _Runtime, mu: float, words: np.ndarray):
         w = useful[off_b + _rng.picks(words[V + ell], nuse_u).view(np.intp)]
 
         if rt.table is not None:
-            ws = w.tolist()
-            vs = [rt.table[(masks[i], ws[i])] for i in range(n)]
-            for i, v in enumerate(vs):
-                masks[i] |= 1 << v
-            v = np.array(vs, dtype=np.intp)
+            v = rt.table[masks, w].astype(np.intp)
+            masks |= np.left_shift(1, v)
         else:
             np.take(rt.candidates, w, axis=0, out=cand, mode="clip")
             np.add(cand, cand_off, out=cand_idx)
@@ -483,10 +482,9 @@ def exact_mean_download(
     Rational arithmetic is used for V <= 16 unless overridden; the float mode
     exists for larger V, still capped (2^V states).
     """
-    if scheme.V > cap:
-        raise TooManyFragments(f"V={scheme.V} exceeds the evaluation cap {cap}")
     if exact is None:
         exact = scheme.V <= 16
+    check_size(scheme, cap, "rational" if exact else "float")
     per_ell, per_ell_inv, _ = _forward_dp(compile_policy(scheme, policy), rational=exact)
     if exact:
         mean = sum(per_ell_inv, start=Fraction(0)) / Fraction(mu)

@@ -9,16 +9,41 @@ V-1 or V is zero and the optimal value reported for a scheme is u(empty).
 
 Because the transition factorizes over servers, the optimal decision at each
 useful server is simply the residual fragment maximizing reward-plus-value of
-the successor state, which keeps the per-state work at O(B*K).
+the successor state.
 
-Everything here computes in exact rationals; state space is 2^V, so both
-entry points refuse fragment counts above a configurable cap.
+Both solvers walk the 2^V downloaded sets one popcount level at a time, as
+numpy arrays indexed by mask, and read a whole batch of states' choices at
+once from ``DecisionRule.choice_slots``. ``mdp_solve`` runs the levels from
+the full set down over every set; the forward DP (``policy_evaluate_exact``,
+``engine.exact_mean_download``) runs them up from the empty set over the
+reachable sets only, each level in first-insertion order: the order in which
+a loop over parents, then servers, then fragments first meets them.
+
+Rational mode keeps Python-int numerators over one common denominator per
+level; no Fraction is built until a level's totals or the final ``values``.
+- Forward DP: D**l at level l, with D = lcm(1..B) * lcm(1..K). Every step
+  has probability 1/(n*c) for n <= B useful servers and c <= K choices.
+- ``mdp_solve``: V * L**d at depth d (d fragments missing), with
+  L = lcm(1..B). All children of one level share it, so comparing their
+  numerators compares their values exactly, and the first argmax over a
+  server's ascending fragment columns keeps the lowest optimal fragment.
+
+Float mode replays the arithmetic of that one-state-at-a-time loop, so every
+float is bit-identical to it: each contribution is p*q/n; a child sums its
+contributions in order of parent, server, then fragment (``np.add.at`` adds
+in index order); level totals add up in state order (``np.add.accumulate``).
+
+The state space is 2^V, so both entry points refuse V above a cap, stating
+the state count and the estimated peak memory before anything is allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
+
+import numpy as np
 
 from .errors import InvalidParams, TooManyFragments
 from .model import StorageScheme
@@ -28,6 +53,41 @@ __all__ = ["MdpSolution", "PolicyEvaluation", "mdp_solve", "policy_evaluate_exac
 
 DEFAULT_MDP_CAP = 20
 DEFAULT_EVAL_CAP = 24
+
+_SLOTS = 1 << 13  # order slots per batch of states: bounds the per-batch arrays
+
+
+def _peak_bytes(scheme: StorageScheme, solver: str) -> int:
+    """Estimated peak memory of one ``solver`` run ('mdp', 'float' or
+    'rational' forward DP) on ``scheme``, from bytes per state measured at
+    V = 12..17 and rounded up.
+
+    ``mdp_solve`` stores a decision per useful (state, server) pair in a dict
+    (100-170 bytes each) and a Fraction per state. The forward DP holds two
+    levels of reachable states and a position per mask: about 20-30 bytes a
+    state in floats, plus the numerators' bytes in rationals (V * log2(D)
+    bits at the widest level, D as in ``_forward_dp``).
+    """
+    V, B = scheme.V, scheme.B
+    if solver == "mdp":
+        per_state = 150 * B + 150
+    else:
+        per_state = 32
+        if solver == "rational":
+            K = max(len(f) for f in scheme.fragment_sets)
+            per_state += V * (lcm(*range(1, B + 1)) * lcm(*range(1, K + 1))).bit_length() // 8
+    return per_state << V
+
+
+def check_size(scheme: StorageScheme, cap: int, solver: str) -> None:
+    """Refuse V > cap before anything is allocated, stating the state count
+    and the estimated peak memory."""
+    V = scheme.V
+    if V > cap:
+        what = "solver" if solver == "mdp" else "evaluation"
+        gib = _peak_bytes(scheme, solver) / 2**30
+        raise TooManyFragments(f"V={V} exceeds the {what} cap {cap}: {1 << V:,} states, "
+                               f"estimated peak memory {gib:,.1f} GiB")
 
 
 def _as_mask(subset, V: int) -> int:
@@ -60,37 +120,57 @@ class MdpSolution:
 
 
 def mdp_solve(scheme: StorageScheme, cap: int = DEFAULT_MDP_CAP) -> MdpSolution:
-    """Backward induction over all downloaded subsets.
+    """Backward induction over all downloaded subsets, one popcount level at
+    a time from the full set down.
 
-    Refuses V > cap: the table alone has 2^V states. At sets of size V-1 the
-    single remaining fragment forces the decision; at size V-2 any decision is
-    optimal (the value is R/V for completely utilizing schemes).
+    Refuses V > cap, stating the state count and the estimated peak memory.
+    At sets of size V-1 the single remaining fragment forces the decision; at
+    size V-2 any decision is optimal (the value is R/V for completely
+    utilizing schemes).
     """
-    if scheme.V > cap:
-        raise TooManyFragments(f"V={scheme.V} exceeds the solver cap {cap}")
+    check_size(scheme, cap, "mdp")
     V = scheme.V
     # the random baseline may serve any residual fragment, so its choices are
-    # the action sets
-    actions = compile_policy(scheme, RandomWorkConserving()).choices
+    # the action sets, each in ascending fragment order
+    rule = compile_policy(scheme, RandomWorkConserving())
+    B = rule.B
+    L = lcm(*range(1, B + 1))
+    share = np.array([0] + [L // n for n in range(1, B + 1)], dtype=object)  # L/n
     full = (1 << V) - 1
-    values: dict[int, Fraction] = {full: Fraction(0)}
-    n_use: dict[int, int] = {full: 0}
-    decisions: dict[tuple[int, int], int] = {}
-    # a successor's mask is larger, so descending masks meet successors first
-    for mask in range(full - 1, -1, -1):
-        servers = actions(mask)
-        total = Fraction(0)
-        for b, residual in servers.items():
-            best = None
-            for v in residual:  # ascending: the lowest optimal fragment is kept
-                child = mask | 1 << v
-                val = Fraction(n_use[child], V) + values[child]
-                if best is None or val > best:
-                    best, best_v = val, v
-            decisions[(mask, b)] = best_v
-            total += best
-        n_use[mask] = len(servers)
-        values[mask] = total / len(servers)
+    pop = np.bitwise_count(np.arange(full + 1, dtype=np.int64))
+    # u*(I) * V * L**d for d = V - |I|; the full set's value and count are 0
+    num = np.zeros(full + 1, dtype=object)
+    n_use = np.zeros(full + 1, dtype=np.intp)
+    best = np.full((full + 1, B), -1, dtype=np.int8)
+    columns = np.arange(B)
+    levels = _levels(pop)
+    for size in range(V - 1, -1, -1):
+        scale = L ** (V - size - 1)  # the children's denominator over V
+        for masks in _chunks(levels[size], rule):
+            free = rule.choice_slots(masks)
+            child = (masks[:, None, None] | rule.slot_bits)[free]
+            val = np.full(free.shape, -1, dtype=object)
+            val[free] = n_use[child].astype(object) * scale + num[child]
+            col = val.argmax(axis=2)  # the first maximum: the lowest optimal fragment
+            top = np.take_along_axis(val, col[:, :, None], axis=2)[:, :, 0]
+            useful = free.any(axis=2)
+            top[~useful] = 0
+            n = np.count_nonzero(useful, axis=1)
+            n_use[masks] = n
+            num[masks] = top.sum(axis=1) * share[n]
+            best[masks] = np.where(useful, rule.slot_frags[columns, col], -1)
+    del levels, n_use
+    # the dicts list masks in descending order; each mask's int object is
+    # shared by its value key and all its decision keys
+    keys = list(range(full, -1, -1))
+    dens = [V * L ** (V - size) for size in range(V + 1)]
+    values = dict(zip(keys, map(Fraction, num[::-1], (dens[k] for k in pop[::-1]))))
+    del num
+    decisions = {}
+    for mask, row in zip(keys, best[::-1]):
+        for b, v in enumerate(row.tolist()):
+            if v >= 0:
+                decisions[mask, b] = v
     return MdpSolution(V=V, optimal_value=values[0], values=values, decisions=decisions)
 
 
@@ -111,44 +191,96 @@ class PolicyEvaluation:
 
 
 def _forward_dp(rule: DecisionRule, rational: bool = True):
-    """Propagate subset probabilities through a policy's chain.
+    """Propagate subset probabilities through a policy's chain, one popcount
+    level at a time over the reachable sets in first-insertion order.
 
     Returns (per_ell E[N], per_ell E[1/N], aggregate reward over stages
     1..V-1), in exact rationals or floats.
     """
-    V = rule.V
-    zero = Fraction(0) if rational else 0.0
-    one = Fraction(1) if rational else 1.0
-    probs = {0: one}
+    V, B, K = rule.V, rule.B, rule.K
+    if rational:
+        LB = lcm(*range(1, B + 1))
+        D = LB * lcm(*range(1, K + 1))
+        # numerators over D of a step taken with probability 1/(n*c), and of 1/n over LB
+        step = np.array([[D // (n * c) if n * c else 0 for c in range(K + 1)]
+                         for n in range(B + 1)], dtype=object)
+        inverse = np.array([LB // n if n else 0 for n in range(B + 1)], dtype=object)
+        p = np.ones(1, dtype=object)  # probability numerators over D**level
+    else:
+        p = np.ones(1)
+    masks = np.zeros(1, dtype=np.int64)
+    index_of = np.full(1 << V, -1, dtype=np.intp)  # a child's position in its level
     per_ell = []
     per_ell_inv = []
-    for _ in range(V):
-        level_n = zero
-        level_inv = zero
-        nxt: dict = {}
-        for mask, p in probs.items():
-            choices = rule.choices(mask)
-            n = len(choices)
-            level_n += p * n
-            level_inv += p * (Fraction(1, n) if rational else 1.0 / n)
-            for vs in choices.values():
-                q = Fraction(1, len(vs)) if rational else 1.0 / len(vs)
-                for v in vs:
-                    child = mask | 1 << v
-                    nxt[child] = nxt.get(child, zero) + p * q / n
-        per_ell.append(level_n)
-        per_ell_inv.append(level_inv)
-        probs = nxt
+    for level in range(V):
+        last = level == V - 1
+        n_use = np.empty(len(masks), dtype=np.intp)
+        nxt = np.zeros(0 if last else comb(V, level + 1), dtype=p.dtype)
+        found = []
+        lo = seen = 0
+        for chunk in _chunks(masks, rule):
+            slots = rule.choice_slots(chunk)
+            count = slots.sum(axis=2)
+            n = np.count_nonzero(count, axis=1)
+            n_use[lo:lo + len(chunk)] = n
+            if not last:
+                # contributions in order of parent, server, then slot
+                i, b, k = np.nonzero(slots)
+                child = chunk[i] | rule.slot_bits[b, k]
+                if rational:
+                    w = p[lo + i] * step[n[i], count[i, b]]
+                else:
+                    w = p[lo + i] * (1.0 / count[i, b]) / n[i]
+                ids, fresh = _first_seen(child, index_of, seen)
+                found.append(fresh)
+                seen += len(fresh)
+                np.add.at(nxt, ids, w)  # sequential: each child sums in contribution order
+            lo += len(chunk)
+        if rational:
+            den = D ** level
+            per_ell.append(Fraction((p * n_use).sum(), den))
+            per_ell_inv.append(Fraction((p * inverse[n_use]).sum(), den * LB))
+        else:
+            per_ell.append(float(np.add.accumulate(p * n_use)[-1]))
+            per_ell_inv.append(float(np.add.accumulate(p * (1.0 / n_use))[-1]))
+        if not last:
+            masks = np.concatenate(found)
+            index_of[masks] = -1
+            p = nxt[:len(masks)]
+    zero = Fraction(0) if rational else 0.0
     aggregate = sum(per_ell[1:], start=zero) / V
     return per_ell, per_ell_inv, aggregate
+
+
+def _first_seen(child: np.ndarray, index_of: np.ndarray, count: int):
+    """Positions of the ``child`` masks in their level, numbering the masks
+    not seen before from ``count`` in order of first appearance. Returns the
+    positions and the new masks."""
+    new = child[index_of[child] < 0]
+    fresh, first = np.unique(new, return_index=True)
+    fresh = fresh[np.argsort(first)]
+    index_of[fresh] = np.arange(count, count + len(fresh))
+    return index_of[child], fresh
+
+
+def _levels(pop: np.ndarray) -> list[np.ndarray]:
+    """The masks of each popcount 0..V, ascending."""
+    order = np.argsort(pop, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(pop))[:-1])
+
+
+def _chunks(masks: np.ndarray, rule: DecisionRule):
+    """``masks`` in consecutive pieces of at most _SLOTS order slots."""
+    step = max(1, _SLOTS // (rule.B * rule.K))
+    for lo in range(0, len(masks), step):
+        yield masks[lo:lo + step]
 
 
 def policy_evaluate_exact(
     scheme: StorageScheme, policy, cap: int = DEFAULT_EVAL_CAP
 ) -> PolicyEvaluation:
     """Exact rational evaluation of a policy's download chain."""
-    if scheme.V > cap:
-        raise TooManyFragments(f"V={scheme.V} exceeds the evaluation cap {cap}")
+    check_size(scheme, cap, "rational")
     per_ell, per_ell_inv, aggregate = _forward_dp(compile_policy(scheme, policy), rational=True)
     return PolicyEvaluation(
         V=scheme.V,

@@ -18,13 +18,16 @@ ranked rules with lowest-index or init-order ties, and the MDP table. The
 random baseline gives the whole residual and seeded ranked ties the tied set.
 Rank scores are exact integers (harmonic ranks scaled by lcm(1..K)). The jump
 chain, the clock validator, the exact forward DP, the MDP solver and the
-1-based functions below all read this one rule.
+1-based functions below all read this one rule: ``choices`` one state at a
+time, and its batched form ``choice_slots`` one array of states at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from math import lcm
 
 import numpy as np
@@ -310,6 +313,11 @@ class DecisionRule:
     of taking the first; ``table`` holds the MDP decisions by (mask, server).
     ``draws`` is the number of 64-bit stream words a jump-chain run takes per
     step.
+
+    The array forms are built on first use: ``slot_frags[b, k]`` is
+    ``orders[b][k]``, padded to K slots with the dummy fragment V, and
+    ``table_array`` is the MDP table as a dense (2^V, B) array. The batched
+    :meth:`choice_slots` needs masks that fit in int64 (V <= 62).
     """
 
     def __init__(self, fragment_sets, rank: str | None = None, order: PlacementOrder | None = None,
@@ -343,6 +351,54 @@ class DecisionRule:
         values = self.values
         sizes = [(x & ~mask).bit_count() for x in self.bits]
         return [sum([values[sizes[b]] for b in hosts]) for hosts in self.occ]
+
+    @cached_property
+    def slot_frags(self) -> np.ndarray:
+        K, V = self.K, self.V
+        return np.array([list(o) + [V] * (K - len(o)) for o in self.orders], dtype=np.intp)
+
+    @cached_property
+    def slot_bits(self) -> np.ndarray:
+        """The bit of the fragment in each order slot; 0 in a padding slot."""
+        V = self.V
+        return np.array([[1 << v if v < V else 0 for v in row] for row in self.slot_frags.tolist()],
+                        dtype=np.int64)
+
+    @cached_property
+    def table_array(self) -> np.ndarray:
+        """``table`` as a dense (2^V, B) array: the fragment server b serves
+        in state mask, or -1 where the table has no entry."""
+        out = np.full((1 << self.V, self.B), -1, dtype=np.int8)
+        keys = np.fromiter(chain.from_iterable(self.table), dtype=np.int64, count=2 * len(self.table))
+        out[keys[0::2], keys[1::2]] = np.fromiter(self.table.values(), dtype=np.int8,
+                                                  count=len(self.table))
+        return out
+
+    @cached_property
+    def _rank_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Server bitmasks, rank values by residual size, and the (B, V+1)
+        server-fragment incidence (the last column is the dummy fragment)."""
+        incidence = np.zeros((self.B, self.V + 1), dtype=np.int64)
+        for b, s in enumerate(self.frag_sets):
+            incidence[b, s] = 1
+        return (np.array(self.bits, dtype=np.int64), np.array(self.values, dtype=np.int64),
+                incidence)
+
+    def choice_slots(self, masks: np.ndarray) -> np.ndarray:
+        """:meth:`choices` of every state in the int64 array ``masks``, as a
+        boolean (len(masks), B, K) array over the order slots ``slot_frags``.
+
+        Server b is useful in state i where row [i, b] has a marked slot; its
+        choices are the fragments of the marked slots, in slot order."""
+        free = (self.slot_bits & ~masks[:, None, None]) != 0
+        if self.table is not None:
+            return free & (self.slot_frags == self.table_array[masks][:, :, None])
+        if self.values is not None:
+            bits, values, incidence = self._rank_arrays
+            scores = values[np.bitwise_count(bits & ~masks[:, None])] @ incidence
+            slot_scores = np.where(free, scores[:, self.slot_frags], np.iinfo(np.int64).max)
+            free &= slot_scores == slot_scores.min(axis=2, keepdims=True)
+        return free if self.uniform else free & (free.cumsum(axis=2) == 1)
 
     def choices(self, mask: int) -> dict[int, list[int]]:
         """Per useful server (ascending), the fragments it may serve next in

@@ -1,6 +1,8 @@
 """Independent brute-force reference implementations used to check the
 package. Everything here works from first principles on plain sets and exact
-rationals, deliberately sharing no code with the library paths it validates.
+rationals, deliberately sharing no code with the library paths it validates;
+the scalar subset DPs read only the scalar decision rule,
+``DecisionRule.choices``, which the batched kernels do not use.
 """
 
 from __future__ import annotations
@@ -231,6 +233,103 @@ def chain_expectations(blocks: list[set[int]], V: int, decisions):
 
     rows = from_state(frozenset())
     return [x for x, _ in rows], [y for _, y in rows]
+
+
+def optimal_reward_to_go(blocks: list[set[int]], V: int) -> dict[frozenset, Fraction]:
+    """u*(I) for every downloaded set I, by brute-force backward induction:
+    the best expected sum of useful counts over V of the stages after I,
+    maximized over every joint decision map (not server by server), with
+    u* = 0 once at most one fragment is missing."""
+    memo: dict[frozenset, Fraction] = {}
+
+    def u(done: frozenset) -> Fraction:
+        if done not in memo:
+            if len(done) >= V - 1:
+                memo[done] = Fraction(0)
+            else:
+                gain = {v: Fraction(useful_count(blocks, done | {v}), V) + u(done | {v})
+                        for v in range(1, V + 1) if v not in done}
+                memo[done] = max(
+                    sum((gain[v] for v in decisions.values()), start=Fraction(0))
+                    for decisions in all_decision_maps(blocks, set(done))
+                ) / useful_count(blocks, done)
+        return memo[done]
+
+    for size in range(V + 1):
+        for sub in itertools.combinations(range(1, V + 1), size):
+            u(frozenset(sub))
+    return memo
+
+
+# ---------------------------------------------------------------------------
+# Scalar subset DPs: the solvers' one-state-at-a-time loops, kept as the
+# reference for the level-synchronous kernels in ``fragsched.mdp``. They read
+# the scalar ``DecisionRule.choices``, not the batched ``choice_slots``.
+
+
+def scalar_forward_dp(rule, rational: bool = True):
+    """Propagate subset probabilities through a policy's chain.
+
+    Returns (per_ell E[N], per_ell E[1/N], aggregate reward over stages
+    1..V-1), in exact rationals or floats.
+    """
+    V = rule.V
+    zero = Fraction(0) if rational else 0.0
+    one = Fraction(1) if rational else 1.0
+    probs = {0: one}
+    per_ell = []
+    per_ell_inv = []
+    for _ in range(V):
+        level_n = zero
+        level_inv = zero
+        nxt: dict = {}
+        for mask, p in probs.items():
+            choices = rule.choices(mask)
+            n = len(choices)
+            level_n += p * n
+            level_inv += p * (Fraction(1, n) if rational else 1.0 / n)
+            for vs in choices.values():
+                q = Fraction(1, len(vs)) if rational else 1.0 / len(vs)
+                for v in vs:
+                    child = mask | 1 << v
+                    nxt[child] = nxt.get(child, zero) + p * q / n
+        per_ell.append(level_n)
+        per_ell_inv.append(level_inv)
+        probs = nxt
+    aggregate = sum(per_ell[1:], start=zero) / V
+    return per_ell, per_ell_inv, aggregate
+
+
+def scalar_mdp_solve(scheme):
+    """Backward induction over all downloaded subsets in descending mask
+    order; returns (values, decisions) keyed as in ``MdpSolution``."""
+    from fragsched import RandomWorkConserving
+    from fragsched.scheduling import compile_policy
+
+    V = scheme.V
+    # the random baseline may serve any residual fragment, so its choices are
+    # the action sets
+    actions = compile_policy(scheme, RandomWorkConserving()).choices
+    full = (1 << V) - 1
+    values: dict[int, Fraction] = {full: Fraction(0)}
+    n_use: dict[int, int] = {full: 0}
+    decisions: dict[tuple[int, int], int] = {}
+    # a successor's mask is larger, so descending masks meet successors first
+    for mask in range(full - 1, -1, -1):
+        servers = actions(mask)
+        total = Fraction(0)
+        for b, residual in servers.items():
+            best = None
+            for v in residual:  # ascending: the lowest optimal fragment is kept
+                child = mask | 1 << v
+                val = Fraction(n_use[child], V) + values[child]
+                if best is None or val > best:
+                    best, best_v = val, v
+            decisions[(mask, b)] = best_v
+            total += best
+        n_use[mask] = len(servers)
+        values[mask] = total / len(servers)
+    return values, decisions
 
 
 # ---------------------------------------------------------------------------

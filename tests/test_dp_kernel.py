@@ -1,0 +1,106 @@
+"""The level-synchronous subset DPs of ``fragsched.mdp`` against their
+one-state-at-a-time loops (``oracles.scalar_forward_dp`` and
+``oracles.scalar_mdp_solve``), the batched ``DecisionRule.choice_slots``
+against the scalar ``choices``, and ``mdp_solve`` against a brute-force
+backward induction over frozensets that shares no solver code.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fragsched import affine_plane, build_scheme, cyclic_shift, mdp_solve
+from fragsched.mdp import _forward_dp
+from fragsched.scheduling import compile_policy
+from oracles import optimal_reward_to_go, scalar_forward_dp, scalar_mdp_solve, useful_count
+from conftest import FANO_OCCUPANCY
+from test_kernel import IRREGULAR, POLICY_KINDS, make_policy, small_schemes
+
+SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+# wider levels than the drawn schemes reach, and residuals of size 3, whose
+# weight 1/3 is inexact in floats
+FIXED_SCHEMES = {
+    "fano": lambda: build_scheme(FANO_OCCUPANCY, mu=1.0),
+    "cyclic73": lambda: cyclic_shift(7, 3),
+    "irregular": lambda: build_scheme(IRREGULAR, mu=1.0, B=6),
+    "affine3": lambda: affine_plane(3),
+}
+
+
+def check_forward_dp(scheme, kind, rational):
+    rule = compile_policy(scheme, make_policy(scheme, kind))
+    got = _forward_dp(rule, rational)
+    want = scalar_forward_dp(rule, rational)
+    assert got == want
+    assert repr(got) == repr(want)  # same types, and every float to the last bit
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scheme=small_schemes(), kind=st.sampled_from(POLICY_KINDS), rational=st.booleans())
+def test_forward_dp_matches_scalar_loop(scheme, kind, rational):
+    check_forward_dp(scheme, kind, rational)
+
+
+@pytest.mark.parametrize("name", FIXED_SCHEMES)
+def test_forward_dp_matches_scalar_loop_on_fixed_schemes(name):
+    scheme = FIXED_SCHEMES[name]()
+    for kind in POLICY_KINDS:
+        for rational in (True, False):
+            check_forward_dp(scheme, kind, rational)
+
+
+def test_mdp_solve_matches_scalar_loop_on_affine_plane():
+    scheme = affine_plane(3)
+    sol = mdp_solve(scheme)
+    assert (sol.values, sol.decisions) == scalar_mdp_solve(scheme)
+
+
+@SETTINGS
+@given(scheme=small_schemes())
+def test_mdp_solve_matches_scalar_loop(scheme):
+    sol = mdp_solve(scheme)
+    values, decisions = scalar_mdp_solve(scheme)
+    assert sol.values == values
+    assert sol.decisions == decisions
+    assert sol.optimal_value == values[0]
+
+
+@SETTINGS
+@given(scheme=small_schemes(), kind=st.sampled_from(POLICY_KINDS))
+def test_choice_slots_match_choices(scheme, kind):
+    rule = compile_policy(scheme, make_policy(scheme, kind))
+    masks = np.arange(1 << scheme.V, dtype=np.int64)
+    slots = rule.choice_slots(masks)
+    assert slots.shape == (len(masks), rule.B, rule.K)
+    for mask, row in zip(masks.tolist(), slots):
+        got = {b: rule.slot_frags[b][row[b]].tolist() for b in range(rule.B) if row[b].any()}
+        assert got == rule.choices(mask)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scheme=small_schemes().filter(lambda s: s.V <= 6))
+def test_mdp_solve_matches_brute_force(scheme):
+    V = scheme.V
+    blocks = [set(s) for s in scheme.fragment_sets]
+    want = optimal_reward_to_go(blocks, V)
+    sol = mdp_solve(scheme)
+    assert sol.values == {sum(1 << (v - 1) for v in done): u for done, u in want.items()}
+
+    useful_pairs = set()
+    for done in want:
+        mask = sum(1 << (v - 1) for v in done)
+        for b, block in enumerate(blocks):
+            residual = sorted(block - done)
+            if not residual:
+                continue
+            useful_pairs.add((mask, b))
+            # the recorded fragment is the lowest-index maximizer of
+            # reward plus reward-to-go of the successor
+            gains = [Fraction(useful_count(blocks, done | {v}), V) + want[done | {v}]
+                     for v in residual]
+            assert sol.decisions[mask, b] + 1 == residual[gains.index(max(gains))]
+    assert set(sol.decisions) == useful_pairs

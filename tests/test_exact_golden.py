@@ -8,6 +8,11 @@ fraction, the ``repr`` of the float-mode mean download time at mu = 1, and a
 SHA-256 of ``repr((per_ell_useful, per_ell_inverse_useful, aggregate_reward))``;
 for ``mdp_solve``, the optimal value and a SHA-256 of
 ``repr(sorted(decisions.items()))``.
+
+The pins at benchmark sizes (V = 9 and 10, where the popcount levels of the
+subset DP are widest) were produced by the one-state-at-a-time dict loops
+before the level-synchronous kernels replaced them; they add a SHA-256 of
+``repr(sorted(values.items()))``.
 """
 
 import hashlib
@@ -15,7 +20,14 @@ from fractions import Fraction
 
 import pytest
 
-from fragsched import build_scheme, cyclic_shift, exact_mean_download, mdp_solve, policy_evaluate_exact
+from fragsched import (
+    affine_plane,
+    build_scheme,
+    cyclic_shift,
+    exact_mean_download,
+    mdp_solve,
+    policy_evaluate_exact,
+)
 from conftest import FANO_OCCUPANCY
 from test_kernel import IRREGULAR, make_policy
 
@@ -165,3 +177,38 @@ def test_exact_evaluation_matches_pinned(name, kind):
     assert ev.aggregate_reward == Fraction(aggregate)
     assert _sha256((ev.per_ell_useful, ev.per_ell_inverse_useful, ev.aggregate_reward)) == digest
     assert repr(exact_mean_download(scheme, policy, 1.0, exact=False).mean) == float_mean
+
+
+# (optimal value, SHA-256 of the decisions, SHA-256 of the values)
+LARGE_MDP_SOLUTIONS = {
+    "affine3": (
+        lambda: affine_plane(3), "913675/104544",
+        "b6a996d24e07031e403746f81f1f3bc2c40d2e6dd93da2e2fd42c617419d4e88",
+        "4d3bd2f12cc285b219aa2a23910769c026134aafbdbcfe3c9ced70111a0e5a54"),
+    "cyclic103": (
+        lambda: cyclic_shift(10, 3), "18828427592311/2571912000000",
+        "571751a2be7dcad70e177d0692f8243fbe41173c3800670230f17381aec880fe",
+        "0ec13c73b52721f04330241f9d2a8e4820d2a181bbe34466861f6927abf2a6e0"),
+}
+
+# repr of the float-mode mean download time on cyclic 10/4 at mu = 1
+CYCLIC_10_4_FLOAT_MEANS = {
+    "random": "1.2666497770567235",
+    "harmonic-low": "1.2225889262297123",
+}
+
+
+@pytest.mark.parametrize("name", LARGE_MDP_SOLUTIONS)
+def test_mdp_solve_matches_pinned_at_benchmark_size(name):
+    build, value, decisions_digest, values_digest = LARGE_MDP_SOLUTIONS[name]
+    sol = mdp_solve(build())
+    assert sol.optimal_value == Fraction(value)
+    assert _sha256(sorted(sol.decisions.items())) == decisions_digest
+    assert _sha256(sorted(sol.values.items())) == values_digest
+
+
+@pytest.mark.parametrize("kind", CYCLIC_10_4_FLOAT_MEANS)
+def test_float_mean_matches_pinned_at_benchmark_size(kind):
+    scheme = cyclic_shift(10, 4)
+    mean = exact_mean_download(scheme, make_policy(scheme, kind), 1.0, exact=False).mean
+    assert repr(mean) == CYCLIC_10_4_FLOAT_MEANS[kind]

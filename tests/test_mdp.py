@@ -98,6 +98,19 @@ class TestMdpSolve:
         with pytest.raises(TooManyFragments):
             mdp_solve(cyclic_shift(25, 3), cap=20)
 
+    def test_cap_refusal_states_the_cost(self, monkeypatch):
+        # the refusal comes before any table is built
+        def no_work(*args):
+            raise AssertionError("solver started")
+
+        monkeypatch.setattr("fragsched.mdp.compile_policy", no_work)
+        with pytest.raises(TooManyFragments, match=r"V=21 exceeds the solver cap 20: "
+                                                   r"2,097,152 states, estimated peak memory 6\.4 GiB"):
+            mdp_solve(cyclic_shift(21, 3))
+        with pytest.raises(TooManyFragments, match=r"V=25 exceeds the evaluation cap 24: "
+                                                   r"33,554,432 states, estimated peak memory [\d.]+ GiB"):
+            policy_evaluate_exact(cyclic_shift(25, 2), RandomWorkConserving())
+
     def test_optimal_dominates_all_policies(self):
         for scheme in small_schemes():
             sol = mdp_solve(scheme)
