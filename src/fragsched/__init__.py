@@ -16,7 +16,6 @@ from .analytics import (
 )
 from .constructions import (
     MdsPlacement,
-    PrimeField,
     ReplicationPlacement,
     affine_plane,
     cyclic_shift,
@@ -40,15 +39,12 @@ from .errors import FragschedError
 from .mdp import mdp_solve, policy_evaluate_exact
 from .model import (
     Design,
-    DownloadState,
     StorageScheme,
     SystemParams,
-    advance_state,
     build_scheme,
     conservation_check,
     conservation_laws,
     design_to_scheme,
-    initial_state,
     overlap_profile,
     scheme_to_design,
     verify_t_design,
@@ -59,11 +55,7 @@ from .scheduling import (
     PlacementOrder,
     RandomWorkConserving,
     RankedPolicy,
-    greedy_rank,
-    harmonic_rank,
-    nonadaptive_decide,
     pushback,
-    ranked_decide,
     smallest_index_first,
     uniform_diversity,
 )

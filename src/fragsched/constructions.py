@@ -22,7 +22,6 @@ from .errors import CapacityMismatch, InvalidParams, NotPrime
 from .model import StorageScheme, build_scheme
 
 __all__ = [
-    "PrimeField",
     "ReplicationPlacement",
     "MdsPlacement",
     "projective_plane",
@@ -45,29 +44,6 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """Arithmetic modulo a prime q. Only prime moduli are supported; prime
-    powers would need polynomial arithmetic and are out of scope."""
-
-    q: int
-
-    def __post_init__(self) -> None:
-        if not _is_prime(self.q):
-            raise NotPrime(f"{self.q} is not prime")
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def inv(self, a: int) -> int:
-        if a % self.q == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return pow(a, self.q - 2, self.q)
-
-
 def _canonical_points(q: int) -> list[tuple[int, int, int]]:
     """Representatives of the 1-dim subspaces of F_q^3: the unique scaling
     with first nonzero coordinate 1, in lexicographic order."""
@@ -85,7 +61,8 @@ def projective_plane(q: int, mu: float = 1.0) -> StorageScheme:
     is a completely utilizing scheme with V = B = q^2+q+1 and K = R = q+1,
     numbered deterministically by the lexicographic point order.
     """
-    PrimeField(q)  # raises NotPrime for composite or prime-power q
+    if not _is_prime(q):  # prime powers would need polynomial arithmetic
+        raise NotPrime(f"{q} is not prime")
     pts = _canonical_points(q)
     index = {p: i + 1 for i, p in enumerate(pts)}
     n = len(pts)

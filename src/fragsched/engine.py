@@ -400,8 +400,12 @@ def _simulate_chunk(args):
     return dv, profile_sum, min_profile, max_profile, int(aggregate.min()), int(aggregate.max())
 
 
-def _run_tasks(fn, tasks: list, threads: int) -> list:
-    """``fn`` over ``tasks`` in order; on a process pool when ``threads > 1``."""
+def _run_tasks(fn, args: tuple, n: int, threads: int) -> list:
+    """``fn(args + (lo, hi))`` over consecutive chunks ``[lo, hi)`` of
+    ``range(n)``, results in chunk order. One process runs ``range(n)`` as one
+    chunk; a pool of ``threads`` workers gets four chunks per worker."""
+    chunk = n if threads <= 1 else -(-n // (threads * 4))
+    tasks = [args + (lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     if threads > 1 and len(tasks) > 1:
         # imported here: the process-pool machinery costs ~2 MiB of memory
         from concurrent.futures import ProcessPoolExecutor
@@ -416,17 +420,12 @@ def monte_carlo(config: SimulationConfig, threads: int = 1) -> SimulationSummary
 
     Run r draws from the stream derived from (master_seed, r), and partial
     results are reduced in run order, so the summary is identical for any
-    ``threads`` value and any batch size. One process runs all runs as one
-    task; a pool of ``threads`` workers gets four tasks per worker.
+    ``threads`` value and any batch size.
     """
     scheme, policy = config.scheme, config.policy
     runs = config.runs
-    chunk = runs if threads <= 1 else -(-runs // (threads * 4))
-    tasks = [
-        (scheme, policy, config.mu, config.master_seed, lo, min(lo + chunk, runs))
-        for lo in range(0, runs, chunk)
-    ]
-    parts = _run_tasks(_simulate_chunk, tasks, threads)
+    parts = _run_tasks(_simulate_chunk, (scheme, policy, config.mu, config.master_seed),
+                       runs, threads)
 
     dv = np.concatenate([p[0] for p in parts])
     profile_sum = np.sum([p[1] for p in parts], axis=0)
@@ -647,12 +646,7 @@ def ensemble_monte_carlo(
     _check_order_mode(order_mode)
     if samples < 1:
         raise InvalidParams("samples must be >= 1")
-    chunk = max(1, (samples + max(1, threads) * 4 - 1) // (max(1, threads) * 4))
-    tasks = [
-        (B, V, R, kind, order_mode, seed, lo, min(lo + chunk, samples))
-        for lo in range(0, samples, chunk)
-    ]
-    parts = _run_tasks(_ensemble_chunk, tasks, threads)
+    parts = _run_tasks(_ensemble_chunk, (B, V, R, kind, order_mode, seed), samples, threads)
     psum = np.sum([p[0] for p in parts], axis=0)
     psumsq = np.sum([p[1] for p in parts], axis=0)
     dup = sum(p[2] for p in parts)

@@ -17,18 +17,6 @@ class IdOutOfRange(FragschedError):
     pass
 
 
-class AlreadyDownloaded(FragschedError):
-    pass
-
-
-class FragmentAlreadyDownloaded(AlreadyDownloaded):
-    pass
-
-
-class ServerUseless(FragschedError):
-    pass
-
-
 class NonUniformDesign(FragschedError):
     pass
 

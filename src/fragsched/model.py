@@ -8,9 +8,11 @@ replicates every fragment exactly R times, with V*R == B*K, uses all available
 capacity and is called completely utilizing.
 
 During a download, the set of already-fetched fragments determines which
-servers are still useful (those holding at least one missing fragment). The
-model here tracks that evolution and the correspondence between storage
-schemes and combinatorial block designs.
+servers are still useful (those holding at least one missing fragment); the
+schedulers and engines track that on a 0-based bitmask index (see
+``scheduling.DecisionRule``). This module holds the schemes themselves, their
+overlap statistics, and the correspondence between storage schemes and
+combinatorial block designs.
 
 All fragment and server ids are 1-based.
 """
@@ -24,7 +26,6 @@ from fractions import Fraction
 from math import comb
 
 from .errors import (
-    AlreadyDownloaded,
     DuplicateReplicaOnServer,
     EmptyOccupancy,
     IdOutOfRange,
@@ -35,12 +36,9 @@ __all__ = [
     "SystemParams",
     "StorageScheme",
     "OverlapProfile",
-    "DownloadState",
     "Design",
     "build_scheme",
     "overlap_profile",
-    "initial_state",
-    "advance_state",
     "verify_t_design",
     "conservation_laws",
     "conservation_check",
@@ -116,44 +114,6 @@ class OverlapProfile:
     lambda_max: int
     tau_histogram: dict[int, int]
     lambda_histogram: dict[int, int]
-
-
-class DownloadState:
-    """Mutable snapshot of a download in progress.
-
-    Tracks the ordered downloaded sequence, the per-server residual fragment
-    sets, and the useful-server set. Single-owner mutable: clone per concurrent
-    run via :meth:`clone`.
-    """
-
-    __slots__ = ("downloaded", "downloaded_set", "residual", "useful")
-
-    def __init__(
-        self,
-        downloaded: list[int],
-        downloaded_set: set[int],
-        residual: list[set[int]],
-        useful: set[int],
-    ) -> None:
-        self.downloaded = downloaded
-        self.downloaded_set = downloaded_set
-        self.residual = residual  # indexed by server-1
-        self.useful = useful
-
-    @property
-    def n_useful(self) -> int:
-        return len(self.useful)
-
-    def residual_on(self, server: int) -> set[int]:
-        return self.residual[server - 1]
-
-    def clone(self) -> "DownloadState":
-        return DownloadState(
-            list(self.downloaded),
-            set(self.downloaded_set),
-            [set(r) for r in self.residual],
-            set(self.useful),
-        )
 
 
 @dataclass(frozen=True)
@@ -250,34 +210,6 @@ def overlap_profile(scheme: StorageScheme) -> OverlapProfile:
         tau_histogram=dict(tau_hist),
         lambda_histogram=dict(lam_hist),
     )
-
-
-def initial_state(scheme: StorageScheme) -> DownloadState:
-    """Fresh state: nothing downloaded, every stocked server useful."""
-    residual = [set(s) for s in scheme.fragment_sets]
-    useful = {b for b, r in enumerate(residual, start=1) if r}
-    return DownloadState([], set(), residual, useful)
-
-
-def advance_state(scheme: StorageScheme, state: DownloadState, fragment: int) -> DownloadState:
-    """Record the download of ``fragment``; updates ``state`` in place.
-
-    The fragment is removed from the residual set of every server holding it;
-    a server leaves the useful set exactly when its residual empties. O(R) per
-    call via the fragment->servers index.
-    """
-    if fragment < 1 or fragment > scheme.V:
-        raise IdOutOfRange(f"fragment {fragment} not in [1, {scheme.V}]")
-    if fragment in state.downloaded_set:
-        raise AlreadyDownloaded(f"fragment {fragment} already downloaded")
-    state.downloaded.append(fragment)
-    state.downloaded_set.add(fragment)
-    for b in scheme.occupancy[fragment - 1]:
-        res = state.residual[b - 1]
-        res.discard(fragment)
-        if not res:
-            state.useful.discard(b)
-    return state
 
 
 def verify_t_design(design: Design, t: int) -> int | None:

@@ -17,33 +17,28 @@ probability. Deterministic rules give one fragment: nonadaptive orders,
 ranked rules with lowest-index or init-order ties, and the MDP table. The
 random baseline gives the whole residual and seeded ranked ties the tied set.
 Rank scores are exact integers (harmonic ranks scaled by lcm(1..K)). The jump
-chain, the clock validator, the exact forward DP, the MDP solver and the
-1-based functions below all read this one rule: ``choices`` one state at a
-time, and its batched form ``choice_slots`` one array of states at a time.
+chain, the clock validator, the exact forward DP and the MDP solver all read
+this one rule: ``choices`` one state at a time, and its batched form
+``choice_slots`` one array of states at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import lcm
 
 import numpy as np
 
-from .errors import FragmentAlreadyDownloaded, InvalidParams, ServerUseless
-from .model import DownloadState, StorageScheme
+from .errors import InvalidParams
+from .model import StorageScheme
 
 __all__ = [
     "PlacementOrder",
     "smallest_index_first",
     "uniform_diversity",
     "pushback",
-    "nonadaptive_decide",
-    "greedy_rank",
-    "harmonic_rank",
-    "ranked_decide",
     "NonadaptivePolicy",
     "RankedPolicy",
     "RandomWorkConserving",
@@ -73,6 +68,8 @@ class PlacementOrder:
 
 
 def _check_order_matches(scheme: StorageScheme, order: PlacementOrder) -> None:
+    if len(order.orders) != scheme.B:
+        raise InvalidParams(f"order lists {len(order.orders)} servers, the scheme has {scheme.B}")
     for b, o in enumerate(order.orders, start=1):
         if set(o) != set(scheme.fragment_sets[b - 1]) or len(o) != len(set(o)):
             raise InvalidParams(f"order for server {b} is not a permutation of its fragments")
@@ -179,67 +176,6 @@ def pushback(order: PlacementOrder, scheme: StorageScheme, server: int) -> Place
         perfect=None,
         label=f"{order.label}+pb{server}",
     )
-
-
-def _mask(state: DownloadState) -> int:
-    return sum(1 << (v - 1) for v in state.downloaded_set)
-
-
-def nonadaptive_decide(order: PlacementOrder, state: DownloadState, server: int) -> int:
-    """First fragment of the server's order not yet downloaded."""
-    choices = DecisionRule(order.orders, order=order).choices(_mask(state))
-    if server - 1 not in choices:
-        raise ServerUseless(f"server {server} has no remaining fragments")
-    return choices[server - 1][0] + 1
-
-
-def _score(scheme: StorageScheme, state: DownloadState, fragment: int, rank: str):
-    """The rule's integer rank score of ``fragment`` and its scale (1 for
-    greedy, lcm(1..K) for harmonic)."""
-    if fragment in state.downloaded_set:
-        raise FragmentAlreadyDownloaded(f"fragment {fragment} already downloaded")
-    rule = compile_policy(scheme, RankedPolicy(rank=rank))
-    return rule._scores(_mask(state))[fragment - 1], rule.values[1]
-
-
-def greedy_rank(scheme: StorageScheme, state: DownloadState, fragment: int) -> int:
-    """Number of servers hosting ``fragment`` whose residual is just that
-    fragment, i.e. the servers that die if it is fetched next."""
-    return _score(scheme, state, fragment, "greedy")[0]
-
-
-def harmonic_rank(scheme: StorageScheme, state: DownloadState, fragment: int) -> Fraction:
-    """Sum of reciprocal residual sizes over the servers hosting ``fragment``.
-
-    Exact rational, so equality between ranks (a tie) is unambiguous.
-    """
-    return Fraction(*_score(scheme, state, fragment, "harmonic"))
-
-
-def ranked_decide(
-    scheme: StorageScheme,
-    state: DownloadState,
-    rank: str = "harmonic",
-    tie: str = "low",
-    rng: np.random.Generator | None = None,
-    init_order: PlacementOrder | None = None,
-) -> dict[int, int]:
-    """Decision map of the ranked scheduler: per useful server, the residual
-    fragment of minimum rank.
-
-    Ties break by lowest fragment index (``tie='low'``), uniformly at random
-    (``tie='seeded'``, needs ``rng``), or by position in ``init_order`` when
-    one is supplied (which also fixes the all-ties first step). The arguments
-    are checked as :class:`RankedPolicy` checks them.
-    """
-    policy = RankedPolicy(rank=rank, tie=tie, init_order=init_order)
-    if tie == "seeded" and rng is None:
-        raise InvalidParams("tie='seeded' needs an rng")
-    choices = compile_policy(scheme, policy).choices(_mask(state))
-    return {
-        b + 1: (vs[0] if len(vs) == 1 else vs[int(rng.integers(0, len(vs)))]) + 1
-        for b, vs in choices.items()
-    }
 
 
 @dataclass(frozen=True)
@@ -423,14 +359,20 @@ class DecisionRule:
 
 def compile_policy(scheme: StorageScheme, policy) -> DecisionRule:
     """The decision rule of ``policy`` on ``scheme``: the one place a policy's
-    type is read."""
+    type is read. A placement order or MDP solution made for another scheme
+    is refused."""
     if isinstance(policy, NonadaptivePolicy):
+        _check_order_matches(scheme, policy.order)
         return DecisionRule(scheme.fragment_sets, order=policy.order)
     if isinstance(policy, RandomWorkConserving):
         return DecisionRule(scheme.fragment_sets, uniform=True)
     if isinstance(policy, RankedPolicy):
+        if policy.init_order is not None:
+            _check_order_matches(scheme, policy.init_order)
         return DecisionRule(scheme.fragment_sets, rank=policy.rank,
                             order=policy.init_order, uniform=policy.tie == "seeded")
     if isinstance(policy, MdpPolicy):
+        if policy.solution.V != scheme.V:
+            raise InvalidParams(f"MDP solution for V={policy.solution.V} on a scheme with V={scheme.V}")
         return DecisionRule(scheme.fragment_sets, table=policy.solution.decisions)
     raise InvalidParams(f"unsupported policy {policy!r}")

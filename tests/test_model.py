@@ -6,23 +6,22 @@ import pytest
 
 from fragsched import (
     Design,
-    advance_state,
+    RandomWorkConserving,
     build_scheme,
     conservation_check,
     conservation_laws,
     design_to_scheme,
-    initial_state,
     overlap_profile,
     scheme_to_design,
     verify_t_design,
 )
 from fragsched.errors import (
-    AlreadyDownloaded,
     DuplicateReplicaOnServer,
     EmptyOccupancy,
     IdOutOfRange,
     NonUniformDesign,
 )
+from fragsched.scheduling import compile_policy
 from oracles import count_t_subsets, useful_count
 
 
@@ -96,47 +95,40 @@ class TestOverlapProfile:
         assert ov.lambda_histogram == {} and ov.tau_histogram == {}
 
 
+def useful_after(scheme, downloads) -> set[int]:
+    """The 1-based useful servers after ``downloads``: the servers the
+    decision rule gives a choice at that downloaded set."""
+    mask = sum(1 << (v - 1) for v in downloads)
+    return {b + 1 for b in compile_policy(scheme, RandomWorkConserving()).choices(mask)}
+
+
 class TestDownloadState:
+    """The useful servers of a download state, the set of fetched fragments."""
+
     def test_first_download_keeps_all_useful(self, fano):
-        st = advance_state(fano, initial_state(fano), 1)
-        assert st.n_useful == 7
+        assert len(useful_after(fano, [1])) == 7
 
     def test_single_missing_fragment(self, fano):
-        st = initial_state(fano)
-        for v in range(1, 7):
-            advance_state(fano, st, v)
-        assert st.n_useful == len(fano.occupancy_of(7)) == 3
-        assert st.useful == set(fano.occupancy_of(7))
+        useful = useful_after(fano, range(1, 7))
+        assert len(useful) == len(fano.occupancy_of(7)) == 3
+        assert useful == set(fano.occupancy_of(7))
 
     def test_final_download_empties(self, fano):
-        st = initial_state(fano)
-        for v in range(1, 8):
-            advance_state(fano, st, v)
-        assert st.n_useful == 0
-        assert all(not r for r in st.residual)
-
-    def test_double_download_rejected(self, fano):
-        st = advance_state(fano, initial_state(fano), 3)
-        with pytest.raises(AlreadyDownloaded):
-            advance_state(fano, st, 3)
+        assert useful_after(fano, range(1, 8)) == set()
 
     def test_incremental_matches_scratch_exhaustive(self, fano, cyclic73):
-        # every subset I with |I| <= V of small schemes, via all prefixes
+        # every prefix of many download orders of small schemes
         for scheme in (fano, cyclic73):
             blocks = [set(s) for s in scheme.fragment_sets]
             rng = random.Random(7)
             orders = [rng.sample(range(1, 8), 7) for _ in range(40)]
             orders += [list(p) for p in itertools.islice(itertools.permutations(range(1, 8)), 200)]
             for order in orders:
-                st = initial_state(scheme)
-                seen = set()
-                for v in order:
-                    advance_state(scheme, st, v)
-                    seen.add(v)
-                    assert st.n_useful == useful_count(blocks, seen)
+                for ell in range(1, 8):
+                    assert len(useful_after(scheme, order[:ell])) == useful_count(blocks, set(order[:ell]))
 
     def test_every_subset_matches_scratch(self, fano, cyclic73, pp2):
-        # all 2^V downloaded subsets, reached incrementally in sorted order
+        # all 2^V downloaded subsets
         from fragsched import affine_plane
 
         for scheme in (fano, cyclic73, pp2, affine_plane(2)):
@@ -144,30 +136,22 @@ class TestDownloadState:
             V = scheme.V
             for mask in range(1 << V):
                 subset = [v + 1 for v in range(V) if mask >> v & 1]
-                st = initial_state(scheme)
-                for v in subset:
-                    advance_state(scheme, st, v)
-                assert st.n_useful == useful_count(blocks, set(subset))
+                assert len(useful_after(scheme, subset)) == useful_count(blocks, set(subset))
 
     def test_any_order_ends_empty(self, fano):
         rng = random.Random(1)
         for _ in range(25):
-            order = rng.sample(range(1, 8), 7)
-            st = initial_state(fano)
-            for v in order:
-                advance_state(fano, st, v)
-            assert st.n_useful == 0
+            assert useful_after(fano, rng.sample(range(1, 8), 7)) == set()
 
     def test_useful_shrinks_monotonically(self, cyclic73):
         rng = random.Random(5)
         for _ in range(25):
             order = rng.sample(range(1, 8), 7)
-            st = initial_state(cyclic73)
-            prev = set(st.useful)
-            for v in order:
-                advance_state(cyclic73, st, v)
-                assert st.useful <= prev
-                prev = set(st.useful)
+            prev = useful_after(cyclic73, [])
+            for ell in range(1, 8):
+                useful = useful_after(cyclic73, order[:ell])
+                assert useful <= prev
+                prev = useful
 
 
 class TestDesigns:

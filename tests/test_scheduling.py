@@ -2,31 +2,65 @@ import itertools
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from fragsched import (
+    MdpPolicy,
+    NonadaptivePolicy,
+    RandomWorkConserving,
     RankedPolicy,
-    advance_state,
+    SimulationConfig,
     build_scheme,
-    greedy_rank,
-    harmonic_rank,
-    initial_state,
-    nonadaptive_decide,
+    cyclic_shift,
+    exact_mean_download,
+    mdp_solve,
+    monte_carlo,
+    projective_plane,
     pushback,
-    ranked_decide,
     smallest_index_first,
     uniform_diversity,
 )
-from fragsched.errors import FragmentAlreadyDownloaded, InvalidParams, ServerUseless
-from oracles import all_decision_maps, immediate_reward, useful_count
+from fragsched.errors import InvalidParams
+from fragsched.scheduling import compile_policy
+from oracles import (
+    all_decision_maps,
+    immediate_reward,
+    nonadaptive_decisions,
+    random_decisions,
+    ranked_decisions,
+    table_decisions,
+    useful_count,
+)
+from test_kernel import IRREGULAR
+
+from conftest import FANO_OCCUPANCY
 
 
-def state_after(scheme, downloads):
-    st = initial_state(scheme)
-    for v in downloads:
-        advance_state(scheme, st, v)
-    return st
+def mask_of(downloads) -> int:
+    """The bitmask of a collection of 1-based fragments."""
+    return sum(1 << (v - 1) for v in downloads)
+
+
+def residual_on(scheme, downloads, server: int) -> set[int]:
+    return set(scheme.fragments_on(server)) - set(downloads)
+
+
+def decide(scheme, policy, downloads) -> dict[int, int]:
+    """The 1-based decision map of a deterministic policy after ``downloads``:
+    per useful server, the fragment it serves next."""
+    choices = compile_policy(scheme, policy).choices(mask_of(downloads))
+    assert all(len(vs) == 1 for vs in choices.values())
+    return {b + 1: vs[0] + 1 for b, vs in choices.items()}
+
+
+def ranks(scheme, rank: str, downloads) -> dict[int, Fraction]:
+    """The exact rank of every fragment not in ``downloads``: the rule's
+    integer score over its scale, the rank value of a residual of size 1."""
+    rule = compile_policy(scheme, RankedPolicy(rank=rank))
+    mask = mask_of(downloads)
+    scores = rule._scores(mask)
+    return {v + 1: Fraction(scores[v], rule.values[1])
+            for v in range(scheme.V) if not mask >> v & 1}
 
 
 class TestSmallestIndexFirst:
@@ -118,146 +152,137 @@ class TestPushback:
 
 class TestNonadaptiveDecide:
     def test_skips_downloaded(self, fano):
-        order = smallest_index_first(fano)
-        st = state_after(fano, [1])
-        assert nonadaptive_decide(order, st, 1) == 2
+        policy = NonadaptivePolicy(smallest_index_first(fano))
+        assert decide(fano, policy, [1])[1] == 2
 
     def test_initial_head(self, fano):
         order = smallest_index_first(fano)
-        st = initial_state(fano)
+        decisions = decide(fano, NonadaptivePolicy(order), [])
         for b in range(1, 8):
-            assert nonadaptive_decide(order, st, b) == order.order_of(b)[0]
+            assert decisions[b] == order.order_of(b)[0]
 
     def test_useless_server(self, fano):
-        st = state_after(fano, [1, 2, 3])
-        assert 1 not in st.useful
-        with pytest.raises(ServerUseless):
-            nonadaptive_decide(smallest_index_first(fano), st, 1)
+        # server 1 stores {1, 2, 3}: it gets no decision once they are fetched
+        decisions = decide(fano, NonadaptivePolicy(smallest_index_first(fano)), [1, 2, 3])
+        assert 1 not in decisions
+        assert set(decisions) == {b for b in range(1, 8) if residual_on(fano, [1, 2, 3], b)}
 
 
 class TestGreedyRank:
     def test_zero_at_start(self, fano, cyclic73):
         for scheme in (fano, cyclic73):
-            st = initial_state(scheme)
-            assert all(greedy_rank(scheme, st, v) == 0 for v in range(1, 8))
+            assert set(ranks(scheme, "greedy", []).values()) == {0}
 
     def test_counts_dying_servers(self, fano):
-        st = state_after(fano, [1, 2])  # server 1 residual {3}
-        assert greedy_rank(fano, st, 3) >= 1
-        assert greedy_rank(fano, st, 3) == sum(
-            1 for b in fano.occupancy_of(3) if len(st.residual_on(b)) == 1
-        )
+        downloads = [1, 2]  # server 1 residual {3}
+        rank = ranks(fano, "greedy", downloads)[3]
+        assert rank >= 1
+        assert rank == sum(1 for b in fano.occupancy_of(3)
+                           if len(residual_on(fano, downloads, b)) == 1)
 
     def test_last_fragment_rank_R(self, fano):
-        st = state_after(fano, [1, 2, 3, 4, 5, 6])
-        assert greedy_rank(fano, st, 7) == fano.params.R
+        assert ranks(fano, "greedy", [1, 2, 3, 4, 5, 6]) == {7: fano.params.R}
 
     def test_downloaded_rejected(self, fano):
-        st = state_after(fano, [4])
-        with pytest.raises(FragmentAlreadyDownloaded):
-            greedy_rank(fano, st, 4)
+        # a fetched fragment is never chosen, whatever its raw score says
+        for rank in ("greedy", "harmonic"):
+            rule = compile_policy(fano, RankedPolicy(rank=rank))
+            for mask in range(1 << fano.V):
+                for vs in rule.choices(mask).values():
+                    assert all(not mask >> v & 1 for v in vs)
 
 
 class TestHarmonicRank:
     def test_uniform_at_start(self, fano):
-        st = initial_state(fano)
-        for v in range(1, 8):
-            assert harmonic_rank(fano, st, v) == Fraction(3, 3) == 1
+        assert ranks(fano, "harmonic", []) == {v: Fraction(3, 3) for v in range(1, 8)}
 
     def test_after_first_download_all_tie(self, fano):
         # every remaining fragment shares exactly one host with fragment 1,
         # so each sums 1/2 + 1/3 + 1/3
-        st = state_after(fano, [1])
-        ranks = [harmonic_rank(fano, st, v) for v in range(2, 8)]
-        assert ranks == [Fraction(7, 6)] * 6
+        assert ranks(fano, "harmonic", [1]) == {v: Fraction(7, 6) for v in range(2, 8)}
 
     def test_rank_sum_equals_useful_count(self, fano, cyclic73):
         # sum over remaining fragments of the harmonic rank telescopes to N
         rng = random.Random(3)
         for scheme in (fano, cyclic73):
+            blocks = [set(s) for s in scheme.fragment_sets]
             for _ in range(20):
-                ell = rng.randrange(0, 7)
-                st = state_after(scheme, rng.sample(range(1, 8), ell))
-                total = sum(
-                    harmonic_rank(scheme, st, v)
-                    for v in range(1, 8)
-                    if v not in st.downloaded_set
-                )
-                assert total == st.n_useful
+                downloads = rng.sample(range(1, 8), rng.randrange(0, 7))
+                total = sum(ranks(scheme, "harmonic", downloads).values())
+                assert total == useful_count(blocks, set(downloads))
 
     def test_single_fragment_scheme(self):
         scheme = build_scheme([{1, 2, 3}])
-        st = initial_state(scheme)
-        assert harmonic_rank(scheme, st, 1) == 3  # R hosts each with residual {1}
+        assert ranks(scheme, "harmonic", [])[1] == 3  # R hosts each with residual {1}
 
     def test_monotone_in_host_sizes(self, cyclic73):
         # pointwise-smaller hosting residuals imply a larger-or-equal rank
         rng = random.Random(11)
         for _ in range(60):
-            ell = rng.randrange(0, 6)
-            st = state_after(cyclic73, rng.sample(range(1, 8), ell))
-            remaining = [v for v in range(1, 8) if v not in st.downloaded_set]
-            for v, w in itertools.permutations(remaining, 2):
-                sizes_v = sorted(len(st.residual_on(b)) for b in cyclic73.occupancy_of(v))
-                sizes_w = sorted(len(st.residual_on(b)) for b in cyclic73.occupancy_of(w))
+            downloads = rng.sample(range(1, 8), rng.randrange(0, 6))
+            rank = ranks(cyclic73, "harmonic", downloads)
+            for v, w in itertools.permutations(rank, 2):
+                sizes_v = sorted(len(residual_on(cyclic73, downloads, b))
+                                 for b in cyclic73.occupancy_of(v))
+                sizes_w = sorted(len(residual_on(cyclic73, downloads, b))
+                                 for b in cyclic73.occupancy_of(w))
                 if all(sw <= sv for sv, sw in zip(sizes_v, sizes_w)):
-                    assert harmonic_rank(cyclic73, st, v) <= harmonic_rank(cyclic73, st, w)
+                    assert rank[v] <= rank[w]
 
 
 class TestRankedDecide:
     def test_worked_example_decisions(self, fano):
-        st = state_after(fano, [1])
-        decisions = ranked_decide(fano, st, rank="harmonic", tie="low")
+        decisions = decide(fano, RankedPolicy(rank="harmonic", tie="low"), [1])
         assert decisions[2] == 3
         assert decisions[4] == 4
         assert decisions[7] == 2
         assert decisions[1] in (2, 3) and decisions[3] in (5, 6)
 
     def test_single_residual_forced(self, fano):
-        st = state_after(fano, [1, 2])  # server 1 residual {3}
         for rank in ("greedy", "harmonic"):
-            assert ranked_decide(fano, st, rank=rank)[1] == 3
+            assert decide(fano, RankedPolicy(rank=rank), [1, 2])[1] == 3  # residual {3}
 
     def test_greedy_at_start_lowest_index(self, fano):
-        st = initial_state(fano)
-        decisions = ranked_decide(fano, st, rank="greedy", tie="low")
+        decisions = decide(fano, RankedPolicy(rank="greedy", tie="low"), [])
         for b in range(1, 8):
             assert decisions[b] == min(fano.fragments_on(b))
 
     def test_decisions_work_conserving(self, fano, cyclic73):
         rng = random.Random(23)
-        gen = np.random.default_rng(5)
         for scheme in (fano, cyclic73):
+            blocks = [set(s) for s in scheme.fragment_sets]
             for _ in range(40):
-                ell = rng.randrange(0, 7)
-                st = state_after(scheme, rng.sample(range(1, 8), ell))
+                downloads = rng.sample(range(1, 8), rng.randrange(0, 7))
                 for rank in ("greedy", "harmonic"):
                     for tie in ("low", "seeded"):
-                        decisions = ranked_decide(scheme, st, rank=rank, tie=tie, rng=gen)
-                        assert set(decisions) == st.useful
-                        for b, v in decisions.items():
-                            assert v in st.residual_on(b)
+                        rule = compile_policy(scheme, RankedPolicy(rank=rank, tie=tie))
+                        choices = rule.choices(mask_of(downloads))
+                        assert len(choices) == useful_count(blocks, set(downloads))
+                        for b, vs in choices.items():
+                            assert {v + 1 for v in vs} <= residual_on(scheme, downloads, b + 1)
 
     def test_init_order_breaks_ties(self, fano):
         ud = uniform_diversity(fano)
-        st = initial_state(fano)
-        decisions = ranked_decide(fano, st, rank="harmonic", init_order=ud)
+        decisions = decide(fano, RankedPolicy(rank="harmonic", init_order=ud), [])
         for b in range(1, 8):
             assert decisions[b] == ud.order_of(b)[0]
 
-    def test_rejects_unknown_tie_rule(self, pp2):
+    def test_rejects_unknown_tie_rule(self):
         with pytest.raises(InvalidParams, match="tie rule"):
-            ranked_decide(pp2, initial_state(pp2), tie="bogus")
+            RankedPolicy(tie="bogus")
 
     def test_rejects_seeded_ties_with_init_order(self, pp2):
-        gen = np.random.default_rng(1)
         with pytest.raises(InvalidParams, match="init order"):
-            ranked_decide(pp2, initial_state(pp2), tie="seeded", rng=gen,
-                          init_order=uniform_diversity(pp2))
+            RankedPolicy(rank="greedy", tie="seeded", init_order=uniform_diversity(pp2))
 
     def test_seeded_ties_need_rng(self, pp2):
-        with pytest.raises(InvalidParams, match="rng"):
-            ranked_decide(pp2, initial_state(pp2), tie="seeded")
+        # seeded ties give the whole tied set, and a run draws one more
+        # stream word per step to pick from it
+        low = compile_policy(pp2, RankedPolicy(tie="low"))
+        seeded = compile_policy(pp2, RankedPolicy(tie="seeded"))
+        assert (low.uniform, low.draws) == (False, 2)
+        assert (seeded.uniform, seeded.draws) == (True, 3)
+        assert all(len(vs) == 3 for vs in seeded.choices(0).values())
 
     def test_policy_rejects_seeded_ties_with_init_order(self, fano):
         ud = uniform_diversity(fano)
@@ -269,9 +294,8 @@ class TestRankedDecide:
 class TestGreedyMaximizesImmediateReward:
     @pytest.mark.parametrize("downloads", [[], [1], [1, 2], [3, 6, 7], [1, 2, 3, 4]])
     def test_brute_force_over_decision_maps(self, fano, downloads):
-        st = state_after(fano, downloads)
         blocks = [set(s) for s in fano.fragment_sets]
-        decisions = ranked_decide(fano, st, rank="greedy", tie="low")
+        decisions = decide(fano, RankedPolicy(rank="greedy", tie="low"), downloads)
         got = immediate_reward(blocks, set(downloads), decisions)
         best = max(
             immediate_reward(blocks, set(downloads), m)
@@ -285,11 +309,77 @@ class TestGreedyMaximizesImmediateReward:
         for _ in range(6):
             ell = rng.randrange(0, 5)
             downloads = rng.sample(range(1, 8), ell)
-            st = state_after(cyclic73, downloads)
-            decisions = ranked_decide(cyclic73, st, rank="greedy", tie="low")
+            decisions = decide(cyclic73, RankedPolicy(rank="greedy", tie="low"), downloads)
             got = immediate_reward(blocks, set(downloads), decisions)
             best = max(
                 immediate_reward(blocks, set(downloads), m)
                 for m in all_decision_maps(blocks, set(downloads))
             )
             assert got == best
+
+
+class TestCompilePolicyRejectsForeignInputs:
+    """An order or MDP solution made for another scheme is refused, not read
+    as if it fitted: the cyclic 7/3 orders name fragments that the Fano
+    plane's servers do not store."""
+
+    @pytest.fixture(params=["nonadaptive", "ranked-init", "order-B", "mdp-V"])
+    def foreign(self, request, pp2):
+        cyclic = cyclic_shift(7, 3)
+        return {
+            "nonadaptive": NonadaptivePolicy(uniform_diversity(cyclic)),
+            "ranked-init": RankedPolicy(init_order=smallest_index_first(cyclic)),
+            "order-B": NonadaptivePolicy(smallest_index_first(cyclic_shift(8, 3))),
+            "mdp-V": MdpPolicy(mdp_solve(cyclic_shift(5, 2))),
+        }[request.param]
+
+    def test_compile_policy(self, pp2, foreign):
+        with pytest.raises(InvalidParams):
+            compile_policy(pp2, foreign)
+
+    def test_monte_carlo_and_exact(self, pp2, foreign):
+        with pytest.raises(InvalidParams):
+            monte_carlo(SimulationConfig(pp2, foreign, 1.0, 10, 1))
+        with pytest.raises(InvalidParams):
+            exact_mean_download(pp2, foreign, 1.0)
+
+
+DIFFERENTIAL_SCHEMES = {
+    "fano": lambda: build_scheme(FANO_OCCUPANCY),
+    "cyclic73": lambda: cyclic_shift(7, 3),
+    "irregular": lambda: build_scheme(IRREGULAR, B=6),
+    "pp2": lambda: projective_plane(2),
+}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_SCHEMES)
+def test_choices_match_oracles(name):
+    """``choices(mask)`` on every downloaded set equals the oracles' decision
+    maps, state by state, for every policy kind."""
+    scheme = DIFFERENTIAL_SCHEMES[name]()
+    blocks = [set(s) for s in scheme.fragment_sets]
+    orders = {}
+    for label, order in (("sif", smallest_index_first(scheme)), ("ud", uniform_diversity(scheme))):
+        orders[label] = order
+        orders[label + "+pushback"] = pushback(order, scheme, 1)
+    solution = mdp_solve(scheme)
+    cases = [(RandomWorkConserving(), lambda I: random_decisions(blocks, I)),
+             (MdpPolicy(solution), lambda I: table_decisions(blocks, I, solution.decisions))]
+    for order in orders.values():
+        cases.append((NonadaptivePolicy(order),
+                      lambda I, o=order.orders: nonadaptive_decisions(blocks, I, o)))
+    for rank in ("greedy", "harmonic"):
+        for tie in ("low", "seeded"):
+            cases.append((RankedPolicy(rank=rank, tie=tie),
+                          lambda I, r=rank, t=tie: ranked_decisions(blocks, I, r, t)))
+        for label in ("sif", "ud"):
+            cases.append((RankedPolicy(rank=rank, init_order=orders[label]),
+                          lambda I, r=rank, o=orders[label].orders:
+                          ranked_decisions(blocks, I, r, "low", o)))
+    for policy, oracle in cases:
+        rule = compile_policy(scheme, policy)
+        for mask in range(1 << scheme.V):
+            got = {b + 1: {v + 1: Fraction(1, len(vs)) for v in vs}
+                   for b, vs in rule.choices(mask).items()}
+            downloaded = {v + 1 for v in range(scheme.V) if mask >> v & 1}
+            assert got == oracle(downloaded), (policy.describe(), mask)
