@@ -125,8 +125,9 @@ class _Runtime:
     The padded kernel tables give every server K fragment columns in the
     rule's tie-break order, filled up with the dummy fragment V (always
     downloaded), and every fragment R host columns, filled up with the dummy
-    server B (never useful, rank value 0). An MDP policy's decisions are the
-    rule's dense (2^V, B) table, read with one gather per step.
+    server B (never useful, rank value 0). An MDP policy's decisions are its
+    solution's dense (2^V, B) array, shared as is and read with one gather
+    per step.
     """
 
     def __init__(self, scheme: StorageScheme, policy) -> None:
@@ -135,7 +136,7 @@ class _Runtime:
         self.B = B = rule.B
         self.K = K = rule.K
         self.uniform, self.draws = rule.uniform, rule.draws
-        self.table = None if rule.table is None else rule.table_array
+        self.table = rule.table
         r_max = max(len(s) for s in rule.occ)
         self.hosts = _padded(rule.occ + [[]], r_max, B)
         self.candidates = rule.slot_frags

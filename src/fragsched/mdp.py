@@ -9,7 +9,9 @@ V-1 or V is zero and the optimal value reported for a scheme is u(empty).
 
 Because the transition factorizes over servers, the optimal decision at each
 useful server is simply the residual fragment maximizing reward-plus-value of
-the successor state.
+the successor state. ``mdp_solve`` returns those decisions in the dense
+(2^V, B) int8 array it computes them in, -1 where a server is not useful; the
+decision rule, the forward DP and the jump chain read that array as is.
 
 Both solvers walk the 2^V downloaded sets one popcount level at a time, as
 numpy arrays indexed by mask, and read a whole batch of states' choices at
@@ -60,17 +62,20 @@ _SLOTS = 1 << 13  # order slots per batch of states: bounds the per-batch arrays
 def _peak_bytes(scheme: StorageScheme, solver: str) -> int:
     """Estimated peak memory of one ``solver`` run ('mdp', 'float' or
     'rational' forward DP) on ``scheme``, from bytes per state measured at
-    V = 12..17 and rounded up.
+    V = 12..18 and rounded up.
 
-    ``mdp_solve`` stores a decision per useful (state, server) pair in a dict
-    (100-170 bytes each) and a Fraction per state. The forward DP holds two
-    levels of reachable states and a position per mask: about 20-30 bytes a
-    state in floats, plus the numerators' bytes in rationals (V * log2(D)
-    bits at the widest level, D as in ``_forward_dp``).
+    ``mdp_solve`` holds a Fraction per state in ``values``, the numerators
+    of every state while it runs, and a B-byte row of the int8 decision
+    array: 294-311 bytes a state at B = V and 423-466 at B = 3V..4V, measured
+    at V = 15..18, which 3 * B + 300 covers (below V = 15 a fixed 1-2 MiB
+    weighs more). The forward DP holds two levels of reachable states and a
+    position per mask: about 20-30 bytes a state in floats, plus the
+    numerators' bytes in rationals (V * log2(D) bits at the widest level, D
+    as in ``_forward_dp``).
     """
     V, B = scheme.V, scheme.B
     if solver == "mdp":
-        per_state = 150 * B + 150
+        per_state = 3 * B + 300
     else:
         per_state = 32
         if solver == "rational":
@@ -101,22 +106,24 @@ def _as_mask(subset, V: int) -> int:
     return mask
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MdpSolution:
-    """Output of backward induction: exact reward-to-go per downloaded subset
-    and the optimal per-(subset, server) decisions."""
+    """Output of backward induction on the scheme with ``fragment_sets``:
+    exact reward-to-go per downloaded subset and the optimal decisions.
+
+    ``decisions`` is a dense (2^V, B) int8 array: its entry at (mask, b) is
+    the 0-based fragment that 0-based server b serves in state mask, or -1
+    where server b is not useful there. Solutions compare by identity, as
+    an array has no single truth value."""
 
     V: int
+    fragment_sets: tuple[frozenset[int], ...]
     optimal_value: Fraction
-    values: dict[int, Fraction]           # mask -> u*(I)
-    decisions: dict[tuple[int, int], int]  # (mask, server0) -> fragment0
+    values: dict[int, Fraction]  # mask -> u*(I)
+    decisions: np.ndarray
 
     def reward_to_go(self, subset) -> Fraction:
         return self.values[_as_mask(subset, self.V)]
-
-    def decision(self, subset, server: int) -> int:
-        mask = _as_mask(subset, self.V)
-        return self.decisions[(mask, server - 1)] + 1
 
 
 def mdp_solve(scheme: StorageScheme, cap: int = DEFAULT_MDP_CAP) -> MdpSolution:
@@ -160,18 +167,11 @@ def mdp_solve(scheme: StorageScheme, cap: int = DEFAULT_MDP_CAP) -> MdpSolution:
             num[masks] = top.sum(axis=1) * share[n]
             best[masks] = np.where(useful, rule.slot_frags[columns, col], -1)
     del levels, n_use
-    # the dicts list masks in descending order; each mask's int object is
-    # shared by its value key and all its decision keys
-    keys = list(range(full, -1, -1))
+    keys = range(full, -1, -1)  # values lists masks in descending order
     dens = [V * L ** (V - size) for size in range(V + 1)]
     values = dict(zip(keys, map(Fraction, num[::-1], (dens[k] for k in pop[::-1]))))
-    del num
-    decisions = {}
-    for mask, row in zip(keys, best[::-1]):
-        for b, v in enumerate(row.tolist()):
-            if v >= 0:
-                decisions[mask, b] = v
-    return MdpSolution(V=V, optimal_value=values[0], values=values, decisions=decisions)
+    return MdpSolution(V=V, fragment_sets=scheme.fragment_sets, optimal_value=values[0],
+                       values=values, decisions=best)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from math import lcm
 
 import numpy as np
@@ -246,18 +245,18 @@ class DecisionRule:
     (a nonadaptive placement order or a ranked init order). ``values[k]`` is
     the rank value of a host with residual size k (k = 0..K), or None for an
     unranked policy; ``uniform`` draws among tied fragments uniformly instead
-    of taking the first; ``table`` holds the MDP decisions by (mask, server).
-    ``draws`` is the number of 64-bit stream words a jump-chain run takes per
-    step.
+    of taking the first; ``table`` is an MDP solution's dense (2^V, B)
+    decision array, ``table[mask, b]`` the fragment server b serves in state
+    mask (-1 where b is not useful), or None. ``draws`` is the number of
+    64-bit stream words a jump-chain run takes per step.
 
-    The array forms are built on first use: ``slot_frags[b, k]`` is
-    ``orders[b][k]``, padded to K slots with the dummy fragment V, and
-    ``table_array`` is the MDP table as a dense (2^V, B) array. The batched
+    The slot arrays are built on first use: ``slot_frags[b, k]`` is
+    ``orders[b][k]``, padded to K slots with the dummy fragment V. The batched
     :meth:`choice_slots` needs masks that fit in int64 (V <= 62).
     """
 
     def __init__(self, fragment_sets, rank: str | None = None, order: PlacementOrder | None = None,
-                 uniform: bool = False, table: dict | None = None) -> None:
+                 uniform: bool = False, table: np.ndarray | None = None) -> None:
         self.frag_sets = [sorted(v - 1 for v in s) for s in fragment_sets]
         self.B = len(self.frag_sets)
         self.V = 1 + max(s[-1] for s in self.frag_sets if s)
@@ -301,16 +300,6 @@ class DecisionRule:
                         dtype=np.int64)
 
     @cached_property
-    def table_array(self) -> np.ndarray:
-        """``table`` as a dense (2^V, B) array: the fragment server b serves
-        in state mask, or -1 where the table has no entry."""
-        out = np.full((1 << self.V, self.B), -1, dtype=np.int8)
-        keys = np.fromiter(chain.from_iterable(self.table), dtype=np.int64, count=2 * len(self.table))
-        out[keys[0::2], keys[1::2]] = np.fromiter(self.table.values(), dtype=np.int8,
-                                                  count=len(self.table))
-        return out
-
-    @cached_property
     def _rank_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Server bitmasks, rank values by residual size, and the (B, V+1)
         server-fragment incidence (the last column is the dummy fragment)."""
@@ -328,7 +317,7 @@ class DecisionRule:
         choices are the fragments of the marked slots, in slot order."""
         free = (self.slot_bits & ~masks[:, None, None]) != 0
         if self.table is not None:
-            return free & (self.slot_frags == self.table_array[masks][:, :, None])
+            return free & (self.slot_frags == self.table[masks][:, :, None])
         if self.values is not None:
             bits, values, incidence = self._rank_arrays
             scores = values[np.bitwise_count(bits & ~masks[:, None])] @ incidence
@@ -347,7 +336,7 @@ class DecisionRule:
             if not self.bits[b] & ~mask:
                 continue
             if table is not None:
-                out[b] = [table[mask, b]]
+                out[b] = [int(table[mask, b])]
                 continue
             free = [v for v in order if not mask >> v & 1]
             if scores is not None:
@@ -372,7 +361,7 @@ def compile_policy(scheme: StorageScheme, policy) -> DecisionRule:
         return DecisionRule(scheme.fragment_sets, rank=policy.rank,
                             order=policy.init_order, uniform=policy.tie == "seeded")
     if isinstance(policy, MdpPolicy):
-        if policy.solution.V != scheme.V:
-            raise InvalidParams(f"MDP solution for V={policy.solution.V} on a scheme with V={scheme.V}")
+        if policy.solution.fragment_sets != scheme.fragment_sets:
+            raise InvalidParams("MDP solution made for another scheme")
         return DecisionRule(scheme.fragment_sets, table=policy.solution.decisions)
     raise InvalidParams(f"unsupported policy {policy!r}")

@@ -204,6 +204,14 @@ def ranked_decisions(blocks, downloaded, rank: str, tie: str, init_orders=None):
     return out
 
 
+def decision_items(table) -> dict[tuple[int, int], int]:
+    """An MDP solution's dense decision array as {(mask, 0-based server):
+    0-based fragment}, leaving out the -1 entries; Python ints throughout, so
+    the ``repr`` of the items is that of plain ints."""
+    return {(mask, b): v for mask, row in enumerate(table.tolist())
+            for b, v in enumerate(row) if v >= 0}
+
+
 def table_decisions(blocks, downloaded, table) -> dict[int, dict[int, Fraction]]:
     """Each server serves what an MDP table, keyed by (downloaded bitmask,
     0-based server) and holding 0-based fragments, says."""
@@ -388,7 +396,7 @@ class ScalarRuntime:
                     pos.append(m)
             self.kind, self.extra = f"ranked-{policy.rank}-{policy.tie}", pos
         elif isinstance(policy, MdpPolicy):
-            self.kind, self.extra = "mdp", policy.solution.decisions
+            self.kind, self.extra = "mdp", decision_items(policy.solution.decisions)
         else:
             raise ValueError(f"unsupported policy {policy!r}")
 

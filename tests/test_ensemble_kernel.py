@@ -95,8 +95,8 @@ SUMMARY_FIELDS = ["kind", "order_mode", "B", "V", "R", "samples", "master_seed",
 @pytest.mark.parametrize("kind,mode", [("rep", "server"), ("rep", "fragment"),
                                        ("mds", "server"), ("mds", "fragment")])
 def test_summary_matches_oracle(kind, mode, monkeypatch):
-    # samples 1, and on either side of the chunk sizes of 1 and 2 workers
-    # (4 and 8 tasks)
+    # one worker runs all samples as one task, so only the threads=2 cases
+    # (up to 8 tasks of ceil(samples / 8)) cross chunk edges
     cases = [(1, 1), (4, 1), (5, 1), (9, 1), (8, 2), (9, 2), (17, 2)]
     got = {c: ensemble_monte_carlo(4, 5, 3, kind, mode, c[0], 31, threads=c[1]) for c in cases}
     monkeypatch.setattr(engine, "_ensemble_chunk", scalar_ensemble_chunk)

@@ -7,7 +7,8 @@ were merged into ``scheduling.compile_policy``: the aggregate reward as a
 fraction, the ``repr`` of the float-mode mean download time at mu = 1, and a
 SHA-256 of ``repr((per_ell_useful, per_ell_inverse_useful, aggregate_reward))``;
 for ``mdp_solve``, the optimal value and a SHA-256 of
-``repr(sorted(decisions.items()))``.
+``repr(sorted(decisions.items()))`` over the (mask, server) -> fragment dict
+that ``oracles.decision_items`` reads from the decision array.
 
 The pins at benchmark sizes (V = 9 and 10, where the popcount levels of the
 subset DP are widest) were produced by the one-state-at-a-time dict loops
@@ -29,6 +30,7 @@ from fragsched import (
     policy_evaluate_exact,
 )
 from conftest import FANO_OCCUPANCY
+from oracles import decision_items
 from test_kernel import IRREGULAR, make_policy
 
 SCHEMES = {
@@ -165,7 +167,7 @@ def test_mdp_solve_matches_pinned(name):
     value, digest = MDP_SOLUTIONS[name]
     sol = mdp_solve(SCHEMES[name]())
     assert sol.optimal_value == Fraction(value)
-    assert _sha256(sorted(sol.decisions.items())) == digest
+    assert _sha256(sorted(decision_items(sol.decisions).items())) == digest
 
 
 @pytest.mark.parametrize("name, kind", EVALUATIONS)
@@ -203,7 +205,7 @@ def test_mdp_solve_matches_pinned_at_benchmark_size(name):
     build, value, decisions_digest, values_digest = LARGE_MDP_SOLUTIONS[name]
     sol = mdp_solve(build())
     assert sol.optimal_value == Fraction(value)
-    assert _sha256(sorted(sol.decisions.items())) == decisions_digest
+    assert _sha256(sorted(decision_items(sol.decisions).items())) == decisions_digest
     assert _sha256(sorted(sol.values.items())) == values_digest
 
 

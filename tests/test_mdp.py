@@ -24,6 +24,7 @@ from fragsched.errors import TooManyFragments
 from fragsched.mdp import MdpSolution
 from oracles import (
     chain_expectations,
+    decision_items,
     enumerate_completion_sequences,
     nonadaptive_decisions,
     profile_expectations,
@@ -90,7 +91,7 @@ class TestMdpSolve:
 
     def test_decisions_are_work_conserving(self, fano):
         sol = mdp_solve(fano)
-        for (mask, b), v in sol.decisions.items():
+        for (mask, b), v in decision_items(sol.decisions).items():
             assert not mask >> v & 1
             assert (v + 1) in fano.fragments_on(b + 1)
 
@@ -105,7 +106,7 @@ class TestMdpSolve:
 
         monkeypatch.setattr("fragsched.mdp.compile_policy", no_work)
         with pytest.raises(TooManyFragments, match=r"V=21 exceeds the solver cap 20: "
-                                                   r"2,097,152 states, estimated peak memory 6\.4 GiB"):
+                                                   r"2,097,152 states, estimated peak memory 0\.7 GiB"):
             mdp_solve(cyclic_shift(21, 3))
         with pytest.raises(TooManyFragments, match=r"V=25 exceeds the evaluation cap 24: "
                                                    r"33,554,432 states, estimated peak memory [\d.]+ GiB"):
@@ -131,20 +132,20 @@ class TestMdpSolve:
         # altering decisions only at (V-2)-subsets cannot change the value
         sol = mdp_solve(fano)
         V = fano.params.V
-        altered = dict(sol.decisions)
+        altered = sol.decisions.copy()
         changed = 0
-        for (mask, b), v in sol.decisions.items():
+        for (mask, b), v in decision_items(sol.decisions).items():
             if bin(mask).count("1") == V - 2:
                 residual = [
                     w - 1 for w in fano.fragments_on(b + 1) if not mask >> (w - 1) & 1
                 ]
                 alt = max(residual)
                 changed += alt != v
-                altered[(mask, b)] = alt
+                altered[mask, b] = alt
         assert changed > 0
-        twisted = MdpSolution(
-            V=V, optimal_value=sol.optimal_value, values=sol.values, decisions=altered
-        )
+        twisted = MdpSolution(V=V, fragment_sets=sol.fragment_sets,
+                              optimal_value=sol.optimal_value, values=sol.values,
+                              decisions=altered)
         ev = policy_evaluate_exact(fano, MdpPolicy(twisted))
         assert ev.aggregate_reward == sol.optimal_value
 
@@ -205,7 +206,8 @@ def oracle_decisions(kind: str, policy, blocks):
     if kind == "random":
         return lambda done: random_decisions(blocks, done)
     if kind == "mdp":
-        return lambda done: table_decisions(blocks, done, policy.solution.decisions)
+        table = decision_items(policy.solution.decisions)
+        return lambda done: table_decisions(blocks, done, table)
     if kind.startswith(("greedy", "harmonic")):
         init = policy.init_order.orders if policy.init_order else None
         return lambda done: ranked_decisions(blocks, done, policy.rank, policy.tie, init)

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fragsched import (
@@ -17,6 +18,7 @@ from fragsched import (
     monte_carlo,
     projective_plane,
     pushback,
+    simulate_run_clocks,
     smallest_index_first,
     uniform_diversity,
 )
@@ -24,6 +26,7 @@ from fragsched.errors import InvalidParams
 from fragsched.scheduling import compile_policy
 from oracles import (
     all_decision_maps,
+    decision_items,
     immediate_reward,
     nonadaptive_decisions,
     random_decisions,
@@ -320,10 +323,10 @@ class TestGreedyMaximizesImmediateReward:
 
 class TestCompilePolicyRejectsForeignInputs:
     """An order or MDP solution made for another scheme is refused, not read
-    as if it fitted: the cyclic 7/3 orders name fragments that the Fano
-    plane's servers do not store."""
+    as if it fitted: the cyclic 7/3 orders and decisions name fragments that
+    the Fano plane's servers do not store."""
 
-    @pytest.fixture(params=["nonadaptive", "ranked-init", "order-B", "mdp-V"])
+    @pytest.fixture(params=["nonadaptive", "ranked-init", "order-B", "mdp-V", "mdp-same-V"])
     def foreign(self, request, pp2):
         cyclic = cyclic_shift(7, 3)
         return {
@@ -331,6 +334,7 @@ class TestCompilePolicyRejectsForeignInputs:
             "ranked-init": RankedPolicy(init_order=smallest_index_first(cyclic)),
             "order-B": NonadaptivePolicy(smallest_index_first(cyclic_shift(8, 3))),
             "mdp-V": MdpPolicy(mdp_solve(cyclic_shift(5, 2))),
+            "mdp-same-V": MdpPolicy(mdp_solve(cyclic)),
         }[request.param]
 
     def test_compile_policy(self, pp2, foreign):
@@ -355,7 +359,8 @@ DIFFERENTIAL_SCHEMES = {
 @pytest.mark.parametrize("name", DIFFERENTIAL_SCHEMES)
 def test_choices_match_oracles(name):
     """``choices(mask)`` on every downloaded set equals the oracles' decision
-    maps, state by state, for every policy kind."""
+    maps, state by state, for every policy kind, and every choice is a Python
+    int: a numpy scalar would leak into trajectory records and their JSON."""
     scheme = DIFFERENTIAL_SCHEMES[name]()
     blocks = [set(s) for s in scheme.fragment_sets]
     orders = {}
@@ -363,8 +368,9 @@ def test_choices_match_oracles(name):
         orders[label] = order
         orders[label + "+pushback"] = pushback(order, scheme, 1)
     solution = mdp_solve(scheme)
+    table = decision_items(solution.decisions)
     cases = [(RandomWorkConserving(), lambda I: random_decisions(blocks, I)),
-             (MdpPolicy(solution), lambda I: table_decisions(blocks, I, solution.decisions))]
+             (MdpPolicy(solution), lambda I: table_decisions(blocks, I, table))]
     for order in orders.values():
         cases.append((NonadaptivePolicy(order),
                       lambda I, o=order.orders: nonadaptive_decisions(blocks, I, o)))
@@ -379,7 +385,11 @@ def test_choices_match_oracles(name):
     for policy, oracle in cases:
         rule = compile_policy(scheme, policy)
         for mask in range(1 << scheme.V):
-            got = {b + 1: {v + 1: Fraction(1, len(vs)) for v in vs}
-                   for b, vs in rule.choices(mask).items()}
+            choices = rule.choices(mask)
+            assert all(type(v) is int for vs in choices.values() for v in vs)
+            got = {b + 1: {v + 1: Fraction(1, len(vs)) for v in vs} for b, vs in choices.items()}
             downloaded = {v + 1 for v in range(scheme.V) if mask >> v & 1}
             assert got == oracle(downloaded), (policy.describe(), mask)
+    record = simulate_run_clocks(scheme, MdpPolicy(solution), 1.0, np.random.default_rng(0))
+    assert all(type(v) is int for v in record.fragment_order)
+    assert sorted(record.fragment_order) == list(range(1, scheme.V + 1))
