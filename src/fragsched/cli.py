@@ -8,7 +8,8 @@ CSV), ``simulate`` (seeded Monte Carlo), ``exact`` (subset-DP expectations),
 
 Every emitted artifact echoes its resolved configuration, including the
 scheme hash and seed, so any output row can be regenerated from its own
-header. Outputs carry no timestamps: identical flags give identical bytes.
+header. Outputs carry no timestamps, worker count or output path: the same
+experiment gives identical bytes. Timings go to stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -91,8 +93,13 @@ def resolve_policy(scheme, scheduler: str, push: int | None, rank: str, tie: str
     raise InvalidParams(f"unknown scheduler {scheduler!r}")
 
 
+# the handler, and the flags that say how or where a command runs rather than
+# what it computes: artifacts leave them out
+_NOT_CONFIG = ("func", "threads", "out")
+
+
 def _config_header(args, scheme=None, **extra) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k not in ("func",) and v is not None}
+    cfg = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG and v is not None}
     cfg.update(extra)
     if scheme is not None:
         cfg["scheme_hash"] = scheme_hash(scheme)
@@ -195,6 +202,16 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _timed_monte_carlo(config, threads: int, label: str):
+    """``engine.monte_carlo``, reporting its elapsed time and runs/s on stderr."""
+    start = time.perf_counter()
+    summary = engine.monte_carlo(config, threads=threads)
+    elapsed = time.perf_counter() - start
+    print(f"{label}: {config.runs} runs in {elapsed:.3f} s "
+          f"({config.runs / max(elapsed, 1e-9):,.0f} runs/s)", file=sys.stderr)
+    return summary
+
+
 def _summary_doc(summary, header: dict) -> dict:
     return {
         "config": header,
@@ -217,7 +234,7 @@ def cmd_simulate(args) -> int:
     config = engine.SimulationConfig(
         scheme=scheme, policy=policy, mu=args.mu, runs=args.runs, master_seed=args.seed
     )
-    summary = engine.monte_carlo(config, threads=args.threads)
+    summary = _timed_monte_carlo(config, args.threads, "simulate")
     header = _config_header(args, scheme, policy=policy.describe())
     doc = _summary_doc(summary, header)
     if args.format == "json":
@@ -345,7 +362,7 @@ def _reproduce_table(args) -> int:
         config = engine.SimulationConfig(
             scheme=scheme, policy=policy, mu=mu, runs=args.runs, master_seed=args.seed
         )
-        summary = engine.monte_carlo(config, threads=args.threads)
+        summary = _timed_monte_carlo(config, args.threads, name)
         mean = summary.mean_download_time
         rel = (mean - target) / target
         results[name] = mean

@@ -55,10 +55,11 @@ __all__ = [
 
 # Runs the jump-chain kernel moves in lockstep. Each step costs a fixed
 # number of numpy calls whatever the batch, so a larger batch spreads them over
-# more runs; its buffers grow with it (a 64-run batch of the order-11 plane
-# peaks at 0.75 MB under a ranked policy, plus 0.13 MB of stream words).
-# Results do not depend on this value.
-BATCH_RUNS = 64
+# more runs; its buffers grow with it (a 256-run batch of the order-11 plane
+# peaks at 1.9 MB under a ranked policy, 1.3 MB under a nonadaptive one, plus
+# 0.55 MB of stream words). A 250-run chunk is one batch. Results do not
+# depend on this value.
+BATCH_RUNS = 256
 
 SERVER_UNIFORM = "server"
 FRAGMENT_UNIFORM = "fragment"
@@ -127,7 +128,8 @@ class _Runtime:
     downloaded), and every fragment R host columns, filled up with the dummy
     server B (never useful, rank value 0). An MDP policy's decisions are its
     solution's dense (2^V, B) array, shared as is and read with one gather
-    per step.
+    per step. The ``*_row`` arrays are one run's starting state, which the
+    kernel copies into every row of a batch.
     """
 
     def __init__(self, scheme: StorageScheme, policy) -> None:
@@ -142,8 +144,13 @@ class _Runtime:
         self.candidates = rule.slot_frags
         sizes = [len(s) for s in rule.frag_sets]
         self.useful0 = [b for b in range(B) if sizes[b]]
+        self.downloaded_row = np.arange(V + 1) == V
         # the dummy server's residual stays above K for all V * r_max decrements
-        self.residual0 = np.array(sizes + [K + 1 + V * r_max], dtype=np.int64)
+        self.residual_row = np.array(sizes + [K + 1 + V * r_max], dtype=np.int32)
+        self.useful_row = np.zeros(B + 1, dtype=np.int32)
+        self.useful_row[: len(self.useful0)] = self.useful0
+        self.pos_row = np.full(B + 1, -1, dtype=np.int32)
+        self.pos_row[self.useful0] = np.arange(len(self.useful0))
         self.rank_values = None
         if rule.values is not None:
             self._rank_tables(rule.values, r_max)
@@ -184,11 +191,17 @@ def _jump_chain(rt: _Runtime, mu: float, words: np.ndarray):
     D_1..D_V, the 0-based fragment order and the useful profile, each V x n;
     column i is run i.
 
-    Per-server state (residual counts, rank values, the swap-removed useful
-    list and its position index) and the downloaded mask are flat arrays with
-    one row per run, addressed through per-run offsets. The offsets are
-    spelled out to the full shape of each index array once: broadcasting them
-    over rows of K or R entries costs more than the gather itself.
+    Per-server state (int32 residual counts, rank values, the swap-removed
+    useful list and its position index) and the downloaded mask are flat
+    arrays with one row per run, addressed through per-run offsets. The
+    offsets are spelled out to the full shape of the (n, K) and (n, R) index
+    arrays once: broadcasting them over rows of K or R entries costs more than
+    the gather itself. The (R, n, K) host index of a ranked policy takes its
+    offsets by broadcasting, which costs about 4% of a ranked run and saves a
+    copy as large as the index. A step divides its own holding times, so no
+    (V, n) temporary is made. A 256-run batch of the order-11 plane peaks at
+    1.9 MB under a ranked policy and 1.3 MB under a nonadaptive one, besides
+    its words.
     """
     n = words.shape[1]
     V, B1, K = rt.V, rt.B + 1, rt.K
@@ -203,14 +216,10 @@ def _jump_chain(rt: _Runtime, mu: float, words: np.ndarray):
     cand_off = np.repeat(off_v, K).reshape(n, K)
     host_off = np.repeat(off_b, R).reshape(n, R)
     host_run = np.repeat(runs, R)
-    downloaded = np.zeros(n * (V + 1), dtype=bool)
-    downloaded[off_v + V] = True
-    residual = np.tile(rt.residual0, n)
-    useful = np.zeros(n * B1, dtype=np.intp)
-    pos = np.full(n * B1, -1, dtype=np.intp)
-    for i, b in enumerate(rt.useful0):
-        useful[off_b + i] = b
-        pos[off_b + b] = i
+    downloaded = np.tile(rt.downloaded_row, n)
+    residual = np.tile(rt.residual_row, n)
+    useful = np.tile(rt.useful_row, n)
+    pos = np.tile(rt.pos_row, n)
     nuse = np.full(n, len(rt.useful0), dtype=np.int64)
     nuse_u = nuse.view(np.uint64)
 
@@ -224,8 +233,8 @@ def _jump_chain(rt: _Runtime, mu: float, words: np.ndarray):
         values = rank_values.take(residual, mode="clip")
         host_idx = np.empty((R, n, K), dtype=np.intp)
         host_val = np.empty((R, n, K), dtype=rank_values.dtype)
-        host_idx_off = np.broadcast_to(off_b[:, None], (R, n, K)).copy()
         score = np.empty((n, K), dtype=rank_values.dtype)
+        off_b_col = off_b[:, None]
     elif rt.table is not None:
         masks = np.zeros(n, dtype=np.int64)
     order = np.empty((V, n), dtype=np.int32)
@@ -233,6 +242,7 @@ def _jump_chain(rt: _Runtime, mu: float, words: np.ndarray):
 
     for ell in range(V):
         profile[ell] = nuse
+        exps[ell] /= nuse * mu
         w = useful[off_b + _rng.picks(words[V + ell], nuse_u).view(np.intp)]
 
         if rt.table is not None:
@@ -244,7 +254,7 @@ def _jump_chain(rt: _Runtime, mu: float, words: np.ndarray):
             np.take(downloaded, cand_idx, out=taken, mode="clip")
             if ranked:
                 np.take(rt.cand_hosts, w, axis=1, out=host_idx, mode="clip")
-                host_idx += host_idx_off
+                host_idx += off_b_col
                 np.take(values, host_idx, out=host_val, mode="clip")
                 np.add.reduce(host_val, axis=0, out=score)
                 if rt.uniform:
@@ -278,7 +288,6 @@ def _jump_chain(rt: _Runtime, mu: float, words: np.ndarray):
             _remove_useful(useful, pos, nuse, off_b, dead, hosts, host_run)
 
     # D_l: the holding times added up in step order (add.accumulate is sequential)
-    exps /= profile * mu
     return np.cumsum(exps, axis=0, out=exps), order, profile
 
 

@@ -1,0 +1,128 @@
+"""``tools/bench_record.py`` aggregation, on canned benchmark output."""
+
+import argparse
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+_spec = importlib.util.spec_from_file_location("bench_record", _PATH)
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+
+def result_line(wall_refs, rss, failed=0):
+    return json.dumps({
+        "correct": failed == 0, "attempted": 60, "failed": failed,
+        "metrics": {
+            "setup_s": {"value": 0.03, "unit": "s"},
+            "wall_refs": {"value": wall_refs, "unit": "refs"},
+            "peak_rss_mib": {"value": rss, "unit": "MiB"},
+        },
+    })
+
+
+def facts_line(digest="ab" * 32, load=0.5):
+    return json.dumps({
+        "cpu_model": "Test CPU", "digest_sha256": digest, "items_per_ref": 100.0,
+        "loadavg_at_start": [load, load, load], "nproc": 2, "numpy": "2.4.6",
+        "python": "3.11.7", "reference_s": 0.009, "references": 400, "seed": 1,
+        "wall_refs": 1.0, "workload": "table",
+    })
+
+
+def record(wall_refs, rss=40.0, failed=0, digest="ab" * 32, returncode=0):
+    stdout = "row pp/ud ok\n" + result_line(wall_refs, rss, failed) + "\n"
+    stderr = "tolerance note\n" + facts_line(digest) + "\n"
+    return bench_record.parse_run(stdout, stderr, returncode)
+
+
+def test_parse_run_reads_result_and_facts():
+    rec = record(300.5, rss=44.5)
+    assert rec["metrics"] == {"setup_s": (0.03, "s"), "wall_refs": (300.5, "refs"),
+                              "peak_rss_mib": (44.5, "MiB")}
+    assert rec["digest"] == "ab" * 32
+    assert rec["machine"] == {"nproc": 2, "cpu_model": "Test CPU", "python": "3.11.7",
+                              "numpy": "2.4.6"}
+    assert (rec["correct"], rec["attempted"], rec["failed"]) == (True, 60, 0)
+
+
+def test_parse_run_of_a_crash_is_empty_and_counts_as_failed():
+    rec = bench_record.parse_run("", "Traceback (most recent call last):\n", 1)
+    assert rec["metrics"] == {} and rec["digest"] is None and not rec["correct"]
+    summary = bench_record.summarize([rec, record(10.0)])
+    assert summary["runs"] == 2 and summary["runs_failed"] == 1
+    assert summary["metrics"]["wall_refs"]["values"] == [10.0]
+
+
+def test_summarize_median_and_quartiles():
+    walls = [460.0, 440.0, 450.0, 470.0, 480.0]
+    summary = bench_record.summarize([record(w) for w in walls])
+    wall = summary["metrics"]["wall_refs"]
+    assert wall["unit"] == "refs"
+    assert wall["values"] == walls  # run order kept
+    assert wall["median"] == 460.0
+    # linear interpolation between order statistics: q1 at rank 1, q3 at rank 3
+    assert (wall["q1"], wall["q3"], wall["iqr"]) == (450.0, 470.0, 20.0)
+    assert summary["digests"] == ["ab" * 32]
+    assert (summary["runs"], summary["runs_failed"], summary["failed"]) == (5, 0, 0)
+
+
+def test_summarize_interpolates_even_counts_and_one_run():
+    wall = bench_record.summarize([record(w) for w in (1.0, 2.0, 3.0, 4.0)])["metrics"]["wall_refs"]
+    assert (wall["q1"], wall["median"], wall["q3"]) == (1.75, 2.5, 3.25)
+    one = bench_record.summarize([record(7.0)])["metrics"]["wall_refs"]
+    assert (one["q1"], one["median"], one["q3"], one["iqr"]) == (7.0, 7.0, 7.0, 0.0)
+
+
+def test_summarize_keeps_every_distinct_digest_and_failure():
+    recs = [record(1.0, digest="aa"), record(2.0, digest="bb", failed=2), record(3.0, digest="aa")]
+    summary = bench_record.summarize(recs)
+    assert summary["digests"] == ["aa", "bb"]
+    assert (summary["failed"], summary["runs_failed"]) == (2, 1)
+
+
+def test_bench_doc_layout():
+    doc = bench_record.bench_doc("after", "abc123", ["python3", "perfbench/run.py"], ["before"],
+                                 {"table": [record(1.0), record(3.0)], "exact": [record(2.0)]})
+    assert doc["label"] == "after" and doc["version"] == "abc123"
+    assert doc["paired_with"] == ["before"]
+    assert doc["machine"]["cpu_model"] == "Test CPU"
+    assert doc["workloads"]["table"]["metrics"]["wall_refs"]["median"] == 2.0
+    assert doc["workloads"]["exact"]["runs"] == 1
+    json.dumps(doc)  # serializable as written
+
+
+@pytest.mark.parametrize("text", ["nolabel", "=path", "label="])
+def test_targets_need_label_and_checkout(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        bench_record.parse_target(text)
+
+
+def test_main_alternates_checkouts_and_records_the_command_it_ran(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(cmd, cwd=None, **kwargs):
+        if cmd[0] == "git":
+            return subprocess.CompletedProcess(cmd, 128, "", "not a git repository")
+        calls.append((Path(cwd).name, cmd))
+        stdout = result_line(100.0 if Path(cwd).name == "a" else 200.0, 40.0) + "\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout, facts_line() + "\n")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    assert bench_record.main([f"x={tmp_path / 'a'}", f"y={tmp_path / 'b'}",
+                              "--out-dir", str(tmp_path)]) == 0
+    assert len(calls) == 2 * 10 * len(bench_record.WORKLOADS)  # --runs defaults to 10
+    table = [name for name, cmd in calls if cmd[cmd.index("--workload") + 1] == "table"]
+    assert table[:4] == ["a", "b", "b", "a"]  # odd rounds reverse the order
+    doc = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert doc["command"] == bench_record.bench_command("W", 1, 30)
+    assert doc["command"][0] == sys.executable == calls[0][1][0]
+    assert doc["version"] is None and doc["paired_with"] == ["y"]
+    assert doc["workloads"]["exact"]["metrics"]["wall_refs"]["median"] == 100.0
+    with pytest.raises(SystemExit):  # trajectory files are never overwritten
+        bench_record.main([f"x={tmp_path / 'a'}", "--out-dir", str(tmp_path)])

@@ -1,9 +1,10 @@
 import json
+import re
 
 import pytest
 
 from fragsched import build_scheme, projective_plane, read_scheme, scheme_hash, write_scheme
-from fragsched.cli import main
+from fragsched.cli import ACCEPTANCE_ROWS, main
 from fragsched.errors import (
     DuplicateReplicaOnServer,
     ParseError,
@@ -233,3 +234,66 @@ class TestReproduce:
         assert len(lines) == 1 + 4
         stdout = capsys.readouterr().out
         assert "pp/harmonic-ud" in stdout
+
+
+class TestArtifactsIndependentOfExecution:
+    """The same experiment writes the same bytes at any worker count and to
+    any output path: neither ``--threads`` nor ``--out`` enters a header."""
+
+    @staticmethod
+    def run_twice(tmp_path, flags, name):
+        paths = []
+        for threads, sub in (("1", "one"), ("2", "two")):
+            (tmp_path / sub).mkdir()
+            out = tmp_path / sub / f"{name}-{threads}"
+            assert main(flags + ["--threads", threads, "--out", str(out)]) in (0, 1)
+            paths.append(out)
+        return paths
+
+    def test_simulate_json_and_profile(self, tmp_path, pp2):
+        scheme = tmp_path / "pp2.json"
+        write_scheme(pp2, scheme)
+        a, b = self.run_twice(tmp_path, ["simulate", "--scheme", str(scheme), "--scheduler", "ud",
+                                         "--runs", "300", "--seed", "4"], "sim.json")
+        assert a.read_bytes() == b.read_bytes()
+        assert a.with_suffix(".profile.csv").read_bytes() == b.with_suffix(".profile.csv").read_bytes()
+        config = json.loads(a.read_text())["config"]
+        assert "threads" not in config and "out" not in config
+
+    def test_ensemble(self, tmp_path):
+        a, b = self.run_twice(tmp_path, ["ensemble", "--kind", "rep", "--mode", "server", "--B", "9",
+                                         "--V", "12", "--R", "2", "--samples", "40", "--seed", "3"],
+                              "ens.csv")
+        assert a.read_bytes() == b.read_bytes()
+        assert "# threads=" not in a.read_text() and "# out=" not in a.read_text()
+
+    def test_reproduce_acceptance(self, tmp_path):
+        a, b = self.run_twice(tmp_path, ["reproduce", "table-download-times", "--rows", "acceptance",
+                                         "--runs", "300", "--seed", "20260809"], "table.csv")
+        assert a.read_bytes() == b.read_bytes()
+        assert "# threads=" not in a.read_text() and "# out=" not in a.read_text()
+
+
+class TestTimingsOnStderr:
+    RATE = r"(\d+) runs in \d+\.\d{3} s \([\d,]+ runs/s\)"
+
+    def test_simulate_reports_elapsed_and_rate(self, tmp_path, capsys, pp2):
+        scheme = tmp_path / "pp2.json"
+        write_scheme(pp2, scheme)
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--scheme", str(scheme), "--runs", "200", "--seed", "1",
+                     "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"simulate: {self.RATE}\n", err).group(1) == "200"
+        assert "runs/s" not in out.read_text()
+        assert "runs/s" not in out.with_suffix(".profile.csv").read_text()
+
+    def test_reproduce_reports_each_row(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        main(["reproduce", "table-download-times", "--runs", "100", "--seed", "20260809",
+              "--out", str(out)])
+        captured = capsys.readouterr()
+        rows = re.findall(rf"^(\S+): {self.RATE}$", captured.err, flags=re.M)
+        assert [(row, runs) for row, runs in rows] == [(r, "100") for r in ACCEPTANCE_ROWS]
+        assert "runs/s" not in captured.out
+        assert "runs/s" not in out.read_text()

@@ -1,0 +1,174 @@
+"""Record a benchmark trajectory point: ``BENCH_<label>.json``.
+
+Runs ``perfbench/run.py`` of one or more checkouts, each workload N times at
+a fixed seed, and writes per checkout the median and quartiles of every
+end-to-end metric, the result digests and the machine facts. With several
+checkouts the runs are paired: each round runs every checkout once per
+workload, and odd rounds reverse the order, so a slow spell of the machine
+falls on both sides alike.
+
+    python3 tools/bench_record.py before=../parent after=. --runs 10 --seed 1 --seconds 30
+
+writes ``BENCH_before.json`` and ``BENCH_after.json`` into ``--out-dir``
+(default: the repository root). The files are meant to be committed and
+never overwritten, so the tool refuses to replace one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("table", "exact", "ensemble")
+MACHINE_KEYS = ("nproc", "cpu_model", "python", "numpy")
+
+
+def parse_run(stdout: str, stderr: str, returncode: int = 0) -> dict:
+    """One run's record from its output: the result line (the last line of
+    stdout) and the facts line (the last JSON object on stderr that carries
+    ``digest_sha256``)."""
+    lines = stdout.strip().splitlines()
+    result = _json_object(lines[-1]) if lines else {}
+    facts = {}
+    for line in stderr.splitlines():
+        doc = _json_object(line)
+        if "digest_sha256" in doc:
+            facts = doc
+    return {
+        "returncode": returncode,
+        "correct": bool(result.get("correct", False)),
+        "attempted": int(result.get("attempted", 0)),
+        "failed": int(result.get("failed", 0)),
+        "metrics": {k: (v["value"], v["unit"]) for k, v in result.get("metrics", {}).items()},
+        "digest": facts.get("digest_sha256"),
+        "machine": {k: facts[k] for k in MACHINE_KEYS if k in facts},
+        "loadavg_at_start": facts.get("loadavg_at_start"),
+    }
+
+
+def _json_object(line: str) -> dict:
+    """``line`` as a JSON object, or {} if it is not one (a crash's output)."""
+    try:
+        doc = json.loads(line)
+    except json.JSONDecodeError:
+        return {}
+    return doc if isinstance(doc, dict) else {}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3) by linear interpolation between order statistics."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(records: list[dict]) -> dict:
+    """Median, quartiles and raw values of each end-to-end metric over the
+    runs of one workload, with their digests and failure counts."""
+    metrics = {}
+    for name in sorted({m for r in records for m in r["metrics"]}):
+        values = [r["metrics"][name][0] for r in records if name in r["metrics"]]
+        unit = next(r["metrics"][name][1] for r in records if name in r["metrics"])
+        q1, median, q3 = quartiles(values)
+        metrics[name] = {"unit": unit, "median": median, "q1": q1, "q3": q3,
+                         "iqr": q3 - q1, "values": values}
+    return {
+        "runs": len(records),
+        "runs_failed": sum(1 for r in records if r["returncode"] != 0 or not r["correct"]),
+        "attempted": sum(r["attempted"] for r in records),
+        "failed": sum(r["failed"] for r in records),
+        "digests": sorted({r["digest"] for r in records if r["digest"]}),
+        "loadavg_at_start": [r["loadavg_at_start"] for r in records],
+        "metrics": metrics,
+    }
+
+
+def bench_doc(label: str, version: str | None, command: list[str], paired_with: list[str],
+              by_workload: dict[str, list[dict]]) -> dict:
+    """The ``BENCH_<label>.json`` document of one checkout."""
+    machine = next((r["machine"] for recs in by_workload.values() for r in recs if r["machine"]),
+                   {})
+    return {
+        "label": label,
+        "version": version,
+        "command": command,
+        "paired_with": paired_with,
+        "machine": machine,
+        "workloads": {w: summarize(recs) for w, recs in by_workload.items()},
+    }
+
+
+def bench_command(workload: str, seed: int, seconds: float) -> list[str]:
+    """The command that measures ``workload`` in a checkout."""
+    return [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds)]
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(bench_command(workload, seed, seconds), cwd=checkout,
+                          capture_output=True, text=True, check=False)
+    return parse_run(proc.stdout, proc.stderr, proc.returncode)
+
+
+def git_version(checkout: Path) -> str | None:
+    """The checkout's commit, suffixed ``-dirty`` if its tracked files differ
+    from it; None outside a git work tree."""
+    proc = subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty",
+                           "--abbrev=12"], capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        return None
+    return proc.stdout.strip() or None
+
+
+def parse_target(text: str) -> tuple[str, Path]:
+    label, sep, path = text.partition("=")
+    if not sep or not label or not path:
+        raise argparse.ArgumentTypeError(f"expected LABEL=CHECKOUT, got {text!r}")
+    return label, Path(path).resolve()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("targets", nargs="+", type=parse_target, metavar="LABEL=CHECKOUT")
+    parser.add_argument("--runs", type=int, default=10, help="runs per workload and checkout")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--out-dir", type=Path, default=ROOT)
+    args = parser.parse_args(argv)
+
+    labels = [label for label, _ in args.targets]
+    if len(set(labels)) != len(labels):
+        parser.error("labels must differ")
+    outs = {label: args.out_dir / f"BENCH_{label}.json" for label in labels}
+    for path in outs.values():
+        if path.exists():
+            parser.error(f"{path} exists; trajectory files are never overwritten")
+
+    records = {label: {w: [] for w in WORKLOADS} for label in labels}
+    for r in range(args.runs):
+        order = args.targets if r % 2 == 0 else args.targets[::-1]
+        for workload in WORKLOADS:
+            for label, checkout in order:
+                rec = run_once(checkout, workload, args.seed, args.seconds)
+                records[label][workload].append(rec)
+                wall = rec["metrics"].get("wall_refs", (float("nan"),))[0]
+                print(f"round {r} {workload} {label}: wall_refs={wall:.1f} "
+                      f"failed={rec['failed']} exit={rec['returncode']}", file=sys.stderr)
+
+    command = bench_command("W", args.seed, args.seconds)
+    for label, checkout in args.targets:
+        doc = bench_doc(label, git_version(checkout), command,
+                        [other for other in labels if other != label], records[label])
+        outs[label].write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {outs[label]}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
