@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import StorageScheme, overlap_profile
+from .model import OverlapProfile, StorageScheme, overlap_profile
 
 __all__ = [
     "BoundProfile",
@@ -31,6 +31,7 @@ __all__ = [
     "useful_upper_bound",
     "useful_lower_bound_early",
     "useful_lower_bound_late",
+    "general_lower_profile",
     "design_lb_profile",
     "bound_envelope",
     "random_rep_expected",
@@ -108,31 +109,31 @@ def useful_lower_bound_late(R: int, lambda_max: int, V: int, ell: int) -> int:
     return max(0, i * R - i * (i - 1) * lambda_max // 2)
 
 
+def general_lower_profile(scheme: StorageScheme, overlap: OverlapProfile) -> np.ndarray:
+    """Pointwise max of the early and late lower bounds on N(I_l), l = 0..V-1,
+    clipped to [0, B], from the scheme's ``overlap_profile``."""
+    B, V, p = scheme.B, scheme.V, scheme.params
+    tau, lam = max(overlap.tau_max, 1), max(overlap.lambda_max, 1)
+    return np.array([min(B, max(useful_lower_bound_early(B, p.K, tau, ell),
+                                useful_lower_bound_late(p.R, lam, V, ell)))
+                     for ell in range(V)], dtype=np.int64)
+
+
 def design_lb_profile(scheme: StorageScheme) -> BoundProfile:
     """Best available lower profile for a scheme.
 
     For fragment-set overlap 1 (projective/affine plane class) the profile is
-    the running maximum of the early closed form, the late bound, and the
-    single-overlap recursion seeded from it; otherwise it is the pointwise
-    max of the two general bounds.
+    the running maximum of the general profile and the single-overlap
+    recursion seeded from it; otherwise it is the general profile
+    (:func:`general_lower_profile`).
     """
-    B, V = scheme.B, scheme.V
-    params = scheme.params
+    B, V, K = scheme.B, scheme.V, scheme.params.K
     ov = overlap_profile(scheme)
-    tau, lam = max(ov.tau_max, 1), max(ov.lambda_max, 1)
-    lower = np.zeros(V, dtype=np.int64)
-    prev = B
-    for ell in range(V):
-        cands = [
-            useful_lower_bound_early(B, params.K, tau, ell),
-            useful_lower_bound_late(params.R, lam, V, ell),
-        ]
-        if tau == 1 and params.K >= 2 and ell >= 1:
-            cands.append(prev - (ell - 1) // (params.K - 1))
-        val = min(B, max(0, max(cands)))
-        lower[ell] = val
-        prev = val
-    ub = useful_upper_bound(B, V, params.R)
+    lower = general_lower_profile(scheme, ov)
+    if ov.tau_max <= 1 and K >= 2:
+        for ell in range(1, V):
+            lower[ell] = min(B, max(lower[ell], lower[ell - 1] - (ell - 1) // (K - 1)))
+    ub = useful_upper_bound(B, V, scheme.params.R)
     return BoundProfile(
         B=B,
         V=V,

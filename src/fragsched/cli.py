@@ -79,7 +79,7 @@ def _order_for(scheme, name: str, push: int | None):
 
 
 def resolve_policy(scheme, scheduler: str, push: int | None, rank: str, tie: str,
-                   init: str | None, mdp_cap: int = 20):
+                   init: str | None):
     """Build the policy object a set of CLI flags describes."""
     if scheduler in ("sif", "ud"):
         return NonadaptivePolicy(_order_for(scheme, scheduler, push))
@@ -89,7 +89,7 @@ def resolve_policy(scheme, scheduler: str, push: int | None, rank: str, tie: str
         init_order = None if init in (None, "none") else _order_for(scheme, init, push)
         return RankedPolicy(rank=rank, tie=tie, init_order=init_order)
     if scheduler == "mdp":
-        return MdpPolicy(mdp_solve(scheme, cap=mdp_cap))
+        return MdpPolicy(mdp_solve(scheme))
     raise InvalidParams(f"unknown scheduler {scheduler!r}")
 
 
@@ -181,21 +181,12 @@ def cmd_inspect(args) -> int:
 def cmd_bounds(args) -> int:
     scheme = read_scheme(args.scheme)
     p = scheme.params
-    ov = overlap_profile(scheme)
-    tau, lam = max(ov.tau_max, 1), max(ov.lambda_max, 1)
+    lb_general = analytics.general_lower_profile(scheme, overlap_profile(scheme))
     env = analytics.bound_envelope(scheme)
     rep = analytics.random_rep_expected(p.B, p.V, p.R)
     mds = analytics.random_mds_expected(p.B, p.V, p.R)
-    rows = []
-    for ell in range(p.V):
-        lb_general = max(
-            analytics.useful_lower_bound_early(p.B, p.K, tau, ell),
-            analytics.useful_lower_bound_late(p.R, lam, p.V, ell),
-        )
-        rows.append(
-            (ell, min(p.B, lb_general), int(env.lower[ell]), int(env.upper[ell]),
-             f"{rep.per_ell[ell]:.6f}", f"{mds.per_ell[ell]:.6f}")
-        )
+    rows = [(ell, int(lb_general[ell]), int(env.lower[ell]), int(env.upper[ell]),
+             f"{rep.per_ell[ell]:.6f}", f"{mds.per_ell[ell]:.6f}") for ell in range(p.V)]
     header = _config_header(args, scheme)
     _emit_csv(header, ["ell", "lb_general", "lb_design", "ub", "rep_expected", "mds_expected"],
               rows, args.out)

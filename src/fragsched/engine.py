@@ -8,7 +8,8 @@ the policy has scheduled there. A per-server-clock mode that races explicit
 exponential timers is kept as a validation path: after each download it
 re-decides every useful server, and a server whose fragment changes restarts
 its timer. The two agree in distribution. Both, and the exact DP, read the
-policy's decision rule from ``scheduling.compile_policy``.
+policy's decision rule from ``scheduling.compile_policy``: the clock mode its
+scalar ``choices``, the jump chain its padded batched tables.
 
 Monte Carlo runs draw from per-run derived streams, so results are
 reproducible and independent of worker count. One numpy kernel moves a batch
@@ -36,7 +37,7 @@ from .constructions import MdsPlacement, ReplicationPlacement, placement_servers
 from .errors import EmptyProfile, InvalidParams
 from .mdp import DEFAULT_EVAL_CAP, _forward_dp, check_size
 from .model import StorageScheme
-from .scheduling import compile_policy
+from .scheduling import DecisionRule, compile_policy
 
 __all__ = [
     "SimulationConfig",
@@ -119,94 +120,45 @@ class SimulationSummary:
     max_trajectory_aggregate: int
 
 
-class _Runtime:
-    """Per-worker immutable tables for the jump chain, from the policy's
-    decision rule (0-based).
-
-    The padded kernel tables give every server K fragment columns in the
-    rule's tie-break order, filled up with the dummy fragment V (always
-    downloaded), and every fragment R host columns, filled up with the dummy
-    server B (never useful, rank value 0). An MDP policy's decisions are its
-    solution's dense (2^V, B) array, shared as is and read with one gather
-    per step. The ``*_row`` arrays are one run's starting state, which the
-    kernel copies into every row of a batch.
-    """
-
-    def __init__(self, scheme: StorageScheme, policy) -> None:
-        rule = compile_policy(scheme, policy)
-        self.V = V = rule.V
-        self.B = B = rule.B
-        self.K = K = rule.K
-        self.uniform, self.draws = rule.uniform, rule.draws
-        self.table = rule.table
-        r_max = max(len(s) for s in rule.occ)
-        self.hosts = _padded(rule.occ + [[]], r_max, B)
-        self.candidates = rule.slot_frags
-        sizes = [len(s) for s in rule.frag_sets]
-        self.useful0 = [b for b in range(B) if sizes[b]]
-        self.downloaded_row = np.arange(V + 1) == V
-        # the dummy server's residual stays above K for all V * r_max decrements
-        self.residual_row = np.array(sizes + [K + 1 + V * r_max], dtype=np.int32)
-        self.useful_row = np.zeros(B + 1, dtype=np.int32)
-        self.useful_row[: len(self.useful0)] = self.useful0
-        self.pos_row = np.full(B + 1, -1, dtype=np.int32)
-        self.pos_row[self.useful0] = np.arange(len(self.useful0))
-        self.rank_values = None
-        if rule.values is not None:
-            self._rank_tables(rule.values, r_max)
-
-    def _rank_tables(self, values: list[int], r_max: int) -> None:
-        """Rank value per residual size, times K + 1 (index K+1 and above: 0),
-        and the hosts of every server's candidates; keys ``score * (K + 1) +
-        column`` stay exact in the chosen dtype and break ties by column."""
-        K = self.K
-        table = [x * (K + 1) for x in values + [0]]
-        key_max = r_max * max(table) + K
-        dtype = next((d for d in (np.int32, np.int64)
-                      if key_max < np.iinfo(d).max), object)
-        self.key_none = key_max + 1  # key of a downloaded candidate
-        self.rank_values = np.array(table, dtype=dtype)
-        # (R, B, K): host r of candidate j of server b
-        self.cand_hosts = np.ascontiguousarray(self.hosts[self.candidates].transpose(2, 0, 1))
-        self.columns = np.arange(K, dtype=dtype)
-
-
-def _padded(rows, width: int, fill, dtype=np.intp) -> np.ndarray:
-    """The ragged ``rows`` as one array, each filled up to ``width``."""
-    return np.array([list(r) + [fill] * (width - len(r)) for r in rows], dtype=dtype)
-
-
 def _nth_true(mask: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Per row, the column of the j-th (0-based) True entry."""
     return (mask.cumsum(axis=1) > j.view(np.intp)[:, None]).argmax(axis=1)
 
 
-def _jump_chain(rt: _Runtime, mu: float, words: np.ndarray):
+def _jump_chain(rule: DecisionRule, mu: float, words: np.ndarray):
     """Move one batch of runs through the V steps of the jump chain in lockstep.
 
-    Column i of ``words`` holds the ``rt.draws * V`` words of run i, laid out
-    as the seeding contract in ``rng`` says. Every run takes exactly V steps,
-    and each step does per run the arithmetic of a one-run loop in the same
-    order, so results do not depend on the batch size. Returns the instants
-    D_1..D_V, the 0-based fragment order and the useful profile, each V x n;
-    column i is run i.
+    Column i of ``words`` holds the ``rule.draws * V`` words of run i, laid
+    out as the seeding contract in ``rng`` says. Every run takes exactly V
+    steps, and each step does per run the arithmetic of a one-run loop in the
+    same order, so results do not depend on the batch size. Returns the
+    instants D_1..D_V, the 0-based fragment order and the useful profile, each
+    V x n; column i is run i.
+
+    The kernel reads the rule's padded tables: every server has K order
+    slots, filled up with the dummy fragment V (always downloaded), and every
+    fragment R hosts, filled up with the dummy server B (never useful, rank
+    value 0). A ranked slot scores ``sum_r rank_values[residual[cand_hosts[r,
+    b, k]]]`` as in ``DecisionRule.choice_slots``, and the first minimum
+    (``argmin``) is the lowest slot. An MDP policy's decisions are read from
+    the rule's dense (2^V, B) table with one gather per step.
 
     Per-server state (int32 residual counts, rank values, the swap-removed
     useful list and its position index) and the downloaded mask are flat
-    arrays with one row per run, addressed through per-run offsets. The
-    offsets are spelled out to the full shape of the (n, K) and (n, R) index
-    arrays once: broadcasting them over rows of K or R entries costs more than
-    the gather itself. The (R, n, K) host index of a ranked policy takes its
-    offsets by broadcasting, which costs about 4% of a ranked run and saves a
-    copy as large as the index. A step divides its own holding times, so no
-    (V, n) temporary is made. A 256-run batch of the order-11 plane peaks at
-    1.9 MB under a ranked policy and 1.3 MB under a nonadaptive one, besides
-    its words.
+    arrays with one row per run, addressed through per-run offsets; every row
+    starts as one run's starting state. The offsets are spelled out to the
+    full shape of the (n, K) and (n, R) index arrays once: broadcasting them
+    over rows of K or R entries costs more than the gather itself. The (R, n,
+    K) host index of a ranked policy takes its offsets by broadcasting, which
+    costs about 4% of a ranked run and saves a copy as large as the index. A
+    step divides its own holding times, so no (V, n) temporary is made. A
+    256-run batch of the order-11 plane peaks at 1.9 MB under a ranked policy
+    and 1.3 MB under a nonadaptive one, besides its words.
     """
     n = words.shape[1]
-    V, B1, K = rt.V, rt.B + 1, rt.K
-    R = rt.hosts.shape[1]
-    ranked = rt.rank_values is not None
+    V, B1, K = rule.V, rule.B + 1, rule.K
+    R = rule.hosts.shape[1]
+    ranked = rule.values is not None
     exps = _rng.word_exponentials(words[:V])
 
     runs = np.arange(n)
@@ -216,11 +168,17 @@ def _jump_chain(rt: _Runtime, mu: float, words: np.ndarray):
     cand_off = np.repeat(off_v, K).reshape(n, K)
     host_off = np.repeat(off_b, R).reshape(n, R)
     host_run = np.repeat(runs, R)
-    downloaded = np.tile(rt.downloaded_row, n)
-    residual = np.tile(rt.residual_row, n)
-    useful = np.tile(rt.useful_row, n)
-    pos = np.tile(rt.pos_row, n)
-    nuse = np.full(n, len(rt.useful0), dtype=np.int64)
+    sizes = [len(s) for s in rule.frag_sets]
+    useful0 = np.flatnonzero(sizes)
+    downloaded = np.tile(np.arange(V + 1) == V, n)
+    # the dummy server's residual stays above K for all V * R decrements
+    residual = np.tile(np.array(sizes + [K + 1 + V * R], dtype=np.int32), n)
+    useful = np.zeros((n, B1), dtype=np.int32)
+    useful[:, :len(useful0)] = useful0
+    pos = np.full((n, B1), -1, dtype=np.int32)
+    pos[:, useful0] = np.arange(len(useful0))
+    useful, pos = useful.ravel(), pos.ravel()
+    nuse = np.full(n, len(useful0), dtype=np.int64)
     nuse_u = nuse.view(np.uint64)
 
     # buffers reused by every step
@@ -229,13 +187,13 @@ def _jump_chain(rt: _Runtime, mu: float, words: np.ndarray):
     taken = np.empty((n, K), dtype=bool)
     hosts = np.empty((n, R), dtype=np.intp)
     if ranked:
-        rank_values = rt.rank_values
+        rank_values = rule.rank_values
         values = rank_values.take(residual, mode="clip")
         host_idx = np.empty((R, n, K), dtype=np.intp)
         host_val = np.empty((R, n, K), dtype=rank_values.dtype)
         score = np.empty((n, K), dtype=rank_values.dtype)
         off_b_col = off_b[:, None]
-    elif rt.table is not None:
+    elif rule.table is not None:
         masks = np.zeros(n, dtype=np.int64)
     order = np.empty((V, n), dtype=np.int32)
     profile = np.empty((V, n), dtype=np.int32)
@@ -245,28 +203,26 @@ def _jump_chain(rt: _Runtime, mu: float, words: np.ndarray):
         exps[ell] /= nuse * mu
         w = useful[off_b + _rng.picks(words[V + ell], nuse_u).view(np.intp)]
 
-        if rt.table is not None:
-            v = rt.table[masks, w].astype(np.intp)
+        if rule.table is not None:
+            v = rule.table[masks, w].astype(np.intp)
             masks |= np.left_shift(1, v)
         else:
-            np.take(rt.candidates, w, axis=0, out=cand, mode="clip")
+            np.take(rule.slot_frags, w, axis=0, out=cand, mode="clip")
             np.add(cand, cand_off, out=cand_idx)
             np.take(downloaded, cand_idx, out=taken, mode="clip")
             if ranked:
-                np.take(rt.cand_hosts, w, axis=1, out=host_idx, mode="clip")
+                np.take(rule.cand_hosts, w, axis=1, out=host_idx, mode="clip")
                 host_idx += off_b_col
                 np.take(values, host_idx, out=host_val, mode="clip")
                 np.add.reduce(host_val, axis=0, out=score)
-                if rt.uniform:
-                    np.putmask(score, taken, rt.key_none)
+                np.putmask(score, taken, rule.key_none)
+                if rule.uniform:
                     tied = score == score.min(axis=1)[:, None]
                     count = tied.sum(axis=1)
                     col = _nth_true(tied, _rng.picks(words[2 * V + ell], count.view(np.uint64)))
                 else:
-                    score += rt.columns
-                    np.putmask(score, taken, rt.key_none)
                     col = score.argmin(axis=1)
-            elif rt.uniform:  # uniform over the candidates not downloaded
+            elif rule.uniform:  # uniform over the candidates not downloaded
                 free = ~taken
                 count = free.sum(axis=1)
                 col = _nth_true(free, _rng.picks(words[2 * V + ell], count.view(np.uint64)))
@@ -276,7 +232,7 @@ def _jump_chain(rt: _Runtime, mu: float, words: np.ndarray):
 
         order[ell] = v
         downloaded[off_v + v] = True
-        np.take(rt.hosts, v, axis=0, out=hosts, mode="clip")
+        np.take(rule.hosts, v, axis=0, out=hosts, mode="clip")
         hosts += host_off
         left = residual[hosts]
         left -= 1
@@ -330,9 +286,9 @@ def simulate_run(
     is uniform over the useful set; this matches i.i.d. exponential fragment
     clocks with instant cancellation exactly, by memorylessness.
     """
-    rt = _Runtime(scheme, policy)
-    words = _rng.words(run_rng, rt.draws * rt.V)
-    instants, order, profile = _jump_chain(rt, mu, words[:, None])
+    rule = compile_policy(scheme, policy)
+    words = _rng.words(run_rng, rule.draws * rule.V)
+    instants, order, profile = _jump_chain(rule, mu, words[:, None])
     return TrajectoryRecord(
         download_instants=(0.0, *instants[:, 0].tolist()),
         fragment_order=tuple((order[:, 0] + 1).tolist()),
@@ -391,7 +347,7 @@ def simulate_run_clocks(
 
 def _simulate_chunk(args):
     scheme, policy, mu, master_seed, start, stop = args
-    rt = _Runtime(scheme, policy)
+    rule = compile_policy(scheme, policy)
     V = scheme.V
     dv = np.empty(stop - start, dtype=np.float64)
     aggregate = np.empty(stop - start, dtype=np.int64)
@@ -400,8 +356,8 @@ def _simulate_chunk(args):
     max_profile = np.zeros(V, dtype=np.int64)
     for lo in range(start, stop, BATCH_RUNS):
         hi = min(lo + BATCH_RUNS, stop)
-        words = _rng.stream_words(master_seed, _rng.DOMAIN_RUN, range(lo, hi), rt.draws * V)
-        instants, _, profile = _jump_chain(rt, mu, words)
+        words = _rng.stream_words(master_seed, _rng.DOMAIN_RUN, range(lo, hi), rule.draws * V)
+        instants, _, profile = _jump_chain(rule, mu, words)
         dv[lo - start : hi - start] = instants[-1]
         aggregate[lo - start : hi - start] = profile.sum(axis=0, dtype=np.int64)
         profile_sum += profile.sum(axis=1, dtype=np.int64)

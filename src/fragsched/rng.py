@@ -107,20 +107,20 @@ def words(gen: np.random.Generator, n: int) -> np.ndarray:
 
 
 def word_doubles(u: np.ndarray) -> np.ndarray:
-    """Doubles in (0, 1) from 64-bit words, (u + 0.5) / 2**64."""
+    """Doubles in (0, 1] from 64-bit words, (u + 0.5) / 2**64 in float64.
+
+    A word converts to the nearest double first, so the top 1,024 words give
+    exactly 1.0."""
     x = u.astype(np.float64)
     x += 0.5
     x *= 2.0**-64
     return x
 
 
-def uniform_doubles(gen: np.random.Generator, n: int) -> np.ndarray:
-    """n doubles in (0, 1) via 64-bit draws, (u + 0.5) / 2**64."""
-    return word_doubles(words(gen, n))
-
-
 def word_exponentials(u: np.ndarray) -> np.ndarray:
-    """Unit-rate exponentials by inverse transform of 64-bit words."""
+    """Unit-rate exponentials by inverse transform of 64-bit words,
+    ``-log(word_doubles(u))``: in [0, 45.1], where the top 1,024 words give
+    -0.0."""
     x = word_doubles(u)
     np.log(x, out=x)
     return np.negative(x, out=x)

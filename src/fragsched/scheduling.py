@@ -18,8 +18,11 @@ ranked rules with lowest-index or init-order ties, and the MDP table. The
 random baseline gives the whole residual and seeded ranked ties the tied set.
 Rank scores are exact integers (harmonic ranks scaled by lcm(1..K)). The jump
 chain, the clock validator, the exact forward DP and the MDP solver all read
-this one rule: ``choices`` one state at a time, and its batched form
-``choice_slots`` one array of states at a time.
+this one rule: the clock validator through ``choices``, one state at a time,
+which stays the scalar reference; the exact solvers through its batched form
+``choice_slots``, one array of states at a time; and the jump chain through
+the same padded tables and slot-score formula, with residual sizes it keeps
+up to date itself.
 """
 
 from __future__ import annotations
@@ -250,9 +253,13 @@ class DecisionRule:
     mask (-1 where b is not useful), or None. ``draws`` is the number of
     64-bit stream words a jump-chain run takes per step.
 
-    The slot arrays are built on first use: ``slot_frags[b, k]`` is
-    ``orders[b][k]``, padded to K slots with the dummy fragment V. The batched
-    :meth:`choice_slots` needs masks that fit in int64 (V <= 62).
+    The batched tables are built on first use and serve both batched
+    engines, :meth:`choice_slots` and the jump chain: ``slot_frags[b, k]`` is
+    ``orders[b][k]``, padded to K slots with the dummy fragment V; ``hosts``
+    pads every fragment's hosts with the dummy server B; ``cand_hosts`` holds
+    the hosts of every slot's fragment, and ``rank_values`` the rank value of
+    every residual size. :meth:`choice_slots` needs masks that fit in int64
+    (V <= 62).
     """
 
     def __init__(self, fragment_sets, rank: str | None = None, order: PlacementOrder | None = None,
@@ -300,29 +307,48 @@ class DecisionRule:
                         dtype=np.int64)
 
     @cached_property
-    def _rank_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Server bitmasks, rank values by residual size, and the (B, V+1)
-        server-fragment incidence (the last column is the dummy fragment)."""
-        incidence = np.zeros((self.B, self.V + 1), dtype=np.int64)
-        for b, s in enumerate(self.frag_sets):
-            incidence[b, s] = 1
-        return (np.array(self.bits, dtype=np.int64), np.array(self.values, dtype=np.int64),
-                incidence)
+    def hosts(self) -> np.ndarray:
+        """(V + 1, R) hosts of every fragment, filled up with the dummy server
+        B; row V is the dummy fragment of the padding slots."""
+        R = max(len(s) for s in self.occ)
+        return np.array([s + [self.B] * (R - len(s)) for s in self.occ + [[]]], dtype=np.intp)
+
+    @cached_property
+    def cand_hosts(self) -> np.ndarray:
+        """(R, B, K): host r of the fragment in slot k of server b."""
+        return np.ascontiguousarray(self.hosts[self.slot_frags].transpose(2, 0, 1))
+
+    @cached_property
+    def key_none(self) -> int:
+        """A score above every slot score: that of a downloaded slot."""
+        return self.hosts.shape[1] * max(self.values) + 1
+
+    @cached_property
+    def rank_values(self) -> np.ndarray:
+        """``values + [0]``: the rank value of a host by residual size, and 0
+        at K + 1, the dummy server's size (larger sizes read it, clipped). The
+        dtype is the narrowest of int32, int64 and object that holds
+        ``key_none``, so slot scores stay exact."""
+        dtype = next((d for d in (np.int32, np.int64) if self.key_none <= np.iinfo(d).max), object)
+        return np.array(self.values + [0], dtype=dtype)
 
     def choice_slots(self, masks: np.ndarray) -> np.ndarray:
         """:meth:`choices` of every state in the int64 array ``masks``, as a
         boolean (len(masks), B, K) array over the order slots ``slot_frags``.
 
         Server b is useful in state i where row [i, b] has a marked slot; its
-        choices are the fragments of the marked slots, in slot order."""
+        choices are the fragments of the marked slots, in slot order. A slot's
+        rank score is ``sum_r rank_values[residual[cand_hosts[r, b, k]]]``,
+        as in the jump chain."""
         free = (self.slot_bits & ~masks[:, None, None]) != 0
         if self.table is not None:
             return free & (self.slot_frags == self.table[masks][:, :, None])
         if self.values is not None:
-            bits, values, incidence = self._rank_arrays
-            scores = values[np.bitwise_count(bits & ~masks[:, None])] @ incidence
-            slot_scores = np.where(free, scores[:, self.slot_frags], np.iinfo(np.int64).max)
-            free &= slot_scores == slot_scores.min(axis=2, keepdims=True)
+            residual = np.full((len(masks), self.B + 1), self.K + 1)
+            residual[:, :-1] = free.sum(axis=2)
+            scores = self.rank_values[residual][:, self.cand_hosts].sum(axis=1)
+            scores[~free] = self.key_none
+            free &= scores == scores.min(axis=2, keepdims=True)
         return free if self.uniform else free & (free.cumsum(axis=2) == 1)
 
     def choices(self, mask: int) -> dict[int, list[int]]:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fragsched import SimulationConfig, cyclic_shift, engine, monte_carlo, projective_plane, rng
+from fragsched.scheduling import compile_policy
 from test_kernel import POLICY_KINDS, make_policy
 
 DEFAULT = engine.BATCH_RUNS
@@ -48,13 +49,13 @@ def test_summary_independent_of_batch_size(scheme, policies, kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", POLICY_KINDS)
 def test_jump_chain_columns_independent_of_batch_size(scheme, policies, kind):
-    rt = engine._Runtime(scheme, policies[kind])
-    words = rng.stream_words(31, rng.DOMAIN_RUN, range(RUNS), rt.draws * scheme.V)
-    whole = [a.copy() for a in engine._jump_chain(rt, 0.37, words)]
+    rule = compile_policy(scheme, policies[kind])
+    words = rng.stream_words(31, rng.DOMAIN_RUN, range(RUNS), rule.draws * scheme.V)
+    whole = [a.copy() for a in engine._jump_chain(rule, 0.37, words)]
     for size in SIZES:
         parts = []
         for lo in range(0, RUNS, size):
-            out = engine._jump_chain(rt, 0.37, words[:, lo:lo + size].copy())
+            out = engine._jump_chain(rule, 0.37, words[:, lo:lo + size].copy())
             parts.append([a.copy() for a in out])
         for i, name in enumerate(("instants", "order", "profile")):
             got = np.concatenate([p[i] for p in parts], axis=1)

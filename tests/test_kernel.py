@@ -25,6 +25,7 @@ from fragsched import (
     uniform_diversity,
 )
 from fragsched import engine, rng
+from fragsched.scheduling import compile_policy
 from oracles import ScalarRuntime, scalar_trajectory
 
 BATCH = engine.BATCH_RUNS
@@ -99,9 +100,9 @@ def assert_summary_matches(summary, expected):
        mu=st.sampled_from([1.0, 0.37, 1e-5]))
 def test_kernel_trajectories_match_oracle(scheme, kind, runs, seed, mu):
     policy = make_policy(scheme, kind)
-    rt = engine._Runtime(scheme, policy)
-    words = rng.stream_words(seed, rng.DOMAIN_RUN, range(runs), rt.draws * scheme.V)
-    instants, order, profile = engine._jump_chain(rt, mu, words)
+    rule = compile_policy(scheme, policy)
+    words = rng.stream_words(seed, rng.DOMAIN_RUN, range(runs), rule.draws * scheme.V)
+    instants, order, profile = engine._jump_chain(rule, mu, words)
     for r, (d, o, p) in enumerate(oracle_runs(scheme, policy, mu, seed, runs)):
         assert [0.0, *instants[:, r].tolist()] == d
         assert (order[:, r] + 1).tolist() == o
@@ -144,22 +145,28 @@ def test_monte_carlo_threads_match_oracle(kind):
     assert_summary_matches(monte_carlo(cfg, threads=2), expected)
 
 
-@pytest.mark.parametrize("k", [20, 43])
+@pytest.mark.parametrize("k", [20, 23, 43])
 @pytest.mark.parametrize("tie", ["low", "seeded"])
 def test_wide_servers_keep_exact_harmonic_keys(k, tie):
-    # lcm(1..20) * 21 * R overflows int32 and lcm(1..43) overflows int64, so
-    # the rank keys move to int64 and to Python integers
+    # R * lcm(1..k) fits int32 at k = 20; at k = 23 it overflows int32, and
+    # lcm(1..43) overflows int64, so the rank values move to int64 and to
+    # Python integers
     occupancy = [{1, 2} if v % 3 else {1, 2, 3} for v in range(k)]
     scheme = build_scheme(occupancy, mu=1.0)
     policy = RankedPolicy(rank="harmonic", tie=tie)
-    rt = engine._Runtime(scheme, policy)
-    assert rt.rank_values.dtype == (np.int64 if k == 20 else object)
-    words = rng.stream_words(5, rng.DOMAIN_RUN, range(4), rt.draws * k)
-    instants, order, profile = engine._jump_chain(rt, 1.0, words)
+    rule = compile_policy(scheme, policy)
+    assert rule.rank_values.dtype == {20: np.int32, 23: np.int64, 43: object}[k]
+    words = rng.stream_words(5, rng.DOMAIN_RUN, range(4), rule.draws * k)
+    instants, order, profile = engine._jump_chain(rule, 1.0, words)
     for r, (d, o, p) in enumerate(oracle_runs(scheme, policy, 1.0, 5, 4)):
         assert [0.0, *instants[:, r].tolist()] == d
         assert (order[:, r] + 1).tolist() == o
         assert profile[:, r].tolist() == p
+    masks = [0, 1, (1 << k) - 2, sum(1 << v for v in range(0, k, 2)), 0b101101 << (k - 9)]
+    slots = rule.choice_slots(np.array(masks, dtype=np.int64))
+    for mask, row in zip(masks, slots):
+        got = {b: rule.slot_frags[b][row[b]].tolist() for b in range(rule.B) if row[b].any()}
+        assert got == rule.choices(mask)
 
 
 class TestSeedingContract:
