@@ -93,9 +93,10 @@ def resolve_policy(scheme, scheduler: str, push: int | None, rank: str, tie: str
     raise InvalidParams(f"unknown scheduler {scheduler!r}")
 
 
-# the handler, and the flags that say how or where a command runs rather than
-# what it computes: artifacts leave them out
-_NOT_CONFIG = ("func", "threads", "out")
+# the handler, the flags that say how or where a command runs rather than
+# what it computes, and the scheme file's path, whose content ``scheme_hash``
+# names: artifacts leave them out
+_NOT_CONFIG = ("func", "threads", "out", "scheme")
 
 
 def _config_header(args, scheme=None, **extra) -> dict:

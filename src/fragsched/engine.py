@@ -12,19 +12,22 @@ policy's decision rule from ``scheduling.compile_policy``: the clock mode its
 scalar ``choices``, the jump chain its padded batched tables.
 
 Monte Carlo runs draw from per-run derived streams, so results are
-reproducible and independent of worker count. One numpy kernel moves a batch
-of runs through the chain in lockstep, one step per iteration; per run it
-does the arithmetic of a one-run loop, so results are also independent of
-the batch size. Exact expectations come from propagating subset
+reproducible and independent of worker count. With more than one worker,
+calls share one process pool that lives as long as the process. One numpy
+kernel moves a batch of runs through the chain in lockstep, one step per
+iteration; per run it does the arithmetic of a one-run loop, so results are
+also independent of the batch size. Exact expectations come from propagating subset
 probabilities through the chain (2^V states).
 
 A random-ensemble sample runs one kernel on its drawn server array, without
 building a placement object: fragment-uniform order in numpy from one
-permutation, server-uniform order over sorted lists edited in place.
+permutation, server-uniform order over sorted lists edited in place, its
+``integers(0, m)`` picks replayed by ``rng.integers_replay``.
 """
 
 from __future__ import annotations
 
+import atexit
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -366,18 +369,63 @@ def _simulate_chunk(args):
     return dv, profile_sum, min_profile, max_profile, int(aggregate.min()), int(aggregate.max())
 
 
-def _run_tasks(fn, args: tuple, n: int, threads: int) -> list:
-    """``fn(args + (lo, hi))`` over consecutive chunks ``[lo, hi)`` of
-    ``range(n)``, results in chunk order. One process runs ``range(n)`` as one
-    chunk; a pool of ``threads`` workers gets four chunks per worker."""
-    chunk = n if threads <= 1 else -(-n // (threads * 4))
-    tasks = [args + (lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    if threads > 1 and len(tasks) > 1:
+# The process pool of ``_run_tasks`` and its worker count, kept for the life
+# of the process.
+_pool = None
+_pool_workers = 0
+
+
+def _worker_pool(threads: int):
+    """The process's pool of ``threads`` workers, made on first use and
+    replaced when the count changes.
+
+    Workers start by the platform's default method (fork on Linux): a pool
+    forks them before it starts its own threads, and a replaced or broken
+    pool is joined first, so no thread of ours is alive at a fork. Spawned
+    workers would import numpy afresh, about 0.9 s per pool of two on 2 vCPUs.
+    """
+    global _pool, _pool_workers
+    if _pool is not None and _pool_workers != threads:
+        _shutdown_pool()
+    if _pool is None:
         # imported here: the process-pool machinery costs ~2 MiB of memory
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, tasks))
+        _pool, _pool_workers = ProcessPoolExecutor(max_workers=threads), threads
+    return _pool
+
+
+@atexit.register
+def _shutdown_pool() -> None:
+    """Shut the pool down and drop it. Registered with ``atexit``, so the
+    workers are joined while the interpreter is whole, not left to its
+    teardown."""
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool, None
+        pool.shutdown()
+
+
+def _run_tasks(fn, args: tuple, n: int, threads: int) -> list:
+    """``fn(args + (lo, hi))`` over consecutive chunks ``[lo, hi)`` of
+    ``range(n)``, results in chunk order. One process runs ``range(n)`` as one
+    chunk; ``threads`` workers get four chunks per worker.
+
+    The workers are one pool per process, kept across calls, so a command
+    that makes many calls starts its workers once. A pool whose worker died
+    raises ``BrokenProcessPool`` and is dropped; the next call starts a new
+    one.
+    """
+    chunk = n if threads <= 1 else -(-n // (threads * 4))
+    tasks = [args + (lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    if threads > 1 and len(tasks) > 1:
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            return list(_worker_pool(threads).map(fn, tasks))
+        except BrokenProcessPool:
+            _shutdown_pool()
+            raise
     return [fn(t) for t in tasks]
 
 
@@ -532,16 +580,17 @@ def _ensemble_profile(item_servers: np.ndarray, B: int, steps: int, mode: str,
     useful = [b for b in range(B) if residual[b]]
 
     profile = []
-    for _ in range(steps):
-        n = len(useful)
-        profile.append(n)
-        left = residual[useful[int(gen.integers(0, n))]]
-        v = left[int(gen.integers(0, len(left)))]
-        for b in holders[v]:
-            left = residual[b]
-            del left[bisect_left(left, v)]
-            if not left:
-                del useful[bisect_left(useful, b)]
+    with _rng.integers_replay(gen, 2 * steps) as draw:
+        for _ in range(steps):
+            n = len(useful)
+            profile.append(n)
+            left = residual[useful[draw(n)]]
+            v = left[draw(len(left))]
+            for b in holders[v]:
+                left = residual[b]
+                del left[bisect_left(left, v)]
+                if not left:
+                    del useful[bisect_left(useful, b)]
     return np.array(profile, dtype=np.int64)
 
 

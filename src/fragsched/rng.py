@@ -36,15 +36,28 @@ two streams through numpy's ``Generator`` methods:
    Server-uniform order makes two ``integers(0, m)`` calls per step, in this
    order: the winner's position in the ascending list of useful servers,
    then a position in the ascending list of the winner's remaining items.
+
+NumPy computes ``integers(0, m)`` for ``m <= 2**32`` from the stream's 32-bit
+half-words, each 64-bit word read low half first (a high half left over by an
+odd count waits in the generator's state for the next read). ``m = 1`` draws
+nothing; any other m reads the next half-word u and returns ``(u * m) >> 32``
+unless ``(u * m) mod 2**32 < (2**32 - m) mod m``, in which case it rejects u
+and reads the next one (Lemire, ACM TOMACS 2019). ``integers_replay`` replays
+such calls from one block of half-words and leaves the generator in the state
+the calls would have left it in; the engine draws the server-uniform picks
+through it.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+_HALF = 1 << 32
 
 # Stream domains; keep values stable, they are part of the seeding contract.
 DOMAIN_RUN = 1          # one Monte Carlo simulation run
@@ -158,3 +171,43 @@ def picks(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     high += low
     high >>= _SHIFT32
     return high
+
+
+def half_words(gen: np.random.Generator, n: int) -> list[int]:
+    """The generator's next n 32-bit half-words, as ``integers(0, m)`` reads
+    them: a pending high half first, then each word low half first."""
+    return gen.integers(0, _HALF, size=n, dtype=np.uint64).tolist()
+
+
+@contextmanager
+def integers_replay(gen: np.random.Generator, block: int):
+    """Yield ``draw(m)``, equal call for call to ``int(gen.integers(0, m))``
+    for 1 <= m <= 2**32, without a numpy call per draw.
+
+    Half-words are read ``block`` at a time; on exit the generator is reset to
+    its starting state and advanced by the half-words the draws used, so it
+    ends where the scalar calls would have left it.
+    """
+    state = gen.bit_generator.state
+    half: list[int] = []
+    used = 0
+
+    def draw(m: int) -> int:
+        nonlocal used
+        if m == 1:
+            return 0
+        while True:
+            if used == len(half):
+                half.extend(half_words(gen, block))
+            x = half[used] * m
+            used += 1
+            low = x & 0xFFFFFFFF
+            # Lemire's rejection: threshold = (2**32 - m) % m < m
+            if low >= m or low >= (_HALF - m) % m:
+                return x >> 32
+
+    try:
+        yield draw
+    finally:
+        gen.bit_generator.state = state
+        half_words(gen, used)

@@ -274,6 +274,30 @@ class TestArtifactsIndependentOfExecution:
         assert "# threads=" not in a.read_text() and "# out=" not in a.read_text()
 
 
+class TestSchemeNamedByHash:
+    """Headers name the scheme by its content hash, not by the path given."""
+
+    @pytest.mark.parametrize("flags", [
+        ["simulate", "--scheduler", "ud", "--runs", "200", "--seed", "5"],
+        ["exact", "--scheduler", "ranked", "--rank", "harmonic"],
+    ], ids=["simulate", "exact"])
+    def test_copied_scheme_file_writes_same_bytes(self, tmp_path, pp2, flags):
+        original = tmp_path / "pp2.json"
+        write_scheme(pp2, original)
+        (tmp_path / "copy").mkdir()
+        copy = tmp_path / "copy" / "renamed.json"
+        copy.write_bytes(original.read_bytes())
+        outs = []
+        for scheme in (original, copy):
+            out = tmp_path / f"{scheme.stem}.out.json"
+            assert main([flags[0], "--scheme", str(scheme)] + flags[1:] + ["--out", str(out)]) == 0
+            outs.append(out)
+        a, b = (out.read_bytes() for out in outs)
+        assert a == b
+        config = json.loads(a)["config"]
+        assert "scheme" not in config and config["scheme_hash"] == scheme_hash(pp2)
+
+
 class TestTimingsOnStderr:
     RATE = r"(\d+) runs in \d+\.\d{3} s \([\d,]+ runs/s\)"
 

@@ -24,14 +24,20 @@ from oracles import scalar_ensemble_chunk, scalar_ensemble_profile
 MODES = [engine.SERVER_UNIFORM, engine.FRAGMENT_UNIFORM]
 
 
+def assert_same_state(gen, ref):
+    """The full bit-generator state, a pending half-word included."""
+    np.testing.assert_equal(gen.bit_generator.state, ref.bit_generator.state)
+
+
 def assert_same_download(placement, mode, index):
-    """Same profile from the same stream, and the same number of draws."""
+    """Same profile from the same stream, and the same draws."""
     gen = rng.stream(41, rng.DOMAIN_TRAJECTORY, index)
     ref = rng.stream(41, rng.DOMAIN_TRAJECTORY, index)
     got = simulate_ensemble_profile(placement, mode, gen)
     want = scalar_ensemble_profile(placement, mode, ref)
     assert got.dtype == want.dtype == np.int64
     assert np.array_equal(got, want)
+    assert_same_state(gen, ref)
     assert gen.bit_generator.random_raw() == ref.bit_generator.random_raw()
 
 
@@ -116,3 +122,60 @@ def test_streams_equal_fresh_generators():
         for m in (1, 2, 7, 100, 2**31):
             assert gen.integers(0, m) == fresh.integers(0, m)
         assert np.array_equal(gen.integers(0, 9, size=(4, 3)), fresh.integers(0, 9, size=(4, 3)))
+
+
+# Lemire's rejection threshold (2**32 - m) % m is about 2**30 and 2**31 - 1
+# for the two middle ranges, so they reject a quarter and a half of their
+# half-words; 2**32 - 1 rejects only a zero low half.
+REPLAY_RANGES = [1, 2, 3, 7, 100, 3 * 2**30, 2**31 + 1, 2**32 - 1]
+
+
+def replay_streams(index, pending):
+    """Two equal streams; ``pending`` leaves a buffered high half-word."""
+    gen, ref = (rng.stream(47, rng.DOMAIN_TRAJECTORY, index) for _ in range(2))
+    if pending:
+        gen.integers(0, 5)
+        ref.integers(0, 5)
+    assert gen.bit_generator.state["has_uint32"] == int(pending)
+    return gen, ref
+
+
+@pytest.mark.parametrize("pending", [False, True], ids=["fresh", "pending"])
+@pytest.mark.parametrize("m", REPLAY_RANGES)
+def test_integers_replay_matches_numpy(m, pending):
+    """The replay against numpy's own scalar ``integers(0, m)`` calls: if a
+    NumPy release changes how it draws them, this fails."""
+    calls = 40
+    for index in range(10):
+        gen, ref = replay_streams(index, pending)
+        # a 3-half-word block makes the replay read many blocks
+        with rng.integers_replay(gen, 3) as draw:
+            got = [draw(m) for _ in range(calls)]
+        want = [int(ref.integers(0, m)) for _ in range(calls)]
+        assert got == want
+        assert_same_state(gen, ref)
+    if m in (3 * 2**30, 2**31 + 1):  # the calls did reject half-words
+        plain, _ = replay_streams(0, pending)
+        rng.half_words(plain, calls)
+        ref, _ = replay_streams(0, pending)
+        [ref.integers(0, m) for _ in range(calls)]
+        with pytest.raises(AssertionError):
+            assert_same_state(plain, ref)
+
+
+@pytest.mark.parametrize("pending", [False, True], ids=["fresh", "pending"])
+def test_integers_replay_mixed_ranges(pending):
+    ranges = np.random.default_rng(5).choice(REPLAY_RANGES, size=300).tolist()
+    for block in (1, 64, 1000):
+        gen, ref = replay_streams(block, pending)
+        with rng.integers_replay(gen, block) as draw:
+            got = [draw(m) for m in ranges]
+        assert got == [int(ref.integers(0, m)) for m in ranges]
+        assert_same_state(gen, ref)
+
+
+def test_integers_replay_without_draws_keeps_state():
+    gen, ref = replay_streams(3, True)
+    with rng.integers_replay(gen, 8) as draw:
+        assert [draw(1) for _ in range(5)] == [0] * 5
+    assert_same_state(gen, ref)
