@@ -22,7 +22,9 @@ reachable sets only, each level in first-insertion order: the order in which
 a loop over parents, then servers, then fragments first meets them.
 
 Rational mode keeps Python-int numerators over one common denominator per
-level; no Fraction is built until a level's totals or the final ``values``.
+level. The forward DP builds a Fraction only for a level's totals;
+``mdp_solve`` builds none: its solution keeps the numerator array and the
+level denominators, and ``reward_to_go`` builds the one Fraction asked for.
 - Forward DP: D**l at level l, with D = lcm(1..B) * lcm(1..K). Every step
   has probability 1/(n*c) for n <= B useful servers and c <= K choices.
 - ``mdp_solve``: V * L**d at depth d (d fragments missing), with
@@ -41,6 +43,7 @@ the state count and the estimated peak memory before anything is allocated.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
@@ -64,18 +67,21 @@ def _peak_bytes(scheme: StorageScheme, solver: str) -> int:
     'rational' forward DP) on ``scheme``, from bytes per state measured at
     V = 12..18 and rounded up.
 
-    ``mdp_solve`` holds a Fraction per state in ``values``, the numerators
-    of every state while it runs, and a B-byte row of the int8 decision
-    array: 294-311 bytes a state at B = V and 423-466 at B = 3V..4V, measured
-    at V = 15..18, which 3 * B + 300 covers (below V = 15 a fixed 1-2 MiB
-    weighs more). The forward DP holds two levels of reachable states and a
+    ``mdp_solve`` holds a Python-int numerator per state in ``values`` (an
+    8-byte pointer and the int, of about d * log2(L) bits at depth d), a
+    B-byte row of the int8 decision array, and a few 8-byte arrays per mask
+    while it runs: 112-128 bytes a state at B = V, 236-295 at B = 3V and
+    286-342 at B = 4V, measured at V = 15..18, which 3 * B + 170 covers
+    (below V = 15 the per-batch buffers weigh more). log2(L) is about 1.4 B,
+    so the numerators average about 0.09 * V * B bytes, under the 3 * B
+    slope up to the cap V = 20. The forward DP holds two levels of reachable states and a
     position per mask: about 20-30 bytes a state in floats, plus the
     numerators' bytes in rationals (V * log2(D) bits at the widest level, D
     as in ``_forward_dp``).
     """
     V, B = scheme.V, scheme.B
     if solver == "mdp":
-        per_state = 3 * B + 300
+        per_state = 3 * B + 170
     else:
         per_state = 32
         if solver == "rational":
@@ -85,18 +91,27 @@ def _peak_bytes(scheme: StorageScheme, solver: str) -> int:
 
 
 def check_size(scheme: StorageScheme, cap: int, solver: str) -> None:
-    """Refuse V > cap before anything is allocated, stating the state count
-    and the estimated peak memory."""
+    """Refuse V > cap, or an estimated peak memory above this machine's
+    physical memory, before anything is allocated, stating the state count
+    and the estimated peak memory (and the physical memory it exceeds)."""
     V = scheme.V
+    peak = _peak_bytes(scheme, solver)
     if V > cap:
         what = "solver" if solver == "mdp" else "evaluation"
-        gib = _peak_bytes(scheme, solver) / 2**30
         raise TooManyFragments(f"V={V} exceeds the {what} cap {cap}: {1 << V:,} states, "
-                               f"estimated peak memory {gib:,.1f} GiB")
+                               f"estimated peak memory {peak / 2**30:,.1f} GiB")
+    if hasattr(os, "sysconf"):  # POSIX; elsewhere only the cap applies
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if peak > physical:
+            raise TooManyFragments(f"V={V}, B={scheme.B}: {1 << V:,} states, estimated peak "
+                                   f"memory {peak / 2**30:,.1f} GiB exceeds the "
+                                   f"{physical / 2**30:,.1f} GiB of physical memory")
 
 
 def _as_mask(subset, V: int) -> int:
     if isinstance(subset, int):
+        if not 0 <= subset < 1 << V:
+            raise InvalidParams(f"mask {subset} outside [0, 2**{V})")
         return subset
     mask = 0
     for v in subset:
@@ -111,6 +126,12 @@ class MdpSolution:
     """Output of backward induction on the scheme with ``fragment_sets``:
     exact reward-to-go per downloaded subset and the optimal decisions.
 
+    ``values`` is the solver's object array of 2^V Python-int numerators,
+    indexed by mask. The numerator of u*(I) is over ``denominators[|I|]``,
+    V * L**(V - |I|) with L = lcm(1..B). ``reward_to_go`` builds the one
+    Fraction it is asked for, and ``optimal_value`` is u*(empty), read from
+    ``values[0]``.
+
     ``decisions`` is a dense (2^V, B) int8 array: its entry at (mask, b) is
     the 0-based fragment that 0-based server b serves in state mask, or -1
     where server b is not useful there. Solutions compare by identity, as
@@ -118,12 +139,19 @@ class MdpSolution:
 
     V: int
     fragment_sets: tuple[frozenset[int], ...]
-    optimal_value: Fraction
-    values: dict[int, Fraction]  # mask -> u*(I)
+    values: np.ndarray  # mask -> numerator of u*(I)
+    denominators: tuple[int, ...]  # popcount -> the level's denominator
     decisions: np.ndarray
 
     def reward_to_go(self, subset) -> Fraction:
-        return self.values[_as_mask(subset, self.V)]
+        """u*(I) for a subset of 1-based fragments or an int mask in
+        [0, 2^V)."""
+        mask = _as_mask(subset, self.V)
+        return Fraction(self.values[mask], self.denominators[mask.bit_count()])
+
+    @property
+    def optimal_value(self) -> Fraction:
+        return self.reward_to_go(0)
 
 
 def mdp_solve(scheme: StorageScheme, cap: int = DEFAULT_MDP_CAP) -> MdpSolution:
@@ -144,13 +172,12 @@ def mdp_solve(scheme: StorageScheme, cap: int = DEFAULT_MDP_CAP) -> MdpSolution:
     L = lcm(*range(1, B + 1))
     share = np.array([0] + [L // n for n in range(1, B + 1)], dtype=object)  # L/n
     full = (1 << V) - 1
-    pop = np.bitwise_count(np.arange(full + 1, dtype=np.int64))
     # u*(I) * V * L**d for d = V - |I|; the full set's value and count are 0
     num = np.zeros(full + 1, dtype=object)
     n_use = np.zeros(full + 1, dtype=np.intp)
     best = np.full((full + 1, B), -1, dtype=np.int8)
     columns = np.arange(B)
-    levels = _levels(pop)
+    levels = _levels(np.bitwise_count(np.arange(full + 1, dtype=np.int64)))
     for size in range(V - 1, -1, -1):
         scale = L ** (V - size - 1)  # the children's denominator over V
         for masks in _chunks(levels[size], rule):
@@ -166,12 +193,9 @@ def mdp_solve(scheme: StorageScheme, cap: int = DEFAULT_MDP_CAP) -> MdpSolution:
             n_use[masks] = n
             num[masks] = top.sum(axis=1) * share[n]
             best[masks] = np.where(useful, rule.slot_frags[columns, col], -1)
-    del levels, n_use
-    keys = range(full, -1, -1)  # values lists masks in descending order
-    dens = [V * L ** (V - size) for size in range(V + 1)]
-    values = dict(zip(keys, map(Fraction, num[::-1], (dens[k] for k in pop[::-1]))))
-    return MdpSolution(V=V, fragment_sets=scheme.fragment_sets, optimal_value=values[0],
-                       values=values, decisions=best)
+    return MdpSolution(V=V, fragment_sets=scheme.fragment_sets, values=num,
+                       denominators=tuple(V * L ** (V - size) for size in range(V + 1)),
+                       decisions=best)
 
 
 @dataclass(frozen=True)

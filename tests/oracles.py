@@ -212,6 +212,13 @@ def decision_items(table) -> dict[tuple[int, int], int]:
             for b, v in enumerate(row) if v >= 0}
 
 
+def value_items(solution) -> dict[int, Fraction]:
+    """An MDP solution's reward-to-go as {mask: Fraction}, read one mask at a
+    time through ``reward_to_go`` in descending mask order, the order in
+    which ``scalar_mdp_solve`` fills its dict."""
+    return {mask: solution.reward_to_go(mask) for mask in range(len(solution.values) - 1, -1, -1)}
+
+
 def table_decisions(blocks, downloaded, table) -> dict[int, dict[int, Fraction]]:
     """Each server serves what an MDP table, keyed by (downloaded bitmask,
     0-based server) and holding 0-based fragments, says."""

@@ -16,7 +16,7 @@ from fragsched import affine_plane, build_scheme, cyclic_shift, mdp_solve
 from fragsched.mdp import _forward_dp
 from fragsched.scheduling import compile_policy
 from oracles import (decision_items, optimal_reward_to_go, scalar_forward_dp, scalar_mdp_solve,
-                     useful_count)
+                     useful_count, value_items)
 from conftest import FANO_OCCUPANCY
 from test_kernel import IRREGULAR, POLICY_KINDS, make_policy, small_schemes
 
@@ -57,7 +57,7 @@ def test_forward_dp_matches_scalar_loop_on_fixed_schemes(name):
 def test_mdp_solve_matches_scalar_loop_on_affine_plane():
     scheme = affine_plane(3)
     sol = mdp_solve(scheme)
-    assert (sol.values, decision_items(sol.decisions)) == scalar_mdp_solve(scheme)
+    assert (value_items(sol), decision_items(sol.decisions)) == scalar_mdp_solve(scheme)
 
 
 @SETTINGS
@@ -65,7 +65,7 @@ def test_mdp_solve_matches_scalar_loop_on_affine_plane():
 def test_mdp_solve_matches_scalar_loop(scheme):
     sol = mdp_solve(scheme)
     values, decisions = scalar_mdp_solve(scheme)
-    assert sol.values == values
+    assert value_items(sol) == values
     assert decision_items(sol.decisions) == decisions
     assert sol.optimal_value == values[0]
 
@@ -89,7 +89,7 @@ def test_mdp_solve_matches_brute_force(scheme):
     blocks = [set(s) for s in scheme.fragment_sets]
     want = optimal_reward_to_go(blocks, V)
     sol = mdp_solve(scheme)
-    assert sol.values == {sum(1 << (v - 1) for v in done): u for done, u in want.items()}
+    assert value_items(sol) == {sum(1 << (v - 1) for v in done): u for done, u in want.items()}
 
     decisions = decision_items(sol.decisions)
     useful_pairs = set()

@@ -13,7 +13,8 @@ that ``oracles.decision_items`` reads from the decision array.
 The pins at benchmark sizes (V = 9 and 10, where the popcount levels of the
 subset DP are widest) were produced by the one-state-at-a-time dict loops
 before the level-synchronous kernels replaced them; they add a SHA-256 of
-``repr(sorted(values.items()))``.
+``repr(sorted(values.items()))`` over the mask -> reward-to-go dict that
+``oracles.value_items`` reads from the solution.
 """
 
 import hashlib
@@ -30,7 +31,7 @@ from fragsched import (
     policy_evaluate_exact,
 )
 from conftest import FANO_OCCUPANCY
-from oracles import decision_items
+from oracles import decision_items, value_items
 from test_kernel import IRREGULAR, make_policy
 
 SCHEMES = {
@@ -206,7 +207,7 @@ def test_mdp_solve_matches_pinned_at_benchmark_size(name):
     sol = mdp_solve(build())
     assert sol.optimal_value == Fraction(value)
     assert _sha256(sorted(decision_items(sol.decisions).items())) == decisions_digest
-    assert _sha256(sorted(sol.values.items())) == values_digest
+    assert _sha256(sorted(value_items(sol).items())) == values_digest
 
 
 @pytest.mark.parametrize("kind", CYCLIC_10_4_FLOAT_MEANS)

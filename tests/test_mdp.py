@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from fragsched import (
     affine_plane,
     build_scheme,
     cyclic_shift,
+    exact_mean_download,
     mdp_solve,
     policy_evaluate_exact,
     projective_plane,
@@ -20,8 +24,7 @@ from fragsched import (
     smallest_index_first,
     uniform_diversity,
 )
-from fragsched.errors import TooManyFragments
-from fragsched.mdp import MdpSolution
+from fragsched.errors import InvalidParams, TooManyFragments
 from oracles import (
     chain_expectations,
     decision_items,
@@ -95,6 +98,28 @@ class TestMdpSolve:
             assert not mask >> v & 1
             assert (v + 1) in fano.fragments_on(b + 1)
 
+    def test_mask_outside_the_state_space_refused(self, fano):
+        sol = mdp_solve(fano)
+        for mask in (-1, 1 << fano.V):
+            with pytest.raises(InvalidParams, match=rf"mask {mask} outside \[0, 2\*\*7\)"):
+                sol.reward_to_go(mask)
+
+    def test_solution_keeps_one_numerator_per_state(self):
+        # no Fraction per state: the solution of cyclic 15/3 retains its
+        # numerators, their level denominators and the int8 decisions
+        scheme = cyclic_shift(15, 3)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sol = mdp_solve(scheme)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(sol.values) == 2**15
+        assert retained <= 4 * 2**20
+
     def test_cap_enforced(self):
         with pytest.raises(TooManyFragments):
             mdp_solve(cyclic_shift(25, 3), cap=20)
@@ -106,11 +131,30 @@ class TestMdpSolve:
 
         monkeypatch.setattr("fragsched.mdp.compile_policy", no_work)
         with pytest.raises(TooManyFragments, match=r"V=21 exceeds the solver cap 20: "
-                                                   r"2,097,152 states, estimated peak memory 0\.7 GiB"):
+                                                   r"2,097,152 states, estimated peak memory 0\.5 GiB"):
             mdp_solve(cyclic_shift(21, 3))
         with pytest.raises(TooManyFragments, match=r"V=25 exceeds the evaluation cap 24: "
                                                    r"33,554,432 states, estimated peak memory [\d.]+ GiB"):
             policy_evaluate_exact(cyclic_shift(25, 2), RandomWorkConserving())
+
+    def test_refusal_beyond_physical_memory(self, monkeypatch):
+        # on a 128 MiB machine, schemes within the caps are refused by their
+        # estimated peak memory, before any table is built
+        def no_work(*args):
+            raise AssertionError("solver started")
+
+        monkeypatch.setattr("fragsched.mdp.compile_policy", no_work)
+        monkeypatch.setattr("fragsched.engine.compile_policy", no_work)
+        machine = {"SC_PHYS_PAGES": 2**15, "SC_PAGE_SIZE": 2**12}
+        monkeypatch.setattr("os.sysconf", machine.__getitem__)
+        with pytest.raises(TooManyFragments, match=r"V=20, B=20: 1,048,576 states, estimated peak "
+                                                   r"memory 0\.2 GiB exceeds the 0\.1 GiB of "
+                                                   r"physical memory"):
+            mdp_solve(cyclic_shift(20, 3))
+        with pytest.raises(TooManyFragments, match=r"V=21, B=21: .* exceeds the 0\.1 GiB"):
+            policy_evaluate_exact(cyclic_shift(21, 3), RandomWorkConserving())
+        with pytest.raises(TooManyFragments, match=r"V=23, B=23: .* exceeds the 0\.1 GiB"):
+            exact_mean_download(cyclic_shift(23, 3), RandomWorkConserving(), 1.0, exact=False)
 
     def test_optimal_dominates_all_policies(self):
         for scheme in small_schemes():
@@ -143,9 +187,7 @@ class TestMdpSolve:
                 changed += alt != v
                 altered[mask, b] = alt
         assert changed > 0
-        twisted = MdpSolution(V=V, fragment_sets=sol.fragment_sets,
-                              optimal_value=sol.optimal_value, values=sol.values,
-                              decisions=altered)
+        twisted = dataclasses.replace(sol, decisions=altered)
         ev = policy_evaluate_exact(fano, MdpPolicy(twisted))
         assert ev.aggregate_reward == sol.optimal_value
 
