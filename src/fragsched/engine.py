@@ -13,22 +13,23 @@ scalar ``choices``, the jump chain its padded batched tables.
 
 Monte Carlo runs draw from per-run derived streams, so results are
 reproducible and independent of worker count. With more than one worker,
-calls share one process pool that lives as long as the process. One numpy
-kernel moves a batch of runs through the chain in lockstep, one step per
-iteration; per run it does the arithmetic of a one-run loop, so results are
-also independent of the batch size. Exact expectations come from propagating subset
-probabilities through the chain (2^V states).
+calls share one process pool that lives as long as the process, and each
+worker takes four contiguous chunks of the runs or samples, one at a time.
+One numpy kernel moves a batch of runs through the chain in lockstep, one
+step per iteration; per run it does the arithmetic of a one-run loop, so
+results are also independent of the batch size. Exact expectations come
+from propagating subset probabilities through the chain (2^V states).
 
-A random-ensemble sample runs one kernel on its drawn server array, without
-building a placement object: fragment-uniform order in numpy from one
-permutation, server-uniform order over sorted lists edited in place, its
-``integers(0, m)`` picks replayed by ``rng.integers_replay``.
+Random-ensemble samples run on their drawn server arrays, without building a
+placement object: fragment-uniform order one sample at a time in numpy from
+one permutation, server-uniform order as a second lockstep kernel that moves
+a batch of samples through the steps together, its ``integers(0, m)`` picks
+replayed row by row by ``rng.IntegersReplay``.
 """
 
 from __future__ import annotations
 
 import atexit
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -57,12 +58,13 @@ __all__ = [
     "ensemble_monte_carlo",
 ]
 
-# Runs the jump-chain kernel moves in lockstep. Each step costs a fixed
-# number of numpy calls whatever the batch, so a larger batch spreads them over
-# more runs; its buffers grow with it (a 256-run batch of the order-11 plane
-# peaks at 1.9 MB under a ranked policy, 1.3 MB under a nonadaptive one, plus
-# 0.55 MB of stream words). A 250-run chunk is one batch. Results do not
-# depend on this value.
+# Runs the jump-chain kernel, or ensemble samples the server-order kernel,
+# moves in lockstep. Each step costs a fixed number of numpy calls whatever
+# the batch, so a larger batch spreads them over more runs; its buffers grow
+# with it (a 256-run batch of the order-11 plane peaks at 1.9 MB under a
+# ranked policy, 1.3 MB under a nonadaptive one, plus 0.55 MB of stream
+# words; a 256-sample ensemble batch at B = 100, V = 200, R = 3 at 16 MB). A
+# 250-run chunk is one batch. Results do not depend on this value.
 BATCH_RUNS = 256
 
 SERVER_UNIFORM = "server"
@@ -409,7 +411,11 @@ def _shutdown_pool() -> None:
 def _run_tasks(fn, args: tuple, n: int, threads: int) -> list:
     """``fn(args + (lo, hi))`` over consecutive chunks ``[lo, hi)`` of
     ``range(n)``, results in chunk order. One process runs ``range(n)`` as one
-    chunk; ``threads`` workers get four chunks per worker.
+    chunk; ``threads`` workers get four chunks per worker. A worker that
+    finishes early takes the next chunk, so a call does not wait on the one
+    worker the machine happens to run slowly. (On a 2-vCPU VM, with one chunk
+    per worker, the throughput of two-worker ensemble calls moved by about
+    20% between the machine's slow and fast spells; with four, by 6-9%.)
 
     The workers are one pool per process, kept across calls, so a command
     that makes many calls starts its workers once. A pool whose worker died
@@ -541,7 +547,11 @@ def simulate_ensemble_profile(
         servers = np.array(placement.chi, dtype=np.intp).reshape(-1, 1)
     else:
         raise InvalidParams(f"unsupported placement {placement!r}")
-    return _ensemble_profile(servers - 1, placement.B, placement.V, order_mode, gen)
+    servers -= 1
+    if order_mode == FRAGMENT_UNIFORM:
+        return _fragment_profile(servers, placement.B, placement.V, gen)
+    with _rng.integers_replay(gen, 2 * placement.V) as replay:
+        return _server_chain(servers[None], placement.B, placement.V, replay)[:, 0]
 
 
 def _check_order_mode(order_mode: str) -> None:
@@ -549,55 +559,91 @@ def _check_order_mode(order_mode: str) -> None:
         raise InvalidParams(f"unknown order mode {order_mode!r}")
 
 
-def _ensemble_profile(item_servers: np.ndarray, B: int, steps: int, mode: str,
+def _fragment_profile(item_servers: np.ndarray, B: int, steps: int,
                       gen: np.random.Generator) -> np.ndarray:
-    """Useful-server counts of the first ``steps`` downloads (int64).
+    """Useful-server counts of the first ``steps`` downloads (int64) in
+    fragment-uniform order.
 
     Row i of ``item_servers`` lists the 0-based servers holding item i: the
     R replicas of a fragment (a server may repeat), or the one server of a
-    coded fragment. A server is useful while it holds an item not yet taken.
+    coded fragment. A server is useful while it holds an item not yet taken;
+    items leave in permutation order, so a server stays useful up to the
+    position of its last item.
     """
     items = len(item_servers)
-    if mode == FRAGMENT_UNIFORM:
-        # items leave in permutation order, so a server stays useful up to
-        # the position of its last item
-        pos = np.empty(items, dtype=np.intp)
-        pos[gen.permutation(items)] = np.arange(items)
-        last = np.full(B, -1, dtype=np.intp)
-        np.maximum.at(last, item_servers, pos[:, None])
-        ends = np.bincount(last + 1, minlength=items + 1)  # [0]: servers holding nothing
-        return ends[:0:-1].cumsum()[::-1][:steps]
-
-    # server-uniform jump chain over the ascending useful list and each
-    # server's ascending list of remaining items: both picks index these lists
-    rows = np.sort(item_servers, axis=1)
-    distinct = np.ones(rows.shape, dtype=bool)
-    distinct[:, 1:] = rows[:, 1:] != rows[:, :-1]
-    servers = rows[distinct]  # by item, then server
-    by_server = np.nonzero(distinct)[0][np.argsort(servers, kind="stable")]
-    holders = _split(servers.tolist(), distinct.sum(axis=1))
-    residual = _split(by_server.tolist(), np.bincount(servers, minlength=B))
-    useful = [b for b in range(B) if residual[b]]
-
-    profile = []
-    with _rng.integers_replay(gen, 2 * steps) as draw:
-        for _ in range(steps):
-            n = len(useful)
-            profile.append(n)
-            left = residual[useful[draw(n)]]
-            v = left[draw(len(left))]
-            for b in holders[v]:
-                left = residual[b]
-                del left[bisect_left(left, v)]
-                if not left:
-                    del useful[bisect_left(useful, b)]
-    return np.array(profile, dtype=np.int64)
+    pos = np.empty(items, dtype=np.intp)
+    pos[gen.permutation(items)] = np.arange(items)
+    last = np.full(B, -1, dtype=np.intp)
+    np.maximum.at(last, item_servers, pos[:, None])
+    ends = np.bincount(last + 1, minlength=items + 1)  # [0]: servers holding nothing
+    return ends[:0:-1].cumsum()[::-1][:steps]
 
 
-def _split(flat: list, sizes: np.ndarray) -> list[list]:
-    """``flat`` cut into consecutive lists of the given sizes."""
-    stops = sizes.cumsum().tolist()
-    return [flat[lo:hi] for lo, hi in zip([0] + stops, stops)]
+def _server_chain(item_servers: np.ndarray, B: int, steps: int,
+                  replay: _rng.IntegersReplay) -> np.ndarray:
+    """Move a batch of samples through the first ``steps`` downloads of the
+    server-uniform jump chain in lockstep; returns their useful-server counts,
+    (steps, n) int64, column i for sample i.
+
+    ``item_servers[i]`` is sample i's item array as ``_fragment_profile``
+    reads it, and row i of ``replay`` its trajectory stream. Each step draws,
+    as the seeding contract says, the winner's position among the useful
+    servers, then a position among the winner's remaining items, both in
+    ascending order.
+
+    Per-sample state is flat, B+1 rows per sample: each server's ascending
+    item list as a table row of L entries, with a mask of the entries not yet
+    taken; residual item counts; and the running count of useful servers
+    along each sample's servers, offset to ascend across samples, so that one
+    ``searchsorted`` finds every winner. A server repeated within an item
+    becomes the dummy server B, whose count starts at 0 and only falls, so it
+    is never useful.
+    """
+    n, items, R = item_servers.shape
+    B1 = B + 1
+    hosts = np.sort(item_servers, axis=2)
+    hosts[:, :, 1:][hosts[:, :, 1:] == hosts[:, :, :-1]] = B
+    rows = (hosts + (np.arange(n) * B1)[:, None, None]).ravel()  # each entry's row
+    # the entries are in (sample, item) order, so a stable sort by row lists
+    # each row's items in ascending order (a radix sort on narrow keys)
+    by_row = np.argsort(rows.astype(np.min_scalar_type(n * B1)), kind="stable")
+    residual = np.bincount(rows, minlength=n * B1)
+    col = np.empty_like(rows)
+    col[by_row] = np.arange(len(rows)) - (residual.cumsum() - residual)[rows[by_row]]
+    residual[B::B1] = 0
+    L = int(residual.max())
+    entry = rows * L + np.minimum(col, L - 1)  # the dummy server's row is never read
+    real = rows % B1 != B
+    table = np.zeros(n * B1 * L, dtype=np.intp)
+    table[entry[real]] = np.arange(len(rows))[real] // R % items
+    free = np.zeros((n * B1, L), dtype=bool)
+    free_flat = free.ravel()
+    free_flat[entry[real]] = True
+
+    useful = residual.reshape(n, B1) > 0
+    nuse = useful.sum(axis=1)
+    rank_off = np.arange(n) * (B1 + 1)
+    rank = useful.cumsum(axis=1) + rank_off[:, None]
+    item_off = (np.arange(n) * items * R)[:, None] + np.arange(R)
+    profile = np.empty((steps, n), dtype=np.int64)
+    for ell in range(steps):
+        profile[ell] = nuse
+        j = replay.integers(nuse.view(np.uint64)).view(np.int64)
+        w = rank.ravel().searchsorted(rank_off + j, side="right")  # the winner's row
+        k = replay.integers(residual[w].view(np.uint64))
+        v = table[w * L + _nth_true(free[w], k)]
+        e = item_off + v[:, None] * R  # the entries of item v
+        free_flat[entry[e]] = False
+        h = rows[e]
+        left = residual[h]
+        left -= 1
+        residual[h] = left
+        dead = left == 0
+        if dead.any():
+            nuse -= dead.sum(axis=1)
+            s = np.flatnonzero(dead.any(axis=1))
+            rank[s] = (residual.reshape(n, B1)[s] > 0).cumsum(axis=1) + rank_off[s, None]
+    return profile
 
 
 @dataclass(frozen=True)
@@ -624,18 +670,25 @@ def _ensemble_chunk(args):
     psum = np.zeros(V, dtype=np.int64)
     psumsq = np.zeros(V, dtype=np.int64)
     dup = 0
-    samples = range(start, stop)
-    for place_gen, traj_gen in zip(_rng.streams(seed, _rng.DOMAIN_PLACEMENT, samples),
-                                   _rng.streams(seed, _rng.DOMAIN_TRAJECTORY, samples)):
-        servers = placement_servers(place_gen, B, V, R)
+    for lo in range(start, stop, BATCH_RUNS):
+        samples = range(lo, min(lo + BATCH_RUNS, stop))
+        servers = np.array([placement_servers(gen, B, V, R) for gen in
+                            _rng.streams(seed, _rng.DOMAIN_PLACEMENT, samples)])
         if kind == "rep":
-            rows = np.sort(servers, axis=1)
-            dup += int((rows[:, 1:] == rows[:, :-1]).any(axis=1).sum())
+            rows = np.sort(servers, axis=2)
+            dup += int((rows[:, :, 1:] == rows[:, :, :-1]).any(axis=2).sum())
         else:
-            servers = servers.reshape(V * R, 1)
-        p = _ensemble_profile(servers, B, V, order_mode, traj_gen)
-        psum += p
-        psumsq += p * p
+            servers = servers.reshape(len(samples), V * R, 1)
+        if order_mode == SERVER_UNIFORM:
+            # 2V half-words serve every step unless a draw is rejected
+            replay = _rng.stream_replay(seed, _rng.DOMAIN_TRAJECTORY, samples, V + 1)
+            profile = _server_chain(servers, B, V, replay)
+        else:
+            profile = np.array([
+                _fragment_profile(s, B, V, gen) for s, gen in
+                zip(servers, _rng.streams(seed, _rng.DOMAIN_TRAJECTORY, samples))]).T
+        psum += profile.sum(axis=1)
+        psumsq += (profile * profile).sum(axis=1)
     return psum, psumsq, dup
 
 

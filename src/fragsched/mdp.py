@@ -134,8 +134,8 @@ class MdpSolution:
 
     ``decisions`` is a dense (2^V, B) int8 array: its entry at (mask, b) is
     the 0-based fragment that 0-based server b serves in state mask, or -1
-    where server b is not useful there. Solutions compare by identity, as
-    an array has no single truth value."""
+    where server b is not useful there. Both arrays are read-only. Solutions
+    compare by identity, as an array has no single truth value."""
 
     V: int
     fragment_sets: tuple[frozenset[int], ...]
@@ -193,6 +193,10 @@ def mdp_solve(scheme: StorageScheme, cap: int = DEFAULT_MDP_CAP) -> MdpSolution:
             n_use[masks] = n
             num[masks] = top.sum(axis=1) * share[n]
             best[masks] = np.where(useful, rule.slot_frags[columns, col], -1)
+    # read-only: a write would change optimal_value and every MdpPolicy built
+    # from this solution
+    num.flags.writeable = False
+    best.flags.writeable = False
     return MdpSolution(V=V, fragment_sets=scheme.fragment_sets, values=num,
                        denominators=tuple(V * L ** (V - size) for size in range(V + 1)),
                        decisions=best)

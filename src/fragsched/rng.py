@@ -42,10 +42,13 @@ half-words, each 64-bit word read low half first (a high half left over by an
 odd count waits in the generator's state for the next read). ``m = 1`` draws
 nothing; any other m reads the next half-word u and returns ``(u * m) >> 32``
 unless ``(u * m) mod 2**32 < (2**32 - m) mod m``, in which case it rejects u
-and reads the next one (Lemire, ACM TOMACS 2019). ``integers_replay`` replays
-such calls from one block of half-words and leaves the generator in the state
-the calls would have left it in; the engine draws the server-uniform picks
-through it.
+and reads the next one (Lemire, ACM TOMACS 2019). ``IntegersReplay`` replays
+such calls vectorized over rows, one call per row in one numpy pass, from each
+row's block of half-words; every value is the scalar call's, so the contract
+above holds value for value. A batch of samples reads each sample's block
+from the start of its trajectory stream (``stream_replay``); one sample read
+from a caller's generator (``integers_replay``) leaves it in the state the
+scalar calls would have left it in.
 """
 
 from __future__ import annotations
@@ -173,41 +176,85 @@ def picks(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     return high
 
 
-def half_words(gen: np.random.Generator, n: int) -> list[int]:
-    """The generator's next n 32-bit half-words, as ``integers(0, m)`` reads
-    them: a pending high half first, then each word low half first."""
-    return gen.integers(0, _HALF, size=n, dtype=np.uint64).tolist()
+def half_words(gen: np.random.Generator, n: int) -> np.ndarray:
+    """The generator's next n 32-bit half-words (uint64), as ``integers(0, m)``
+    reads them: a pending high half first, then each word low half first."""
+    return gen.integers(0, _HALF, size=n, dtype=np.uint64)
+
+
+class IntegersReplay:
+    """Rows of ``Generator.integers(0, m)`` calls, one call per row per
+    ``integers``, replayed by numpy's own Lemire rejection from each row's
+    block of 32-bit half-words.
+
+    Row i reads ``half[i]`` in order from ``used[i]`` on. When a row's block
+    runs out, every block is extended: ``extend(h)`` returns, as an (n, h)
+    array, the h half-words each row's stream holds after the h of its block.
+    """
+
+    def __init__(self, half: np.ndarray, extend):
+        self.half = half
+        self.used = np.zeros(len(half), dtype=np.intp)
+        self._base = np.arange(len(half)) * half.shape[1]
+        self._extend = extend
+
+    def integers(self, m: np.ndarray) -> np.ndarray:
+        """Per row i, the value ``integers(0, m[i])`` returns, as uint64, for
+        uint64 ranges 1 <= m < 2**32. ``m = 1`` reads nothing and gives 0; a
+        row whose half-word is rejected reads its next one, and only those
+        rows do."""
+        x = self._next(slice(None), m != 1)
+        x *= m
+        # reject while (x mod 2**32) < (2**32 - m) mod m, a threshold below m
+        low = x & _LOW32
+        maybe = np.flatnonzero(low < m)
+        while len(maybe):
+            mr = m[maybe]
+            rows = maybe[low[maybe] < (_HALF - mr) % mr]
+            if not len(rows):
+                break
+            x[rows] = self._next(rows, True) * m[rows]
+            low[rows] = x[rows] & _LOW32
+            maybe = rows[low[rows] < m[rows]]
+        return x >> _SHIFT32
+
+    def _next(self, rows, advance) -> np.ndarray:
+        """The next half-word of each of ``rows``; rows where ``advance`` is
+        True move past it."""
+        used = self.used[rows]
+        if used.max() == self.half.shape[1]:
+            self.half = np.concatenate((self.half, self._extend(self.half.shape[1])), axis=1)
+            self._base = np.arange(len(self.half)) * self.half.shape[1]
+        u = np.take(self.half, self._base[rows] + used)
+        self.used[rows] = used + advance
+        return u
+
+
+def stream_replay(seed: int, domain: int, indices: range, count: int) -> IntegersReplay:
+    """An ``IntegersReplay`` with one row per index, reading that index's
+    stream from its start: the first ``count`` words, extended on demand."""
+
+    def half(first: int, stop: int) -> np.ndarray:
+        # each word's little-endian halves: low half first
+        block = stream_words(seed, domain, indices, stop)[first:]
+        return np.ascontiguousarray(block.T, dtype="<u8").view("<u4").astype(np.uint64)
+
+    return IntegersReplay(half(0, count), lambda h: half(h // 2, h))
 
 
 @contextmanager
 def integers_replay(gen: np.random.Generator, block: int):
-    """Yield ``draw(m)``, equal call for call to ``int(gen.integers(0, m))``
-    for 1 <= m <= 2**32, without a numpy call per draw.
+    """Yield a one-row ``IntegersReplay`` whose calls equal, call for call,
+    ``int(gen.integers(0, m))``.
 
     Half-words are read ``block`` at a time; on exit the generator is reset to
     its starting state and advanced by the half-words the draws used, so it
     ends where the scalar calls would have left it.
     """
     state = gen.bit_generator.state
-    half: list[int] = []
-    used = 0
-
-    def draw(m: int) -> int:
-        nonlocal used
-        if m == 1:
-            return 0
-        while True:
-            if used == len(half):
-                half.extend(half_words(gen, block))
-            x = half[used] * m
-            used += 1
-            low = x & 0xFFFFFFFF
-            # Lemire's rejection: threshold = (2**32 - m) % m < m
-            if low >= m or low >= (_HALF - m) % m:
-                return x >> 32
-
+    replay = IntegersReplay(half_words(gen, block)[None], lambda h: half_words(gen, h)[None])
     try:
-        yield draw
+        yield replay
     finally:
         gen.bit_generator.state = state
-        half_words(gen, used)
+        half_words(gen, int(replay.used[0]))

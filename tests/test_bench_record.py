@@ -97,6 +97,27 @@ def test_bench_doc_layout():
     json.dumps(doc)  # serializable as written
 
 
+def test_pair_wins_follow_each_metric_direction():
+    first = [record(100.0, rss=40.0), record(100.0, rss=40.0), record(100.0, rss=40.0)]
+    later = [record(90.0, rss=40.0), record(100.0, rss=41.0), record(110.0, rss=39.0)]
+    later.append(bench_record.parse_run("", "Traceback\n", 1))  # a crash pairs with nothing
+    better = {"wall_refs": "lower", "peak_rss_mib": "lower", "items_per_ref": "higher"}
+    wins = bench_record.pair_wins(first + [record(100.0)], later, better)
+    # ties count for neither side
+    assert wins["wall_refs"] == {"wins": 1, "losses": 1, "pairs": 3}
+    assert wins["peak_rss_mib"] == {"wins": 1, "losses": 1, "pairs": 3}
+    assert wins["items_per_ref"] == {"wins": 0, "losses": 0, "pairs": 0}  # not reported
+    flipped = bench_record.pair_wins(first, later, {"wall_refs": "higher"})
+    assert flipped["wall_refs"] == {"wins": 1, "losses": 1, "pairs": 3}
+    assert bench_record.pair_wins(later[:1], first[:1], better)["wall_refs"]["losses"] == 1
+
+
+def test_directions_read_the_benchmark_declaration():
+    better = bench_record.directions()
+    assert better["wall_refs"] == "lower" and better["items_per_ref"] == "higher"
+    assert set(better) == {"setup_s", "wall_refs", "items_per_ref", "peak_rss_mib"}
+
+
 @pytest.mark.parametrize("text", ["nolabel", "=path", "label="])
 def test_targets_need_label_and_checkout(text):
     with pytest.raises(argparse.ArgumentTypeError):
@@ -124,5 +145,11 @@ def test_main_alternates_checkouts_and_records_the_command_it_ran(tmp_path, monk
     assert doc["command"][0] == sys.executable == calls[0][1][0]
     assert doc["version"] is None and doc["paired_with"] == ["y"]
     assert doc["workloads"]["exact"]["metrics"]["wall_refs"]["median"] == 100.0
+    assert "pair_wins" not in doc  # the first checkout is the baseline
+    later = json.loads((tmp_path / "BENCH_y.json").read_text())["pair_wins"]
+    assert later["against"] == "x" and set(later["workloads"]) == set(bench_record.WORKLOADS)
+    # y's wall_refs of 200 lose every round to x's 100; its setup_s ties
+    assert later["workloads"]["table"]["wall_refs"] == {"wins": 0, "losses": 10, "pairs": 10}
+    assert later["workloads"]["ensemble"]["setup_s"] == {"wins": 0, "losses": 0, "pairs": 10}
     with pytest.raises(SystemExit):  # trajectory files are never overwritten
         bench_record.main([f"x={tmp_path / 'a'}", "--out-dir", str(tmp_path)])

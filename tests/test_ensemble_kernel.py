@@ -1,5 +1,6 @@
-"""The ensemble trajectory kernel against the scalar one-sample oracle, bit for
-bit, and the re-keyed streams it draws from.
+"""The ensemble trajectory kernels against the scalar one-sample oracle, bit
+for bit; the row-vectorized ``integers(0, m)`` replay against numpy's own
+calls; and the re-keyed streams both draw from.
 
 The oracle (``oracles.scalar_ensemble_profile`` / ``scalar_ensemble_chunk``)
 shares only ``rng.stream`` with the engine: it reads placements by their raw
@@ -94,6 +95,20 @@ def test_chunk_matches_oracle(kind, mode):
         assert dup == want[2]
 
 
+@pytest.mark.parametrize("kind", ["rep", "mds"])
+@pytest.mark.parametrize("B,V,R", [(20, 50, 5), (100, 200, 3)])
+def test_chunk_matches_oracle_at_benchmark_shapes(B, V, R, kind):
+    """Server order at the benchmark's shapes, where many servers run dry in
+    one step of a batch; the samples fill one ``BATCH_RUNS`` batch and spill
+    into the next."""
+    start = 3 * engine.BATCH_RUNS - 5
+    args = (B, V, R, kind, engine.SERVER_UNIFORM, 17, start, start + engine.BATCH_RUNS + 9)
+    psum, psumsq, dup = engine._ensemble_chunk(args)
+    want = scalar_ensemble_chunk(args)
+    assert np.array_equal(psum, want[0]) and np.array_equal(psumsq, want[1])
+    assert dup == want[2]
+
+
 SUMMARY_FIELDS = ["kind", "order_mode", "B", "V", "R", "samples", "master_seed",
                   "normalized_aggregate", "duplicate_frequency"]
 
@@ -101,9 +116,11 @@ SUMMARY_FIELDS = ["kind", "order_mode", "B", "V", "R", "samples", "master_seed",
 @pytest.mark.parametrize("kind,mode", [("rep", "server"), ("rep", "fragment"),
                                        ("mds", "server"), ("mds", "fragment")])
 def test_summary_matches_oracle(kind, mode, monkeypatch):
-    # one worker runs all samples as one task, so only the threads=2 cases
-    # (up to 8 tasks of ceil(samples / 8)) cross chunk edges
-    cases = [(1, 1), (4, 1), (5, 1), (9, 1), (8, 2), (9, 2), (17, 2)]
+    # one worker runs all samples as one task, and w workers share 4w tasks
+    # of ceil(samples / 4w), so only the threads > 1 cases cross chunk edges:
+    # 2 samples split 1 + 1, 9 split 2 + 2 + 2 + 2 + 1, 17 split 5 x 3 + 2,
+    # 10 split ten tasks of 1
+    cases = [(1, 1), (4, 1), (5, 1), (9, 1), (2, 2), (9, 2), (17, 2), (10, 3)]
     got = {c: ensemble_monte_carlo(4, 5, 3, kind, mode, c[0], 31, threads=c[1]) for c in cases}
     monkeypatch.setattr(engine, "_ensemble_chunk", scalar_ensemble_chunk)
     for (samples, threads), summary in got.items():
@@ -128,6 +145,7 @@ def test_streams_equal_fresh_generators():
 # for the two middle ranges, so they reject a quarter and a half of their
 # half-words; 2**32 - 1 rejects only a zero low half.
 REPLAY_RANGES = [1, 2, 3, 7, 100, 3 * 2**30, 2**31 + 1, 2**32 - 1]
+ROWS = 10
 
 
 def replay_streams(index, pending):
@@ -140,42 +158,90 @@ def replay_streams(index, pending):
     return gen, ref
 
 
+def generator_replay(gens, block):
+    """A replay with one row per generator, reading its half-words ``block``
+    at a time: a short block makes the replay extend every row many times."""
+    def read(h):
+        return np.array([rng.half_words(g, h) for g in gens])
+
+    return rng.IntegersReplay(read(block), read)
+
+
+def assert_rows_match(ranges, pending, block):
+    """Round r draws ``integers(0, ranges[r][i])`` in row i: the replay gives
+    numpy's scalar values, and a fresh stream advanced by the half-words row
+    i used ends in the state the scalar calls leave."""
+    pairs = [replay_streams(index, pending) for index in range(len(ranges[0]))]
+    replay = generator_replay([gen for gen, _ in pairs], block)
+    for m in ranges:
+        got = replay.integers(np.array(m, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [int(ref.integers(0, mi)) for (_, ref), mi in zip(pairs, m)]
+    for index, (_, ref) in enumerate(pairs):
+        gen, _ = replay_streams(index, pending)
+        rng.half_words(gen, int(replay.used[index]))
+        assert_same_state(gen, ref)
+    return replay
+
+
 @pytest.mark.parametrize("pending", [False, True], ids=["fresh", "pending"])
 @pytest.mark.parametrize("m", REPLAY_RANGES)
 def test_integers_replay_matches_numpy(m, pending):
-    """The replay against numpy's own scalar ``integers(0, m)`` calls: if a
-    NumPy release changes how it draws them, this fails."""
+    """The vectorized replay against numpy's own scalar ``integers(0, m)``
+    calls, row by row: if a NumPy release changes how it draws them, this
+    fails."""
     calls = 40
-    for index in range(10):
-        gen, ref = replay_streams(index, pending)
-        # a 3-half-word block makes the replay read many blocks
-        with rng.integers_replay(gen, 3) as draw:
-            got = [draw(m) for _ in range(calls)]
-        want = [int(ref.integers(0, m)) for _ in range(calls)]
-        assert got == want
-        assert_same_state(gen, ref)
-    if m in (3 * 2**30, 2**31 + 1):  # the calls did reject half-words
-        plain, _ = replay_streams(0, pending)
-        rng.half_words(plain, calls)
-        ref, _ = replay_streams(0, pending)
-        [ref.integers(0, m) for _ in range(calls)]
-        with pytest.raises(AssertionError):
-            assert_same_state(plain, ref)
+    # a 3-half-word block makes the replay extend its blocks many times
+    replay = assert_rows_match([[m] * ROWS] * calls, pending, 3)
+    if m == 1:
+        assert not replay.used.any()
+    elif m in (3 * 2**30, 2**31 + 1):  # the calls did reject half-words
+        assert (replay.used > calls).all()
+    else:
+        assert (replay.used >= calls).all()
 
 
 @pytest.mark.parametrize("pending", [False, True], ids=["fresh", "pending"])
 def test_integers_replay_mixed_ranges(pending):
-    ranges = np.random.default_rng(5).choice(REPLAY_RANGES, size=300).tolist()
+    """Every round mixes ranges across rows, so some rows reject while others
+    read nothing; only the rejecting rows redraw."""
+    ranges = np.random.default_rng(5).choice(REPLAY_RANGES, size=(300, ROWS)).tolist()
     for block in (1, 64, 1000):
-        gen, ref = replay_streams(block, pending)
-        with rng.integers_replay(gen, block) as draw:
-            got = [draw(m) for m in ranges]
-        assert got == [int(ref.integers(0, m)) for m in ranges]
+        assert_rows_match(ranges, pending, block)
+
+
+@pytest.mark.parametrize("words", [1, 40])
+def test_stream_replay_reads_each_stream(words):
+    """The chunk path's replay reads stream i from its start; one word per
+    row runs out at once, so its rows are extended from the streams."""
+    ranges = np.random.default_rng(6).choice(REPLAY_RANGES, size=(60, ROWS)).tolist()
+    indices = range(30, 30 + ROWS)
+    replay = rng.stream_replay(47, rng.DOMAIN_TRAJECTORY, indices, words)
+    refs = [rng.stream(47, rng.DOMAIN_TRAJECTORY, i) for i in indices]
+    for m in ranges:
+        got = replay.integers(np.array(m, dtype=np.uint64))
+        assert got.tolist() == [int(ref.integers(0, mi)) for ref, mi in zip(refs, m)]
+    if words == 1:
+        assert replay.half.shape[1] > 2
+    for index, ref in zip(indices, refs):
+        gen = rng.stream(47, rng.DOMAIN_TRAJECTORY, index)
+        rng.half_words(gen, int(replay.used[index - 30]))
         assert_same_state(gen, ref)
+
+
+@pytest.mark.parametrize("pending", [False, True], ids=["fresh", "pending"])
+def test_integers_replay_leaves_the_generator_as_scalar_calls(pending):
+    ranges = np.random.default_rng(7).choice(REPLAY_RANGES, size=200).tolist()
+    gen, ref = replay_streams(3, pending)
+    with rng.integers_replay(gen, 5) as replay:
+        got = [int(replay.integers(np.array([m], dtype=np.uint64))[0]) for m in ranges]
+    assert got == [int(ref.integers(0, m)) for m in ranges]
+    assert_same_state(gen, ref)
 
 
 def test_integers_replay_without_draws_keeps_state():
     gen, ref = replay_streams(3, True)
-    with rng.integers_replay(gen, 8) as draw:
-        assert [draw(1) for _ in range(5)] == [0] * 5
+    with rng.integers_replay(gen, 8) as replay:
+        for _ in range(5):
+            assert replay.integers(np.ones(1, dtype=np.uint64)).tolist() == [0]
     assert_same_state(gen, ref)

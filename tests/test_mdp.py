@@ -104,6 +104,16 @@ class TestMdpSolve:
             with pytest.raises(InvalidParams, match=rf"mask {mask} outside \[0, 2\*\*7\)"):
                 sol.reward_to_go(mask)
 
+    def test_solution_arrays_are_read_only(self, fano):
+        # a write would change optimal_value, or every MdpPolicy built from it
+        sol = mdp_solve(fano)
+        value = sol.optimal_value
+        with pytest.raises(ValueError, match="read-only"):
+            sol.values[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            sol.decisions[0, 0] = 0
+        assert sol.optimal_value == value
+
     def test_solution_keeps_one_numerator_per_state(self):
         # no Fraction per state: the solution of cyclic 15/3 retains its
         # numerators, their level denominators and the int8 decisions

@@ -29,6 +29,10 @@ def kill_worker(args):
     os._exit(3)
 
 
+def bounds(args):
+    return args
+
+
 @pytest.fixture()
 def fresh_pool():
     """Start and end without a pool, so no other test's workers are reused."""
@@ -58,6 +62,14 @@ def test_new_worker_count_replaces_the_pool(fresh_pool):
     three = set(engine._run_tasks(worker_pid, (), 24, 3))
     assert engine._pool_workers == 3 and len(engine._pool._processes) == 3
     assert three <= set(engine._pool._processes) and not two & three
+
+
+def test_each_worker_gets_four_chunks():
+    # a worker that finishes early takes the next chunk
+    assert engine._run_tasks(bounds, (), 9, 1) == [(0, 9)]
+    assert engine._run_tasks(bounds, (), 9, 2) == [(0, 2), (2, 4), (4, 6), (6, 8), (8, 9)]
+    assert engine._run_tasks(bounds, ("x",), 24, 3) == [("x", lo, lo + 2) for lo in range(0, 24, 2)]
+    assert engine._run_tasks(bounds, (), 1, 2) == [(0, 1)]
 
 
 def test_dead_worker_fails_one_call_only(fresh_pool):

@@ -5,7 +5,10 @@ a fixed seed, and writes per checkout the median and quartiles of every
 end-to-end metric, the result digests and the machine facts. With several
 checkouts the runs are paired: each round runs every checkout once per
 workload, and odd rounds reverse the order, so a slow spell of the machine
-falls on both sides alike.
+falls on both sides alike. Each later checkout's file also counts, per
+workload and end-to-end metric, the rounds in which it beat the first
+checkout, by the metric's ``better`` direction in ``BENCHMARK.json``; ties
+count for neither side.
 
     python3 tools/bench_record.py before=../parent after=. --runs 10 --seed 1 --seconds 30
 
@@ -89,12 +92,34 @@ def summarize(records: list[dict]) -> dict:
     }
 
 
+def directions() -> dict[str, str]:
+    """Each end-to-end metric's ``better`` direction in ``BENCHMARK.json``,
+    ``lower`` or ``higher``."""
+    doc = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in doc["end_to_end"]}
+
+
+def pair_wins(first: list[dict], later: list[dict], better: dict[str, str]) -> dict:
+    """Per metric of ``better``, over the rounds where both runs report it:
+    the rounds ``later`` won and lost against ``first`` (run i against run
+    i), and how many rounds were compared."""
+    out = {}
+    for name, direction in sorted(better.items()):
+        sign = 1 if direction == "higher" else -1
+        diffs = [sign * (b["metrics"][name][0] - a["metrics"][name][0])
+                 for a, b in zip(first, later) if name in a["metrics"] and name in b["metrics"]]
+        out[name] = {"wins": sum(d > 0 for d in diffs), "losses": sum(d < 0 for d in diffs),
+                     "pairs": len(diffs)}
+    return out
+
+
 def bench_doc(label: str, version: str | None, command: list[str], paired_with: list[str],
-              by_workload: dict[str, list[dict]]) -> dict:
-    """The ``BENCH_<label>.json`` document of one checkout."""
+              by_workload: dict[str, list[dict]], wins: dict | None = None) -> dict:
+    """The ``BENCH_<label>.json`` document of one checkout; ``wins``, if
+    given, is its ``pair_wins`` per workload against the first checkout."""
     machine = next((r["machine"] for recs in by_workload.values() for r in recs if r["machine"]),
                    {})
-    return {
+    doc = {
         "label": label,
         "version": version,
         "command": command,
@@ -102,6 +127,9 @@ def bench_doc(label: str, version: str | None, command: list[str], paired_with: 
         "machine": machine,
         "workloads": {w: summarize(recs) for w, recs in by_workload.items()},
     }
+    if wins is not None:
+        doc["pair_wins"] = wins
+    return doc
 
 
 def bench_command(workload: str, seed: int, seconds: float) -> list[str]:
@@ -162,9 +190,16 @@ def main(argv=None) -> int:
                       f"failed={rec['failed']} exit={rec['returncode']}", file=sys.stderr)
 
     command = bench_command("W", args.seed, args.seconds)
+    better = directions()
+    first = labels[0]
     for label, checkout in args.targets:
+        wins = None
+        if label != first:
+            wins = {"against": first,
+                    "workloads": {w: pair_wins(records[first][w], records[label][w], better)
+                                  for w in WORKLOADS}}
         doc = bench_doc(label, git_version(checkout), command,
-                        [other for other in labels if other != label], records[label])
+                        [other for other in labels if other != label], records[label], wins)
         outs[label].write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"wrote {outs[label]}", file=sys.stderr)
     return 0
