@@ -32,7 +32,7 @@ from __future__ import annotations
 import atexit
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -61,8 +61,8 @@ __all__ = [
 # Runs the jump-chain kernel, or ensemble samples the server-order kernel,
 # moves in lockstep. Each step costs a fixed number of numpy calls whatever
 # the batch, so a larger batch spreads them over more runs; its buffers grow
-# with it (a 256-run batch of the order-11 plane peaks at 1.9 MB under a
-# ranked policy, 1.3 MB under a nonadaptive one, plus 0.55 MB of stream
+# with it (a 256-run batch of the order-11 plane peaks at 2.5 MB under a
+# ranked policy, 1.6 MB under a nonadaptive one, plus 0.55 MB of stream
 # words; a 256-sample ensemble batch at B = 100, V = 200, R = 3 at 16 MB). A
 # 250-run chunk is one batch. Results do not depend on this value.
 BATCH_RUNS = 256
@@ -84,8 +84,12 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.runs < 1:
             raise InvalidParams("runs must be >= 1")
-        if self.mu <= 0:
-            raise InvalidParams("mu must be positive")
+        _check_mu(self.mu)
+
+
+def _check_mu(mu) -> None:
+    if not (isfinite(mu) and mu > 0):
+        raise InvalidParams(f"mu must be positive and finite, got {mu}")
 
 
 @dataclass(frozen=True)
@@ -148,17 +152,24 @@ def _jump_chain(rule: DecisionRule, mu: float, words: np.ndarray):
     (``argmin``) is the lowest slot. An MDP policy's decisions are read from
     the rule's dense (2^V, B) table with one gather per step.
 
-    Per-server state (int32 residual counts, rank values, the swap-removed
-    useful list and its position index) and the downloaded mask are flat
-    arrays with one row per run, addressed through per-run offsets; every row
-    starts as one run's starting state. The offsets are spelled out to the
-    full shape of the (n, K) and (n, R) index arrays once: broadcasting them
-    over rows of K or R entries costs more than the gather itself. The (R, n,
-    K) host index of a ranked policy takes its offsets by broadcasting, which
-    costs about 4% of a ranked run and saves a copy as large as the index. A
-    step divides its own holding times, so no (V, n) temporary is made. A
-    256-run batch of the order-11 plane peaks at 1.9 MB under a ranked policy
-    and 1.3 MB under a nonadaptive one, besides its words.
+    Per-server state (int32 residual counts, rank values, the useful list and
+    its position index) and the downloaded mask are flat arrays with one row
+    per run, addressed through per-run offsets; every row starts as one run's
+    starting state. The useful list holds flat rows (``run * (B+1) + server``)
+    and the position index flat list slots, both as intp: they index each
+    other, and a narrower index would be cast on every use. So a removal needs
+    no offsets: a server that runs dry is swap-removed by moving its run's
+    last entry into its slot. A run that loses several servers in one step
+    removes them one at a time in host order, as a one-run loop does: each
+    removal's list-end slot is known up front (the run's end less its rank
+    among the run's removals), so one pass of four indexed ops per rank moves
+    every run's removal of that rank. The offsets are spelled out to the full
+    shape of the (n, K), (n, R) and, for a ranked policy, (R, n, K) index
+    arrays once: broadcasting them over rows of K or R entries costs more than
+    the gather itself. A step divides its own holding times, so no (V, n)
+    temporary is made. A 256-run batch of the order-11 plane peaks at 2.5 MB
+    under a ranked policy and 1.6 MB under a nonadaptive one, besides its
+    words.
     """
     n = words.shape[1]
     V, B1, K = rule.V, rule.B + 1, rule.K
@@ -178,10 +189,10 @@ def _jump_chain(rule: DecisionRule, mu: float, words: np.ndarray):
     downloaded = np.tile(np.arange(V + 1) == V, n)
     # the dummy server's residual stays above K for all V * R decrements
     residual = np.tile(np.array(sizes + [K + 1 + V * R], dtype=np.int32), n)
-    useful = np.zeros((n, B1), dtype=np.int32)
-    useful[:, :len(useful0)] = useful0
-    pos = np.full((n, B1), -1, dtype=np.int32)
-    pos[:, useful0] = np.arange(len(useful0))
+    useful = np.zeros((n, B1), dtype=np.intp)
+    useful[:, :len(useful0)] = useful0 + off_b[:, None]
+    pos = np.full((n, B1), -1, dtype=np.intp)
+    pos[:, useful0] = np.arange(len(useful0)) + off_b[:, None]
     useful, pos = useful.ravel(), pos.ravel()
     nuse = np.full(n, len(useful0), dtype=np.int64)
     nuse_u = nuse.view(np.uint64)
@@ -191,13 +202,14 @@ def _jump_chain(rule: DecisionRule, mu: float, words: np.ndarray):
     cand_idx = np.empty((n, K), dtype=np.intp)
     taken = np.empty((n, K), dtype=bool)
     hosts = np.empty((n, R), dtype=np.intp)
+    hosts_flat = hosts.ravel()
     if ranked:
         rank_values = rule.rank_values
         values = rank_values.take(residual, mode="clip")
+        cand_host_off = np.tile(np.repeat(off_b, K), R).reshape(R, n, K)
         host_idx = np.empty((R, n, K), dtype=np.intp)
         host_val = np.empty((R, n, K), dtype=rank_values.dtype)
         score = np.empty((n, K), dtype=rank_values.dtype)
-        off_b_col = off_b[:, None]
     elif rule.table is not None:
         masks = np.zeros(n, dtype=np.int64)
     order = np.empty((V, n), dtype=np.int32)
@@ -206,7 +218,7 @@ def _jump_chain(rule: DecisionRule, mu: float, words: np.ndarray):
     for ell in range(V):
         profile[ell] = nuse
         exps[ell] /= nuse * mu
-        w = useful[off_b + _rng.picks(words[V + ell], nuse_u).view(np.intp)]
+        w = useful[off_b + _rng.picks(words[V + ell], nuse_u).view(np.intp)] - off_b
 
         if rule.table is not None:
             v = rule.table[masks, w].astype(np.intp)
@@ -217,7 +229,7 @@ def _jump_chain(rule: DecisionRule, mu: float, words: np.ndarray):
             np.take(downloaded, cand_idx, out=taken, mode="clip")
             if ranked:
                 np.take(rule.cand_hosts, w, axis=1, out=host_idx, mode="clip")
-                host_idx += off_b_col
+                host_idx += cand_host_off
                 np.take(values, host_idx, out=host_val, mode="clip")
                 np.add.reduce(host_val, axis=0, out=score)
                 np.putmask(score, taken, rule.key_none)
@@ -244,42 +256,45 @@ def _jump_chain(rule: DecisionRule, mu: float, words: np.ndarray):
         residual[hosts] = left
         if ranked:
             values[hosts] = rank_values.take(left, mode="clip")
-        dead = left == 0
-        if ell < V - 1 and dead.any():  # the list is not read after the last step
-            _remove_useful(useful, pos, nuse, off_b, dead, hosts, host_run)
+        if ell < V - 1:  # the list is not read after the last step
+            dead = np.flatnonzero(left == 0)  # row-major: host order within each run
+            if len(dead):
+                _remove_useful(useful, pos, nuse, off_b, host_run[dead], hosts_flat[dead])
 
     # D_l: the holding times added up in step order (add.accumulate is sequential)
     return np.cumsum(exps, axis=0, out=exps), order, profile
 
 
-def _remove_useful(useful, pos, nuse, off_b, dead, hosts, host_run) -> None:
-    """Swap-remove the servers that just ran dry from each run's useful list.
+def _remove_useful(useful, pos, nuse, off_b, runs, rows) -> None:
+    """Swap-remove the flat ``rows`` from their runs' useful lists, one at a
+    time in the given order within each run; ``runs`` is ascending.
 
-    A run that loses several servers in one step removes them one at a time
-    in host order, as a one-run loop does, so its list keeps the same order.
-    """
-    at = np.flatnonzero(dead)  # row-major: host order within each run
-    runs = host_run[at]
-    servers = hosts.ravel()[at]
-    if (runs[1:] == runs[:-1]).any():
-        rank = np.arange(len(runs)) - np.searchsorted(runs, runs)
-        for k in range(int(rank.max()) + 1):
-            sel = rank == k
-            _swap_remove(useful, pos, nuse, off_b, runs[sel], servers[sel])
+    The k-th removal of a run (its rank k) moves the entry at the run's list
+    end less k, so every removal's end slot is known up front, and one pass
+    of four indexed ops moves the removals of one rank in every run."""
+    count = np.bincount(runs, minlength=len(nuse))
+    most = count.max()
+    if most == 1:
+        nuse -= count
+        end = (off_b + nuse)[runs]  # each run's last slot before its removal
+        bounds = [len(rows)]
     else:
-        _swap_remove(useful, pos, nuse, off_b, runs, servers)
-
-
-def _swap_remove(useful, pos, nuse, off_b, runs, servers) -> None:
-    """Remove one server (flat index) from each of the distinct ``runs``."""
-    base = off_b[runs]
-    i = pos[servers]
-    k = nuse[runs]
-    k -= 1
-    nuse[runs] = k
-    last = useful[base + k]
-    useful[base + i] = last
-    pos[base + last] = i
+        first = count.cumsum() - count  # each run's first removal
+        at = np.arange(len(runs))
+        end = (off_b + nuse + first - 1)[runs] - at
+        nuse -= count
+        # ranks are small, so a stable sort on a narrow type is a radix sort
+        rank = (at - first[runs]).astype(np.min_scalar_type(most))
+        by_rank = np.argsort(rank, kind="stable")
+        rows, end = rows[by_rank], end[by_rank]
+        bounds = np.bincount(rank).cumsum().tolist()
+    lo = 0
+    for hi in bounds:
+        i = pos[rows[lo:hi]]
+        last = useful[end[lo:hi]]
+        useful[i] = last
+        pos[last] = i
+        lo = hi
 
 
 def simulate_run(
@@ -420,9 +435,11 @@ def _run_tasks(fn, args: tuple, n: int, threads: int) -> list:
     The workers are one pool per process, kept across calls, so a command
     that makes many calls starts its workers once. A pool whose worker died
     raises ``BrokenProcessPool`` and is dropped; the next call starts a new
-    one.
+    one. ``threads`` must be at least 1.
     """
-    chunk = n if threads <= 1 else -(-n // (threads * 4))
+    if threads < 1:
+        raise InvalidParams(f"threads must be >= 1, got {threads}")
+    chunk = n if threads == 1 else -(-n // (threads * 4))
     tasks = [args + (lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     if threads > 1 and len(tasks) > 1:
         from concurrent.futures.process import BrokenProcessPool
@@ -501,6 +518,7 @@ def exact_mean_download(
     Rational arithmetic is used for V <= 16 unless overridden; the float mode
     exists for larger V, still capped (2^V states).
     """
+    _check_mu(mu)
     if exact is None:
         exact = scheme.V <= 16
     check_size(scheme, cap, "rational" if exact else "float")
@@ -514,6 +532,7 @@ def exact_mean_download(
 
 def mean_download_lower_bound(per_ell_useful, mu: float) -> float:
     """Jensen bound on the mean download time: E[D_V] >= V^2/(mu*sum E[N])."""
+    _check_mu(mu)
     profile = list(per_ell_useful)
     if not profile:
         raise EmptyProfile("need at least one expected useful count")

@@ -23,7 +23,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 
 from .errors import (
     DuplicateReplicaOnServer,
@@ -67,8 +67,8 @@ class SystemParams:
     def __post_init__(self) -> None:
         if min(self.B, self.V, self.R, self.K) < 1:
             raise IdOutOfRange("B, V, R, K must all be positive")
-        if self.mu <= 0:
-            raise IdOutOfRange(f"download rate mu must be positive, got {self.mu}")
+        if not (isfinite(self.mu) and self.mu > 0):
+            raise IdOutOfRange(f"download rate mu must be positive and finite, got {self.mu}")
         object.__setattr__(self, "alpha", Fraction(self.K, self.V))
 
 

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,15 @@ def test_pair_wins_follow_each_metric_direction():
     assert bench_record.pair_wins(later[:1], first[:1], better)["wall_refs"]["losses"] == 1
 
 
+def test_same_digest_counts_equal_rounds():
+    first = [record(1.0, digest="aa"), record(1.0, digest="aa"), record(1.0, digest="aa")]
+    later = [record(1.0, digest="aa"), record(1.0, digest="bb"),
+             bench_record.parse_run("", "Traceback\n", 1)]  # a crash has no digest
+    assert bench_record.same_digest(first, later) == {"equal": 1, "pairs": 2}
+    assert bench_record.same_digest(first, first) == {"equal": 3, "pairs": 3}
+    assert bench_record.same_digest(first, []) == {"equal": 0, "pairs": 0}
+
+
 def test_directions_read_the_benchmark_declaration():
     better = bench_record.directions()
     assert better["wall_refs"] == "lower" and better["items_per_ref"] == "higher"
@@ -126,13 +136,20 @@ def test_targets_need_label_and_checkout(text):
 
 def test_main_alternates_checkouts_and_records_the_command_it_ran(tmp_path, monkeypatch):
     calls = []
+    runs_of = Counter()
 
     def fake_run(cmd, cwd=None, **kwargs):
         if cmd[0] == "git":
             return subprocess.CompletedProcess(cmd, 128, "", "not a git repository")
-        calls.append((Path(cwd).name, cmd))
-        stdout = result_line(100.0 if Path(cwd).name == "a" else 200.0, 40.0) + "\n"
-        return subprocess.CompletedProcess(cmd, 0, stdout, facts_line() + "\n")
+        name = Path(cwd).name
+        calls.append((name, cmd))
+        stdout = result_line(100.0 if name == "a" else 200.0, 40.0) + "\n"
+        # b's ensemble digest differs from a's in its first three runs
+        workload = cmd[cmd.index("--workload") + 1]
+        runs_of[name, workload] += 1
+        differs = (name, workload) == ("b", "ensemble") and runs_of[name, workload] <= 3
+        digest = "cd" if differs else "ab"
+        return subprocess.CompletedProcess(cmd, 0, stdout, facts_line(digest) + "\n")
 
     monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
     assert bench_record.main([f"x={tmp_path / 'a'}", f"y={tmp_path / 'b'}",
@@ -145,11 +162,17 @@ def test_main_alternates_checkouts_and_records_the_command_it_ran(tmp_path, monk
     assert doc["command"][0] == sys.executable == calls[0][1][0]
     assert doc["version"] is None and doc["paired_with"] == ["y"]
     assert doc["workloads"]["exact"]["metrics"]["wall_refs"]["median"] == 100.0
-    assert "pair_wins" not in doc  # the first checkout is the baseline
-    later = json.loads((tmp_path / "BENCH_y.json").read_text())["pair_wins"]
+    assert "pair_wins" not in doc and "same_digest" not in doc  # the first is the baseline
+    later_doc = json.loads((tmp_path / "BENCH_y.json").read_text())
+    later = later_doc["pair_wins"]
     assert later["against"] == "x" and set(later["workloads"]) == set(bench_record.WORKLOADS)
     # y's wall_refs of 200 lose every round to x's 100; its setup_s ties
     assert later["workloads"]["table"]["wall_refs"] == {"wins": 0, "losses": 10, "pairs": 10}
     assert later["workloads"]["ensemble"]["setup_s"] == {"wins": 0, "losses": 0, "pairs": 10}
+    same = later_doc["same_digest"]
+    assert same["against"] == "x"
+    assert same["workloads"] == {"table": {"equal": 10, "pairs": 10},
+                                 "exact": {"equal": 10, "pairs": 10},
+                                 "ensemble": {"equal": 7, "pairs": 10}}
     with pytest.raises(SystemExit):  # trajectory files are never overwritten
         bench_record.main([f"x={tmp_path / 'a'}", "--out-dir", str(tmp_path)])

@@ -216,6 +216,42 @@ class TestSimulateFlags:
         assert "error: tie='seeded' cannot be combined with an init order" in capsys.readouterr().err
 
 
+class TestBadRateAndThreads:
+    # "--mu=-inf": argparse reads a separate "-inf" as a flag
+    @pytest.mark.parametrize("mu", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["simulate", "exact"])
+    def test_non_finite_mu_exits_one(self, command, mu, tmp_path, capsys, pp2):
+        path = tmp_path / "pp2.json"
+        write_scheme(pp2, path)
+        out = tmp_path / "out.json"
+        argv = [command, "--scheme", str(path), f"--mu={mu}", "--out", str(out)]
+        if command == "simulate":
+            argv += ["--runs", "10"]
+        assert main(argv) == 1
+        assert "error: mu must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mu", ["nan", "inf", "-inf"])
+    def test_construct_rejects_non_finite_mu(self, mu, tmp_path, capsys):
+        out = tmp_path / "pp.json"
+        assert main(["construct", "--kind", "pp", "--q", "2", f"--mu={mu}", "--out", str(out)]) == 1
+        assert "error: download rate mu must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_one(self, threads, tmp_path, capsys, pp2):
+        path = tmp_path / "pp2.json"
+        write_scheme(pp2, path)
+        runs = [["simulate", "--scheme", str(path), "--runs", "10"],
+                ["ensemble", "--kind", "rep", "--mode", "server", "--B", "3", "--V", "4",
+                 "--R", "2", "--samples", "10"]]
+        for argv in runs:
+            out = tmp_path / "out.txt"
+            assert main(argv + [f"--threads={threads}", "--out", str(out)]) == 1
+            assert f"error: threads must be >= 1, got {threads}" in capsys.readouterr().err
+            assert not out.exists()
+
+
 class TestReproduce:
     def test_appendix_means_passes(self, capsys):
         assert main(["reproduce", "appendix-means"]) == 0

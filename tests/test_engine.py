@@ -25,7 +25,10 @@ from fragsched import (
     smallest_index_first,
     uniform_diversity,
 )
-from fragsched.errors import EmptyProfile, TooManyFragments
+from fragsched import engine
+from fragsched.errors import EmptyProfile, InvalidParams, TooManyFragments
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 # server fragment sets: six servers of three, every fragment on three servers
 SIX_SERVERS = [{1, 2, 3}, {2, 3, 4}, {4, 5, 6}, {1, 5, 6}, {1, 3, 5}, {2, 4, 6}]
@@ -125,6 +128,23 @@ class TestMonteCarlo:
             assert 0.0 <= s.normalized_aggregate <= 1.0
             assert s.max_trajectory_aggregate <= scheme.B * scheme.V
 
+    @pytest.mark.parametrize("mu", NON_FINITE)
+    def test_non_finite_rate_rejected(self, fano, mu):
+        with pytest.raises(InvalidParams, match="mu must be positive and finite"):
+            SimulationConfig(scheme=fano, policy=RandomWorkConserving(), mu=mu, runs=10,
+                             master_seed=1)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, fano, threads, monkeypatch):
+        def no_chunks(args):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(engine, "_simulate_chunk", no_chunks)
+        cfg = SimulationConfig(scheme=fano, policy=RandomWorkConserving(), mu=1.0, runs=10,
+                               master_seed=1)
+        with pytest.raises(InvalidParams, match="threads must be >= 1"):
+            monte_carlo(cfg, threads=threads)
+
 
 def _policy_matrix(fano, cyclic73, ring4):
     return [
@@ -223,6 +243,12 @@ class TestExactMeanDownload:
         with pytest.raises(TooManyFragments):
             exact_mean_download(cyclic_shift(25, 2), RandomWorkConserving(), 1.0)
 
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("mu", NON_FINITE)
+    def test_non_finite_rate_rejected(self, pp2, mu, exact):
+        with pytest.raises(InvalidParams, match="mu must be positive and finite"):
+            exact_mean_download(pp2, RandomWorkConserving(), mu, exact=exact)
+
 
 class TestJensenBound:
     def test_constant_profile_equality(self):
@@ -245,6 +271,11 @@ class TestJensenBound:
         s = monte_carlo(cfg)
         bound = mean_download_lower_bound(s.mean_profile, 1.0)
         assert bound <= s.mean_download_time + 3 * s.stderr
+
+    @pytest.mark.parametrize("mu", NON_FINITE + [0.0])
+    def test_non_finite_rate_rejected(self, mu):
+        with pytest.raises(InvalidParams, match="mu must be positive and finite"):
+            mean_download_lower_bound([3, 2, 1], mu)
 
     def test_empty_profile_rejected(self):
         with pytest.raises(EmptyProfile):

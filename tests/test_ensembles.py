@@ -119,6 +119,16 @@ class TestEnsembleArguments:
         with pytest.raises(InvalidParams):
             ensemble_monte_carlo(B, V, R, kind, mode, samples=10, seed=1, threads=2)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads, monkeypatch):
+        def no_chunks(args):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(engine, "_ensemble_chunk", no_chunks)
+        with pytest.raises(InvalidParams, match="threads must be >= 1"):
+            ensemble_monte_carlo(3, 4, 2, "rep", SERVER_UNIFORM, samples=10, seed=1,
+                                 threads=threads)
+
     def test_profile_rejects_unknown_mode(self):
         placement = sample_random_mds(3, 4, 2, seed=1)
         with pytest.raises(InvalidParams, match="order mode"):

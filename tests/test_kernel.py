@@ -5,6 +5,8 @@ The oracle (``oracles.scalar_trajectory``) shares only ``rng.stream`` with the
 engine: it draws its words, exponentials and picks itself.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,8 +19,10 @@ from fragsched import (
     RankedPolicy,
     SimulationConfig,
     build_scheme,
+    cyclic_shift,
     mdp_solve,
     monte_carlo,
+    projective_plane,
     pushback,
     simulate_run,
     smallest_index_first,
@@ -167,6 +171,41 @@ def test_wide_servers_keep_exact_harmonic_keys(k, tie):
     for mask, row in zip(masks, slots):
         got = {b: rule.slot_frags[b][row[b]].tolist() for b in range(rule.B) if row[b].any()}
         assert got == rule.choices(mask)
+
+
+# Schemes on which up to 12 servers run dry in one step before the last, so a
+# run removes them from its useful list in up to 12 rank passes. MDP policies
+# run on the third only (V = 5; the others have 2^133 states): fragment 3 sits
+# on all of servers 1-12, which hold nothing else but fragment 1 or 2.
+BENCHMARK_SHAPES = {
+    "pp11": lambda: projective_plane(11),
+    "cyclic133/12": lambda: cyclic_shift(133, 12),
+    "blocks14": lambda: build_scheme(
+        [set(range(1, 7)), set(range(7, 13)), set(range(1, 13)), {13}, {13, 14}], mu=1.0, B=14),
+}
+
+
+@functools.cache
+def benchmark_shape(name):
+    return BENCHMARK_SHAPES[name]()
+
+
+@pytest.mark.parametrize("name,kind", [(name, kind) for name in BENCHMARK_SHAPES
+                                       for kind in POLICY_KINDS
+                                       if kind != "mdp" or name == "blocks14"])
+def test_kernel_matches_oracle_at_benchmark_shapes(name, kind):
+    scheme = benchmark_shape(name)
+    policy = make_policy(scheme, kind)
+    rule = compile_policy(scheme, policy)
+    runs = 4
+    words = rng.stream_words(17, rng.DOMAIN_RUN, range(runs), rule.draws * scheme.V)
+    instants, order, profile = engine._jump_chain(rule, 1e-5, words)
+    for r, (d, o, p) in enumerate(oracle_runs(scheme, policy, 1e-5, 17, runs)):
+        assert [0.0, *instants[:, r].tolist()] == d
+        assert (order[:, r] + 1).tolist() == o
+        assert profile[:, r].tolist() == p
+    # some run lost at least 6 servers in one step before the last
+    assert (profile[:-1] - profile[1:]).max() >= 6
 
 
 class TestSeedingContract:

@@ -57,6 +57,11 @@ class TestBuildScheme:
         with pytest.raises(IdOutOfRange):
             build_scheme([{1, 5}], B=3)
 
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+    def test_rate_must_be_positive_and_finite(self, mu):
+        with pytest.raises(IdOutOfRange, match="mu must be positive and finite"):
+            build_scheme([{1, 2}, {2, 3}], mu=mu)
+
     def test_bidirectional_consistency(self, fano):
         for v in range(1, fano.V + 1):
             for b in range(1, fano.B + 1):

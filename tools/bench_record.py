@@ -8,7 +8,9 @@ workload, and odd rounds reverse the order, so a slow spell of the machine
 falls on both sides alike. Each later checkout's file also counts, per
 workload and end-to-end metric, the rounds in which it beat the first
 checkout, by the metric's ``better`` direction in ``BENCHMARK.json``; ties
-count for neither side.
+count for neither side. It also counts, per workload, the rounds in which its
+result digest equalled the first checkout's, so whether two checkouts compute
+the same results is read from the file.
 
     python3 tools/bench_record.py before=../parent after=. --runs 10 --seed 1 --seconds 30
 
@@ -113,10 +115,20 @@ def pair_wins(first: list[dict], later: list[dict], better: dict[str, str]) -> d
     return out
 
 
+def same_digest(first: list[dict], later: list[dict]) -> dict:
+    """Over the rounds where both runs report a result digest: the rounds in
+    which ``later``'s digest equalled ``first``'s (run i against run i), and
+    how many rounds were compared."""
+    pairs = [(a["digest"], b["digest"]) for a, b in zip(first, later)
+             if a["digest"] and b["digest"]]
+    return {"equal": sum(a == b for a, b in pairs), "pairs": len(pairs)}
+
+
 def bench_doc(label: str, version: str | None, command: list[str], paired_with: list[str],
-              by_workload: dict[str, list[dict]], wins: dict | None = None) -> dict:
-    """The ``BENCH_<label>.json`` document of one checkout; ``wins``, if
-    given, is its ``pair_wins`` per workload against the first checkout."""
+              by_workload: dict[str, list[dict]], against_first: dict | None = None) -> dict:
+    """The ``BENCH_<label>.json`` document of one checkout; ``against_first``,
+    if given, holds its ``pair_wins`` and ``same_digest`` fields against the
+    first checkout."""
     machine = next((r["machine"] for recs in by_workload.values() for r in recs if r["machine"]),
                    {})
     doc = {
@@ -127,8 +139,7 @@ def bench_doc(label: str, version: str | None, command: list[str], paired_with: 
         "machine": machine,
         "workloads": {w: summarize(recs) for w, recs in by_workload.items()},
     }
-    if wins is not None:
-        doc["pair_wins"] = wins
+    doc.update(against_first or {})
     return doc
 
 
@@ -193,13 +204,17 @@ def main(argv=None) -> int:
     better = directions()
     first = labels[0]
     for label, checkout in args.targets:
-        wins = None
+        against_first = None
         if label != first:
-            wins = {"against": first,
-                    "workloads": {w: pair_wins(records[first][w], records[label][w], better)
-                                  for w in WORKLOADS}}
+            against_first = {
+                "pair_wins": {"against": first, "workloads": {
+                    w: pair_wins(records[first][w], records[label][w], better) for w in WORKLOADS}},
+                "same_digest": {"against": first, "workloads": {
+                    w: same_digest(records[first][w], records[label][w]) for w in WORKLOADS}},
+            }
         doc = bench_doc(label, git_version(checkout), command,
-                        [other for other in labels if other != label], records[label], wins)
+                        [other for other in labels if other != label], records[label],
+                        against_first)
         outs[label].write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"wrote {outs[label]}", file=sys.stderr)
     return 0
