@@ -96,6 +96,12 @@ def resolve_policy(scheme, scheduler: str, push: int | None, rank: str, tie: str
 # the handler, the flags that say how or where a command runs rather than
 # what it computes, and the scheme file's path, whose content ``scheme_hash``
 # names: artifacts leave them out
+# argparse reads an argument that starts with "-" as a flag unless it looks
+# like a plain negative decimal, so "--mu -inf" never reaches the rate check.
+MU_HELP = ("download rate of one server, positive and finite (default 1.0); "
+           "write --mu=VALUE, such as --mu=-inf, for a value that starts with "
+           "-inf or -nan or is negative in exponent form: argparse reads those "
+           "as flags")
 _NOT_CONFIG = ("func", "threads", "out", "scheme")
 
 
@@ -397,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=int, help="replication factor (cyclic)")
     p.add_argument("--B", type=int, help="server count (large)")
     p.add_argument("--K", type=int, help="per-server capacity (large)")
-    p.add_argument("--mu", type=float, default=1.0)
+    p.add_argument("--mu", type=float, default=1.0, help=MU_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_construct)
 
@@ -421,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tie", choices=["low", "seeded"], default="low")
         p.add_argument("--init", choices=["sif", "ud", "none"], default="none",
                        help="initial schedule / tie order for the ranked scheduler")
-        p.add_argument("--mu", type=float, default=1.0)
+        p.add_argument("--mu", type=float, default=1.0, help=MU_HELP)
         if with_runs:
             p.add_argument("--runs", type=int, default=100000)
             p.add_argument("--seed", type=int, default=0)

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import rng as _rng
 from .constructions import MdsPlacement, ReplicationPlacement, placement_servers
-from .errors import EmptyProfile, InvalidParams
+from .errors import EmptyProfile, InvalidParams, InvalidRate
 from .mdp import DEFAULT_EVAL_CAP, _forward_dp, check_size
 from .model import StorageScheme
 from .scheduling import DecisionRule, compile_policy
@@ -61,8 +61,8 @@ __all__ = [
 # Runs the jump-chain kernel, or ensemble samples the server-order kernel,
 # moves in lockstep. Each step costs a fixed number of numpy calls whatever
 # the batch, so a larger batch spreads them over more runs; its buffers grow
-# with it (a 256-run batch of the order-11 plane peaks at 2.5 MB under a
-# ranked policy, 1.6 MB under a nonadaptive one, plus 0.55 MB of stream
+# with it (a 256-run batch of the order-11 plane peaks at 2.3 MB under a
+# ranked policy, 1.5 MB under a nonadaptive one, plus 0.55 MB of stream
 # words; a 256-sample ensemble batch at B = 100, V = 200, R = 3 at 16 MB). A
 # 250-run chunk is one batch. Results do not depend on this value.
 BATCH_RUNS = 256
@@ -89,7 +89,7 @@ class SimulationConfig:
 
 def _check_mu(mu) -> None:
     if not (isfinite(mu) and mu > 0):
-        raise InvalidParams(f"mu must be positive and finite, got {mu}")
+        raise InvalidRate(f"mu must be positive and finite, got {mu}")
 
 
 @dataclass(frozen=True)
@@ -138,11 +138,44 @@ def _jump_chain(rule: DecisionRule, mu: float, words: np.ndarray):
     """Move one batch of runs through the V steps of the jump chain in lockstep.
 
     Column i of ``words`` holds the ``rule.draws * V`` words of run i, laid
-    out as the seeding contract in ``rng`` says. Every run takes exactly V
-    steps, and each step does per run the arithmetic of a one-run loop in the
-    same order, so results do not depend on the batch size. Returns the
-    instants D_1..D_V, the 0-based fragment order and the useful profile, each
-    V x n; column i is run i.
+    out as the seeding contract in ``rng`` says; the array may be any view,
+    such as the transposed one ``rng.stream_words`` returns, and is only
+    read. Every run takes exactly V steps, and each step does per run the
+    arithmetic of a one-run loop in the same order, so results do not depend
+    on the batch size. Returns the instants D_1..D_V, the 0-based fragment
+    order and the useful profile, each V x n; column i is run i.
+
+    The steps (``_chain_steps``) fill the order and the profile; the holding
+    times are divided after the loop, once for the whole batch: holding time l
+    is ``word_exponentials`` of word l divided by ``profile[l] * mu``, the
+    same two roundings per element as a division at step l, so the instants
+    are bit-identical to a step-by-step division. The step state is freed
+    before the two (V, n) float64 arrays of that division are made, so the
+    batch peaks in the loop as long as the step state outweighs one of them,
+    as it does on the paper's schemes: a 256-run batch of the order-11 plane
+    peaks at 2.3 MB under a ranked policy and 1.5 MB under a nonadaptive one,
+    besides its words.
+    """
+    n = words.shape[1]
+    V = rule.V
+    order = np.empty((V, n), dtype=np.int32)
+    profile = np.empty((V, n), dtype=np.int32)
+    _chain_steps(rule, words, order, profile)
+    exps = _rng.word_exponentials(words[:V])
+    exps /= profile * mu
+    # D_l: the holding times added up in step order (add.accumulate is sequential)
+    return np.cumsum(exps, axis=0, out=exps), order, profile
+
+
+def _chain_steps(rule: DecisionRule, words: np.ndarray, order: np.ndarray,
+                 profile: np.ndarray) -> None:
+    """Run the V steps of ``_jump_chain``, writing step l's fragment and
+    useful count into row l of ``order`` and ``profile``.
+
+    Until then, row l of those two int32 arrays holds the high and the low
+    32-bit halves of the winner words of step l, split once for the batch:
+    each step reads its row of both before it writes either, so the split
+    takes no storage of its own.
 
     The kernel reads the rule's padded tables: every server has K order
     slots, filled up with the dummy fragment V (always downloaded), and every
@@ -166,16 +199,16 @@ def _jump_chain(rule: DecisionRule, mu: float, words: np.ndarray):
     every run's removal of that rank. The offsets are spelled out to the full
     shape of the (n, K), (n, R) and, for a ranked policy, (R, n, K) index
     arrays once: broadcasting them over rows of K or R entries costs more than
-    the gather itself. A step divides its own holding times, so no (V, n)
-    temporary is made. A 256-run batch of the order-11 plane peaks at 2.5 MB
-    under a ranked policy and 1.6 MB under a nonadaptive one, besides its
-    words.
+    the gather itself. Arrays are indexed through their own methods
+    (``a.take``, ``a.nonzero``): numpy's function forms add a Python call
+    per use.
     """
-    n = words.shape[1]
-    V, B1, K = rule.V, rule.B + 1, rule.K
+    V, n = order.shape
+    B1, K = rule.B + 1, rule.K
     R = rule.hosts.shape[1]
     ranked = rule.values is not None
-    exps = _rng.word_exponentials(words[:V])
+    high, low = order.view(np.uint32), profile.view(np.uint32)
+    _rng.split_words(words[V:2 * V], high, low)
 
     runs = np.arange(n)
     off_b = runs * B1
@@ -184,11 +217,11 @@ def _jump_chain(rule: DecisionRule, mu: float, words: np.ndarray):
     cand_off = np.repeat(off_v, K).reshape(n, K)
     host_off = np.repeat(off_b, R).reshape(n, R)
     host_run = np.repeat(runs, R)
-    sizes = [len(s) for s in rule.frag_sets]
-    useful0 = np.flatnonzero(sizes)
+    sizes = rule.sizes
+    useful0 = sizes.nonzero()[0]
     downloaded = np.tile(np.arange(V + 1) == V, n)
     # the dummy server's residual stays above K for all V * R decrements
-    residual = np.tile(np.array(sizes + [K + 1 + V * R], dtype=np.int32), n)
+    residual = np.tile(np.append(sizes, K + 1 + V * R).astype(np.int32), n)
     useful = np.zeros((n, B1), dtype=np.intp)
     useful[:, :len(useful0)] = useful0 + off_b[:, None]
     pos = np.full((n, B1), -1, dtype=np.intp)
@@ -200,6 +233,7 @@ def _jump_chain(rule: DecisionRule, mu: float, words: np.ndarray):
     # buffers reused by every step
     cand = np.empty((n, K), dtype=np.intp)
     cand_idx = np.empty((n, K), dtype=np.intp)
+    cand_flat = cand_idx.ravel()
     taken = np.empty((n, K), dtype=bool)
     hosts = np.empty((n, R), dtype=np.intp)
     hosts_flat = hosts.ravel()
@@ -212,25 +246,24 @@ def _jump_chain(rule: DecisionRule, mu: float, words: np.ndarray):
         score = np.empty((n, K), dtype=rank_values.dtype)
     elif rule.table is not None:
         masks = np.zeros(n, dtype=np.int64)
-    order = np.empty((V, n), dtype=np.int32)
-    profile = np.empty((V, n), dtype=np.int32)
 
     for ell in range(V):
+        j = _rng.split_picks(high[ell], low[ell], nuse_u)
         profile[ell] = nuse
-        exps[ell] /= nuse * mu
-        w = useful[off_b + _rng.picks(words[V + ell], nuse_u).view(np.intp)] - off_b
+        w = useful[off_b + j.view(np.intp)] - off_b
 
         if rule.table is not None:
             v = rule.table[masks, w].astype(np.intp)
             masks |= np.left_shift(1, v)
+            order[ell] = v
         else:
-            np.take(rule.slot_frags, w, axis=0, out=cand, mode="clip")
+            rule.slot_frags.take(w, axis=0, out=cand, mode="clip")
             np.add(cand, cand_off, out=cand_idx)
-            np.take(downloaded, cand_idx, out=taken, mode="clip")
+            downloaded.take(cand_idx, out=taken, mode="clip")
             if ranked:
-                np.take(rule.cand_hosts, w, axis=1, out=host_idx, mode="clip")
+                rule.cand_hosts.take(w, axis=1, out=host_idx, mode="clip")
                 host_idx += cand_host_off
-                np.take(values, host_idx, out=host_val, mode="clip")
+                values.take(host_idx, out=host_val, mode="clip")
                 np.add.reduce(host_val, axis=0, out=score)
                 np.putmask(score, taken, rule.key_none)
                 if rule.uniform:
@@ -245,24 +278,21 @@ def _jump_chain(rule: DecisionRule, mu: float, words: np.ndarray):
                 col = _nth_true(free, _rng.picks(words[2 * V + ell], count.view(np.uint64)))
             else:  # first candidate not downloaded
                 col = taken.argmin(axis=1)
-            v = cand.ravel()[off_k + col]
+            flat = cand_flat.take(off_k + col)  # the chosen fragment's downloaded row
+            downloaded[flat] = True
+            v = np.subtract(flat, off_v, out=order[ell])
 
-        order[ell] = v
-        downloaded[off_v + v] = True
-        np.take(rule.hosts, v, axis=0, out=hosts, mode="clip")
+        rule.hosts.take(v, axis=0, out=hosts, mode="clip")
         hosts += host_off
-        left = residual[hosts]
+        left = residual[hosts_flat]
         left -= 1
-        residual[hosts] = left
+        residual[hosts_flat] = left
         if ranked:
-            values[hosts] = rank_values.take(left, mode="clip")
+            values[hosts_flat] = rank_values.take(left, mode="clip")
         if ell < V - 1:  # the list is not read after the last step
-            dead = np.flatnonzero(left == 0)  # row-major: host order within each run
+            dead = (left == 0).nonzero()[0]  # row-major: host order within each run
             if len(dead):
                 _remove_useful(useful, pos, nuse, off_b, host_run[dead], hosts_flat[dead])
-
-    # D_l: the holding times added up in step order (add.accumulate is sequential)
-    return np.cumsum(exps, axis=0, out=exps), order, profile
 
 
 def _remove_useful(useful, pos, nuse, off_b, runs, rows) -> None:
@@ -285,7 +315,7 @@ def _remove_useful(useful, pos, nuse, off_b, runs, rows) -> None:
         nuse -= count
         # ranks are small, so a stable sort on a narrow type is a radix sort
         rank = (at - first[runs]).astype(np.min_scalar_type(most))
-        by_rank = np.argsort(rank, kind="stable")
+        by_rank = rank.argsort(kind="stable")
         rows, end = rows[by_rank], end[by_rank]
         bounds = np.bincount(rank).cumsum().tolist()
     lo = 0

@@ -29,6 +29,12 @@ class InvalidParams(FragschedError):
     pass
 
 
+class InvalidRate(InvalidParams, IdOutOfRange):
+    """A download rate that is not positive and finite. It is an
+    ``InvalidParams``, as every bad parameter is, and an ``IdOutOfRange``,
+    which scheme construction raised for it before."""
+
+
 class CapacityMismatch(FragschedError):
     pass
 

@@ -29,6 +29,7 @@ from .errors import (
     DuplicateReplicaOnServer,
     EmptyOccupancy,
     IdOutOfRange,
+    InvalidRate,
     NonUniformDesign,
 )
 
@@ -68,7 +69,7 @@ class SystemParams:
         if min(self.B, self.V, self.R, self.K) < 1:
             raise IdOutOfRange("B, V, R, K must all be positive")
         if not (isfinite(self.mu) and self.mu > 0):
-            raise IdOutOfRange(f"download rate mu must be positive and finite, got {self.mu}")
+            raise InvalidRate(f"download rate mu must be positive and finite, got {self.mu}")
         object.__setattr__(self, "alpha", Fraction(self.K, self.V))
 
 

@@ -86,23 +86,24 @@ def streams(seed: int, domain: int, indices: range):
 
     One Philox generator is re-keyed per index, which costs a fraction of
     building a new generator; so every yielded generator is the same object,
-    valid only until the next one is taken.
+    valid only until the next one is taken. The re-keying writes the key into
+    one state dict in place: setting the state copies it into the generator.
     """
     bits = np.random.Philox(key=0)
     gen = np.random.Generator(bits)
+    key = np.zeros(2, dtype=np.uint64)
     state = {
         "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
         "buffer": np.zeros(4, dtype=np.uint64),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
     for index in indices:
-        key = _key(seed, domain, index)
-        state["state"] = {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([key & _MASK64, key >> 64], dtype=np.uint64),
-        }
+        k = _key(seed, domain, index)
+        key[0] = k & _MASK64
+        key[1] = k >> 64
         bits.state = state
         yield gen
 
@@ -110,11 +111,15 @@ def streams(seed: int, domain: int, indices: range):
 def stream_words(seed: int, domain: int, indices: range, count: int) -> np.ndarray:
     """The first ``count`` 64-bit words of the stream of each index, one
     column per index: column i equals ``words(stream(seed, domain, indices[i]),
-    count)``."""
-    out = np.empty((count, len(indices)), dtype=np.uint64)
-    for i, gen in enumerate(streams(seed, domain, indices)):
-        out[:, i] = gen.bit_generator.random_raw(count)
-    return out
+    count)``.
+
+    Each index's words are written as one contiguous row of an (n, count)
+    buffer, and its transposed (count, n) view is returned: a column of the
+    result is a row in memory."""
+    out = np.empty((len(indices), count), dtype=np.uint64)
+    for row, gen in zip(out, streams(seed, domain, indices)):
+        row[:] = gen.bit_generator.random_raw(count)
+    return out.T
 
 
 def words(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -163,17 +168,28 @@ def pick(word: int, m: int) -> int:
 
 def picks(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Elementwise ``pick(u, m)`` for uint64 words u and uint64 ranges
-    m < 2**32, exact in 64-bit arithmetic: with u = hi * 2**32 + lo,
-    (u*m) >> 64 == (hi*m + (lo*m >> 32)) >> 32, and neither product nor the
-    sum reaches 2**64."""
-    high = u >> _SHIFT32
-    low = u & _LOW32
-    low *= m
-    low >>= _SHIFT32
-    high *= m
-    high += low
-    high >>= _SHIFT32
-    return high
+    m < 2**32 (see ``split_picks``)."""
+    return split_picks(u >> _SHIFT32, u & _LOW32, m)
+
+
+def split_words(u: np.ndarray, high: np.ndarray, low: np.ndarray) -> None:
+    """Write the high and the low 32-bit halves of the uint64 words u into
+    the uint32 arrays ``high`` and ``low``, for ``split_picks``."""
+    np.right_shift(u, _SHIFT32, out=high, casting="unsafe")
+    np.bitwise_and(u, _LOW32, out=low, casting="unsafe")
+
+
+def split_picks(high: np.ndarray, low: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``picks(u, m)`` from the high and low 32-bit halves of the words u,
+    as uint64, for uint64 ranges m < 2**32. Exact in 64-bit arithmetic: with
+    u = hi * 2**32 + lo, (u*m) >> 64 == (hi*m + (lo*m >> 32)) >> 32, and
+    neither product nor the sum reaches 2**64."""
+    lo = low * m
+    lo >>= _SHIFT32
+    hi = high * m
+    hi += lo
+    hi >>= _SHIFT32
+    return hi
 
 
 def half_words(gen: np.random.Generator, n: int) -> np.ndarray:

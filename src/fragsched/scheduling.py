@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import lcm
 
 import numpy as np
@@ -69,12 +70,48 @@ class PlacementOrder:
         return tuple(o[r - 1] if len(o) >= r else None for o in self.orders)
 
 
-def _check_order_matches(scheme: StorageScheme, order: PlacementOrder) -> None:
-    if len(order.orders) != scheme.B:
-        raise InvalidParams(f"order lists {len(order.orders)} servers, the scheme has {scheme.B}")
-    for b, o in enumerate(order.orders, start=1):
-        if set(o) != set(scheme.fragment_sets[b - 1]) or len(o) != len(set(o)):
-            raise InvalidParams(f"order for server {b} is not a permutation of its fragments")
+def _flat_order(order: PlacementOrder, rows: np.ndarray, servers: np.ndarray,
+                sizes: np.ndarray) -> np.ndarray:
+    """The 0-based fragments of ``order``, flat in server order. ``rows``
+    lists the scheme's fragments in the same layout, ascending within each
+    server, ``servers`` the server of every flat entry and ``sizes`` the
+    size of every server.
+
+    Refuses an order that does not list, server by server, a permutation of
+    the scheme's fragments: sorted the same way, its rows must equal the
+    scheme's, which hold no repeats."""
+    B, V = len(sizes), int(rows.max()) + 1
+    if len(order.orders) != B:
+        raise InvalidParams(f"order lists {len(order.orders)} servers, the scheme has {B}")
+    bad = np.fromiter(map(len, order.orders), dtype=np.intp, count=B) != sizes
+    if not bad.any():
+        flat = np.fromiter(chain.from_iterable(order.orders), dtype=np.intp, count=len(servers))
+        flat -= 1
+        bad[servers[(flat < 0) | (flat >= V)]] = True
+    if not bad.any():
+        bad[servers[_sorted_pairs(flat, servers, V, B)[2] != rows]] = True
+    if bad.any():
+        raise InvalidParams(f"order for server {bad.argmax() + 1} is not a permutation of its fragments")
+    return flat
+
+
+def _sorted_pairs(frags: np.ndarray, servers: np.ndarray, V: int, B: int):
+    """Flat (server, fragment) pairs, given in server order, sorted two ways:
+    their fragments and servers in (fragment, server) order, and their
+    fragments in (server, fragment) order.
+
+    A stable sort by fragment gives the first order, since the pairs come in
+    server order; a stable sort of that by server gives the second. On keys
+    of 16 bits or fewer, numpy's stable sort is a radix sort."""
+    by_frag = frags.astype(np.min_scalar_type(V)).argsort(kind="stable")
+    frags, servers = frags[by_frag], servers[by_frag]
+    return frags, servers, frags[servers.astype(np.min_scalar_type(B)).argsort(kind="stable")]
+
+
+def _positions(sizes: np.ndarray) -> np.ndarray:
+    """The position of every flat entry within its group, for consecutive
+    groups of the given sizes."""
+    return np.arange(sizes.sum()) - np.repeat(sizes.cumsum() - sizes, sizes)
 
 
 def smallest_index_first(scheme: StorageScheme) -> PlacementOrder:
@@ -163,7 +200,7 @@ def pushback(order: PlacementOrder, scheme: StorageScheme, server: int) -> Place
     """
     if not 1 <= server <= scheme.B:
         raise InvalidParams(f"server {server} outside [1, {scheme.B}]")
-    _check_order_matches(scheme, order)
+    DecisionRule(scheme.fragment_sets, order=order)  # refuses a foreign order
     target = scheme.fragment_sets[server - 1]
     new_orders = []
     for b, o in enumerate(order.orders, start=1):
@@ -241,42 +278,50 @@ class DecisionRule:
     """A policy compiled onto the 0-based scheme index every engine shares.
 
     Servers and fragments are 0-based and a downloaded set is a bitmask over
-    fragments. ``frag_sets[b]`` and ``occ[v]`` are sorted; ``bits[b]`` is the
-    fragment mask of server b, so its residual size under ``mask`` is
-    ``(bits[b] & ~mask).bit_count()``. ``orders[b]`` lists the fragments of
-    server b in tie-break order: ascending unless the policy fixes an order
-    (a nonadaptive placement order or a ranked init order). ``values[k]`` is
-    the rank value of a host with residual size k (k = 0..K), or None for an
-    unranked policy; ``uniform`` draws among tied fragments uniformly instead
-    of taking the first; ``table`` is an MDP solution's dense (2^V, B)
-    decision array, ``table[mask, b]`` the fragment server b serves in state
-    mask (-1 where b is not useful), or None. ``draws`` is the number of
-    64-bit stream words a jump-chain run takes per step.
+    fragments. ``sizes[b]`` is the number of fragments server b stores.
+    ``values[k]`` is the rank value of a host with residual size k
+    (k = 0..K), or None for an unranked policy; ``uniform`` draws among tied
+    fragments uniformly instead of taking the first; ``table`` is an MDP
+    solution's dense (2^V, B) decision array, ``table[mask, b]`` the fragment
+    server b serves in state mask (-1 where b is not useful), or None.
+    ``draws`` is the number of 64-bit stream words a jump-chain run takes per
+    step.
 
-    The batched tables are built on first use and serve both batched
-    engines, :meth:`choice_slots` and the jump chain: ``slot_frags[b, k]`` is
-    ``orders[b][k]``, padded to K slots with the dummy fragment V; ``hosts``
-    pads every fragment's hosts with the dummy server B; ``cand_hosts`` holds
-    the hosts of every slot's fragment, and ``rank_values`` the rank value of
-    every residual size. :meth:`choice_slots` needs masks that fit in int64
-    (V <= 62).
+    The constructor builds, in numpy from the flat fragment sets, the padded
+    tables the batched engines read: ``slot_frags[b, k]`` is the k-th
+    fragment of server b in tie-break order, padded to K slots with the dummy
+    fragment V. That order is ascending unless the policy fixes one (a
+    nonadaptive placement order or a ranked init order). ``hosts[v]`` lists
+    the hosts of fragment v, ascending, padded with the dummy server B; row V,
+    the dummy fragment's, holds B only. The rest is lazy, built on first use: ``cand_hosts`` (the hosts of every
+    slot's fragment), ``slot_bits``, ``rank_values`` and ``key_none`` serve
+    :meth:`choice_slots` and the jump chain; the Python lists ``orders[b]``
+    (row b of ``slot_frags`` without padding), ``occ[v]`` (the hosts of
+    fragment v) and ``bits[b]`` (the fragment mask of server b, so its
+    residual size under ``mask`` is ``(bits[b] & ~mask).bit_count()``) serve
+    only the scalar :meth:`choices`. :meth:`choice_slots` needs masks that fit
+    in int64 (V <= 62).
+
+    A placement ``order`` that is not, server by server, a permutation of the
+    scheme's fragments is refused with ``InvalidParams``.
     """
 
     def __init__(self, fragment_sets, rank: str | None = None, order: PlacementOrder | None = None,
                  uniform: bool = False, table: np.ndarray | None = None) -> None:
-        self.frag_sets = [sorted(v - 1 for v in s) for s in fragment_sets]
-        self.B = len(self.frag_sets)
-        self.V = 1 + max(s[-1] for s in self.frag_sets if s)
-        self.occ: list[list[int]] = [[] for _ in range(self.V)]
-        for b, s in enumerate(self.frag_sets):
-            for v in s:
-                self.occ[v].append(b)
-        self.bits = [sum(1 << v for v in s) for s in self.frag_sets]
-        self.K = K = max(len(s) for s in self.frag_sets)
-        if order is None:
-            self.orders = self.frag_sets
-        else:
-            self.orders = [[v - 1 for v in o] for o in order.orders]
+        B = len(fragment_sets)
+        sizes = np.fromiter(map(len, fragment_sets), dtype=np.intp, count=B)
+        servers = np.repeat(np.arange(B), sizes)
+        frags = np.fromiter(chain.from_iterable(fragment_sets), dtype=np.intp, count=len(servers))
+        frags -= 1
+        V, K = int(frags.max()) + 1, int(sizes.max())
+        self.B, self.V, self.K, self.sizes = B, V, K, sizes
+        host_frags, hosts, rows = _sorted_pairs(frags, servers, V, B)
+        counts = np.bincount(frags, minlength=V)
+        self.hosts = np.full((V + 1, int(counts.max())), B, dtype=np.intp)
+        self.hosts[host_frags, _positions(counts)] = hosts
+        ordered = rows if order is None else _flat_order(order, rows, servers, sizes)
+        self.slot_frags = np.full((B, K), V, dtype=np.intp)
+        self.slot_frags[servers, _positions(sizes)] = ordered
         if rank == "greedy":
             self.values = [0, 1] + [0] * (K - 1)
         elif rank == "harmonic":
@@ -288,16 +333,24 @@ class DecisionRule:
         self.table = table
         self.draws = 3 if uniform else 2  # holding time, winner, uniform pick
 
+    @cached_property
+    def orders(self) -> list[list[int]]:
+        return [row[:k] for row, k in zip(self.slot_frags.tolist(), self.sizes.tolist())]
+
+    @cached_property
+    def occ(self) -> list[list[int]]:
+        B = self.B
+        return [[b for b in row if b != B] for row in self.hosts[:-1].tolist()]
+
+    @cached_property
+    def bits(self) -> list[int]:
+        return [sum([1 << v for v in o]) for o in self.orders]
+
     def _scores(self, mask: int) -> list[int]:
         """Rank score of every fragment (meaningful for those not in ``mask``)."""
         values = self.values
         sizes = [(x & ~mask).bit_count() for x in self.bits]
         return [sum([values[sizes[b]] for b in hosts]) for hosts in self.occ]
-
-    @cached_property
-    def slot_frags(self) -> np.ndarray:
-        K, V = self.K, self.V
-        return np.array([list(o) + [V] * (K - len(o)) for o in self.orders], dtype=np.intp)
 
     @cached_property
     def slot_bits(self) -> np.ndarray:
@@ -307,16 +360,9 @@ class DecisionRule:
                         dtype=np.int64)
 
     @cached_property
-    def hosts(self) -> np.ndarray:
-        """(V + 1, R) hosts of every fragment, filled up with the dummy server
-        B; row V is the dummy fragment of the padding slots."""
-        R = max(len(s) for s in self.occ)
-        return np.array([s + [self.B] * (R - len(s)) for s in self.occ + [[]]], dtype=np.intp)
-
-    @cached_property
     def cand_hosts(self) -> np.ndarray:
         """(R, B, K): host r of the fragment in slot k of server b."""
-        return np.ascontiguousarray(self.hosts[self.slot_frags].transpose(2, 0, 1))
+        return self.hosts.T.take(self.slot_frags, axis=1)
 
     @cached_property
     def key_none(self) -> int:
@@ -377,13 +423,10 @@ def compile_policy(scheme: StorageScheme, policy) -> DecisionRule:
     type is read. A placement order or MDP solution made for another scheme
     is refused."""
     if isinstance(policy, NonadaptivePolicy):
-        _check_order_matches(scheme, policy.order)
         return DecisionRule(scheme.fragment_sets, order=policy.order)
     if isinstance(policy, RandomWorkConserving):
         return DecisionRule(scheme.fragment_sets, uniform=True)
     if isinstance(policy, RankedPolicy):
-        if policy.init_order is not None:
-            _check_order_matches(scheme, policy.init_order)
         return DecisionRule(scheme.fragment_sets, rank=policy.rank,
                             order=policy.init_order, uniform=policy.tie == "seeded")
     if isinstance(policy, MdpPolicy):

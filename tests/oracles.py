@@ -373,6 +373,48 @@ def _pick(word, m):
     return (word * m) >> 64
 
 
+# ---------------------------------------------------------------------------
+# The decision rule's tables, built from plain Python lists one server and one
+# fragment at a time: the reference for the flat numpy construction in
+# ``scheduling.DecisionRule``.
+
+
+def order_matches(fragment_sets, orders) -> bool:
+    """Whether ``orders`` lists, server by server, a permutation of the
+    scheme's fragments (1-based)."""
+    return len(orders) == len(fragment_sets) and all(
+        set(o) == set(s) and len(o) == len(set(o)) for o, s in zip(orders, fragment_sets))
+
+
+def rule_tables(fragment_sets, orders=None) -> dict:
+    """``slot_frags``, ``hosts``, ``cand_hosts``, ``orders``, ``bits`` and
+    ``occ`` of the decision rule of a scheme's 1-based ``fragment_sets`` and
+    an optional 1-based placement order, 0-based and padded as
+    ``DecisionRule`` documents them."""
+    import numpy as np
+
+    frag_sets = [sorted(v - 1 for v in s) for s in fragment_sets]
+    B = len(frag_sets)
+    V = 1 + max(s[-1] for s in frag_sets if s)
+    K = max(len(s) for s in frag_sets)
+    occ: list[list[int]] = [[] for _ in range(V)]
+    for b, s in enumerate(frag_sets):
+        for v in s:
+            occ[v].append(b)
+    rows = frag_sets if orders is None else [[v - 1 for v in o] for o in orders]
+    slot_frags = np.array([list(o) + [V] * (K - len(o)) for o in rows], dtype=np.intp)
+    R = max(len(s) for s in occ)
+    hosts = np.array([s + [B] * (R - len(s)) for s in occ + [[]]], dtype=np.intp)
+    return {
+        "slot_frags": slot_frags,
+        "hosts": hosts,
+        "cand_hosts": np.ascontiguousarray(hosts[slot_frags].transpose(2, 0, 1)),
+        "orders": rows,
+        "bits": [sum(1 << v for v in s) for s in frag_sets],
+        "occ": occ,
+    }
+
+
 class ScalarRuntime:
     """0-based fragment and host lists, harmonic scale and policy tables."""
 

@@ -238,6 +238,14 @@ class TestBadRateAndThreads:
         assert "error: download rate mu must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["construct", "simulate", "exact"])
+    def test_mu_help_names_the_equals_form(self, command, capsys):
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"])
+        assert done.value.code == 0
+        text = "".join(capsys.readouterr().out.split())  # help text wraps at any width
+        assert "--mu=VALUE" in text and "-inf" in text
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exit_one(self, threads, tmp_path, capsys, pp2):
         path = tmp_path / "pp2.json"

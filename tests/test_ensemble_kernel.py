@@ -135,6 +135,8 @@ def test_streams_equal_fresh_generators():
     domain = rng.DOMAIN_TRAJECTORY
     for index, gen in zip(range(200), rng.streams(8, domain, range(200))):
         fresh = rng.stream(8, domain, index)
+        # the raw words after in-place re-keying, as ``stream_words`` reads them
+        assert np.array_equal(gen.bit_generator.random_raw(5), fresh.bit_generator.random_raw(5))
         assert np.array_equal(gen.permutation(17), fresh.permutation(17))
         for m in (1, 2, 7, 100, 2**31):
             assert gen.integers(0, m) == fresh.integers(0, m)

@@ -221,6 +221,32 @@ class TestSeedingContract:
         column = rng.stream_words(7, rng.DOMAIN_RUN, range(2, 6), blocks * V)[:, 2]
         assert np.array_equal(column, single)
 
+    @pytest.mark.parametrize("domain", [rng.DOMAIN_RUN, rng.DOMAIN_TRAJECTORY])
+    @pytest.mark.parametrize("count", [1, 7, 133])
+    def test_stream_words_columns_equal_fresh_streams(self, domain, count):
+        """The kernel reads run words and the ensemble trajectory words through
+        ``stream_words``; each column is its index's fresh stream."""
+        got = rng.stream_words(29, domain, range(300), count)
+        assert got.shape == (count, 300)
+        for i in range(300):
+            assert np.array_equal(got[:, i], rng.words(rng.stream(29, domain, i), count))
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_kernel_reads_any_word_layout(self, kind):
+        """``_jump_chain`` gives the same outputs for the transposed view
+        ``stream_words`` returns and for a C-contiguous copy, and writes to
+        neither."""
+        scheme = projective_plane(2)
+        rule = compile_policy(scheme, make_policy(scheme, kind))
+        view = rng.stream_words(23, rng.DOMAIN_RUN, range(40), rule.draws * scheme.V)
+        contiguous = np.ascontiguousarray(view)
+        assert not view.flags.c_contiguous and contiguous.flags.c_contiguous
+        before = contiguous.copy()
+        for got, want in zip(engine._jump_chain(rule, 0.3, view),
+                             engine._jump_chain(rule, 0.3, contiguous)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(view, before) and np.array_equal(contiguous, before)
+
     def test_stream_words_rejects_bad_index(self):
         with pytest.raises(ValueError):
             rng.stream_words(7, rng.DOMAIN_RUN, range(-1, 2), 4)

@@ -7,6 +7,7 @@ import pytest
 from fragsched import (
     Design,
     RandomWorkConserving,
+    SimulationConfig,
     build_scheme,
     conservation_check,
     conservation_laws,
@@ -19,6 +20,8 @@ from fragsched.errors import (
     DuplicateReplicaOnServer,
     EmptyOccupancy,
     IdOutOfRange,
+    InvalidParams,
+    InvalidRate,
     NonUniformDesign,
 )
 from fragsched.scheduling import compile_policy
@@ -61,6 +64,18 @@ class TestBuildScheme:
     def test_rate_must_be_positive_and_finite(self, mu):
         with pytest.raises(IdOutOfRange, match="mu must be positive and finite"):
             build_scheme([{1, 2}, {2, 3}], mu=mu)
+
+    def test_bad_rate_is_invalid_params_on_every_path(self):
+        """A scheme and a Monte Carlo config refuse a NaN rate with one class,
+        ``InvalidRate``: an ``InvalidParams``, and still an ``IdOutOfRange``."""
+        occupancy = [{1, 2}, {2, 3}]
+        with pytest.raises(InvalidParams) as scheme_error:
+            build_scheme(occupancy, mu=float("nan"))
+        with pytest.raises(InvalidParams) as config_error:
+            SimulationConfig(build_scheme(occupancy), RandomWorkConserving(), float("nan"), 10, 1)
+        for error in (scheme_error, config_error):
+            assert type(error.value) is InvalidRate
+            assert isinstance(error.value, IdOutOfRange)
 
     def test_bidirectional_consistency(self, fano):
         for v in range(1, fano.V + 1):

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fragsched import (
     MdpPolicy,
     NonadaptivePolicy,
+    PlacementOrder,
     RandomWorkConserving,
     RankedPolicy,
     SimulationConfig,
@@ -29,12 +32,14 @@ from oracles import (
     decision_items,
     immediate_reward,
     nonadaptive_decisions,
+    order_matches,
     random_decisions,
     ranked_decisions,
+    rule_tables,
     table_decisions,
     useful_count,
 )
-from test_kernel import IRREGULAR
+from test_kernel import IRREGULAR, small_schemes
 
 from conftest import FANO_OCCUPANCY
 
@@ -393,3 +398,99 @@ def test_choices_match_oracles(name):
     record = simulate_run_clocks(scheme, MdpPolicy(solution), 1.0, np.random.default_rng(0))
     assert all(type(v) is int for v in record.fragment_order)
     assert sorted(record.fragment_order) == list(range(1, scheme.V + 1))
+
+
+def draw_order(data, scheme) -> PlacementOrder:
+    """A placement order with every server's fragments in a drawn order."""
+    return PlacementOrder(tuple(tuple(data.draw(st.permutations(sorted(s))))
+                                for s in scheme.fragment_sets))
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), scheme=small_schemes(), ordered=st.booleans(),
+       rank=st.sampled_from([None, "greedy", "harmonic"]), tie=st.sampled_from(["low", "seeded"]))
+def test_rule_tables_match_list_oracle(data, scheme, ordered, rank, tie):
+    """The numpy-built tables of a rule equal ``oracles.rule_tables``, built
+    from lists, on schemes whose servers and fragments pad, with and without
+    a placement order; and its ``choices`` and ``choice_slots`` still give the
+    oracles' decision maps in every state."""
+    blocks = [set(s) for s in scheme.fragment_sets]
+    order = draw_order(data, scheme) if ordered else None
+    if order is not None:
+        if rank is None:
+            policy, oracle = NonadaptivePolicy(order), lambda I: nonadaptive_decisions(
+                blocks, I, order.orders)
+        else:
+            policy, oracle = RankedPolicy(rank=rank, init_order=order), lambda I: ranked_decisions(
+                blocks, I, rank, "low", order.orders)
+    elif rank is None:
+        policy, oracle = RandomWorkConserving(), lambda I: random_decisions(blocks, I)
+    else:
+        policy, oracle = RankedPolicy(rank=rank, tie=tie), lambda I: ranked_decisions(
+            blocks, I, rank, tie)
+    rule = compile_policy(scheme, policy)
+    want = rule_tables(scheme.fragment_sets, None if order is None else order.orders)
+    for name in ("slot_frags", "hosts", "cand_hosts"):
+        got = getattr(rule, name)
+        assert got.dtype == np.intp and np.array_equal(got, want[name]), name
+    for name in ("orders", "bits", "occ"):
+        assert getattr(rule, name) == want[name], name
+    masks = np.arange(1 << scheme.V, dtype=np.int64)
+    for mask, row in zip(masks.tolist(), rule.choice_slots(masks)):
+        choices = rule.choices(mask)
+        got = {b + 1: {v + 1: Fraction(1, len(vs)) for v in vs} for b, vs in choices.items()}
+        assert got == oracle({v + 1 for v in range(scheme.V) if mask >> v & 1})
+        assert {b: rule.slot_frags[b][row[b]].tolist() for b in range(rule.B) if row[b].any()} \
+            == choices
+
+
+ORDER_EDITS = ["none", "drop server", "add server", "replace", "repeat", "drop", "append"]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), scheme=small_schemes(), edit=st.sampled_from(ORDER_EDITS))
+def test_order_refusals_match_set_oracle(data, scheme, edit):
+    """A placement order is refused with ``InvalidParams``, by
+    ``compile_policy`` and by ``pushback``, exactly when it does not list,
+    server by server, a permutation of the scheme's fragments: a server too
+    few or too many, or a fragment missing, foreign, repeated or out of
+    range."""
+    rows = [list(o) for o in draw_order(data, scheme).orders]
+    stored = [b for b, row in enumerate(rows) if row]
+    value = st.integers(-1, scheme.V + 2)
+    b = data.draw(st.sampled_from(stored))
+    if edit == "drop server":
+        del rows[b]
+    elif edit == "add server":
+        rows.append(data.draw(st.lists(value, max_size=3)))
+    elif edit == "replace":
+        rows[b][data.draw(st.integers(0, len(rows[b]) - 1))] = data.draw(value)
+    elif edit == "repeat":
+        rows[b][data.draw(st.integers(0, len(rows[b]) - 1))] = rows[b][0]
+    elif edit == "drop":
+        del rows[b][data.draw(st.integers(0, len(rows[b]) - 1))]
+    elif edit == "append":
+        rows[b].append(data.draw(value))
+    order = PlacementOrder(tuple(tuple(row) for row in rows))
+    calls = [lambda: compile_policy(scheme, NonadaptivePolicy(order)),
+             lambda: compile_policy(scheme, RankedPolicy(init_order=order)),
+             lambda: pushback(order, scheme, 1)]
+    for call in calls:
+        if order_matches(scheme.fragment_sets, order.orders):
+            call()
+        else:
+            with pytest.raises(InvalidParams):
+                call()
+
+
+@pytest.mark.parametrize("occupancy, orders", [
+    # fragment 1 on servers 1 and 2: shifted by server, fragments 2 and 0
+    # would sort into the other server's row as fragment 1
+    ([{1, 2}], ((2,), (0,))),
+    # server 1 holds fragments 1 and 2: a repeat of the right size
+    ([{1, 2}, {1}], ((1, 1), (1,))),
+])
+def test_order_refusals_with_matching_sizes(occupancy, orders):
+    scheme = build_scheme(occupancy)
+    with pytest.raises(InvalidParams, match="order for server 1 is not a permutation"):
+        compile_policy(scheme, NonadaptivePolicy(PlacementOrder(orders)))
