@@ -21,10 +21,11 @@ results are also independent of the batch size. Exact expectations come
 from propagating subset probabilities through the chain (2^V states).
 
 Random-ensemble samples run on their drawn server arrays, without building a
-placement object: fragment-uniform order one sample at a time in numpy from
-one permutation, server-uniform order as a second lockstep kernel that moves
-a batch of samples through the steps together, its ``integers(0, m)`` picks
-replayed row by row by ``rng.IntegersReplay``.
+placement object, a batch at a time. Fragment-uniform order draws each
+sample's permutation from its stream and does the rest in one numpy pass
+over the batch; server-uniform order is a second lockstep kernel that moves
+the batch through the steps together, its ``integers(0, m)`` picks replayed
+row by row by ``rng.IntegersReplay``.
 """
 
 from __future__ import annotations
@@ -58,13 +59,14 @@ __all__ = [
     "ensemble_monte_carlo",
 ]
 
-# Runs the jump-chain kernel, or ensemble samples the server-order kernel,
-# moves in lockstep. Each step costs a fixed number of numpy calls whatever
-# the batch, so a larger batch spreads them over more runs; its buffers grow
-# with it (a 256-run batch of the order-11 plane peaks at 2.3 MB under a
-# ranked policy, 1.5 MB under a nonadaptive one, plus 0.55 MB of stream
-# words; a 256-sample ensemble batch at B = 100, V = 200, R = 3 at 16 MB). A
-# 250-run chunk is one batch. Results do not depend on this value.
+# Runs the jump-chain kernel, or ensemble samples the ensemble kernels, move
+# in lockstep. Each step costs a fixed number of numpy calls whatever the
+# batch, so a larger batch spreads them over more runs; its buffers grow with
+# it (a 256-run batch of the order-11 plane peaks at 2.3 MB under a ranked
+# policy, 1.5 MB under a nonadaptive one, plus 0.55 MB of stream words; a
+# 256-sample ensemble batch at B = 100, V = 200, R = 3 at 5.3 MB in server
+# order and 2.9 MB in fragment order, tracemalloc). A 250-run chunk is one
+# batch. Results do not depend on this value.
 BATCH_RUNS = 256
 
 SERVER_UNIFORM = "server"
@@ -597,8 +599,9 @@ def simulate_ensemble_profile(
     else:
         raise InvalidParams(f"unsupported placement {placement!r}")
     servers -= 1
+    _drop_repeats(servers, placement.B)
     if order_mode == FRAGMENT_UNIFORM:
-        return _fragment_profile(servers, placement.B, placement.V, gen)
+        return _fragment_order(servers[None], placement.B, placement.V, [gen])[:, 0]
     with _rng.integers_replay(gen, 2 * placement.V) as replay:
         return _server_chain(servers[None], placement.B, placement.V, replay)[:, 0]
 
@@ -608,90 +611,139 @@ def _check_order_mode(order_mode: str) -> None:
         raise InvalidParams(f"unknown order mode {order_mode!r}")
 
 
-def _fragment_profile(item_servers: np.ndarray, B: int, steps: int,
-                      gen: np.random.Generator) -> np.ndarray:
-    """Useful-server counts of the first ``steps`` downloads (int64) in
-    fragment-uniform order.
+def _drop_repeats(servers: np.ndarray, B: int) -> np.ndarray:
+    """Sort each item's servers (the last axis) in place and turn every
+    repeat of a server within an item into the dummy server B; returns the
+    mask of the entries turned, ``servers[..., 1:]``'s shape."""
+    servers.sort(axis=-1)
+    repeat = servers[..., 1:] == servers[..., :-1]
+    servers[..., 1:][repeat] = B
+    return repeat
 
-    Row i of ``item_servers`` lists the 0-based servers holding item i: the
-    R replicas of a fragment (a server may repeat), or the one server of a
-    coded fragment. A server is useful while it holds an item not yet taken;
-    items leave in permutation order, so a server stays useful up to the
-    position of its last item.
+
+def _fragment_order(hosts: np.ndarray, B: int, steps: int, gens) -> np.ndarray:
+    """Useful-server counts of the first ``steps`` downloads of a batch of
+    samples in fragment-uniform order, (steps, n) int64, column i for sample
+    i.
+
+    ``hosts[i]`` lists sample i's items as ``_server_chain`` reads them, and
+    ``gens`` yields each sample's trajectory stream, which draws that
+    sample's order: shuffling ``arange(items)`` makes the draws of
+    ``permutation(items)`` and gives its values. A server is useful while it
+    holds an item not yet taken; items leave in permutation order, so a
+    server stays useful up to the position of its last item. The rest is one
+    pass over the batch: each item's position, each server's last position
+    (the dummy server's is never read), and per sample the count of servers
+    whose last position lies at or past each step.
     """
-    items = len(item_servers)
-    pos = np.empty(items, dtype=np.intp)
-    pos[gen.permutation(items)] = np.arange(items)
-    last = np.full(B, -1, dtype=np.intp)
-    np.maximum.at(last, item_servers, pos[:, None])
-    ends = np.bincount(last + 1, minlength=items + 1)  # [0]: servers holding nothing
-    return ends[:0:-1].cumsum()[::-1][:steps]
+    n, items, R = hosts.shape
+    B1 = B + 1
+    order = np.empty((n, items), dtype=np.intp)
+    order[:] = np.arange(items)
+    for i, gen in enumerate(gens):
+        gen.shuffle(order[i])
+    order += np.arange(0, n * items, items)[:, None]
+    pt = np.int16 if items < 2**15 else np.intp
+    pos = np.empty((n, items), dtype=pt)
+    pos.reshape(-1)[order] = np.arange(items, dtype=pt)
+    del order
+    last = np.full((n, B1), -1, dtype=pt)
+    at = hosts + np.arange(0, n * B1, B1)[:, None, None]
+    np.maximum.at(last.reshape(-1), at.reshape(-1),
+                  np.broadcast_to(pos[:, :, None], hosts.shape).reshape(-1))
+    # a server whose last item leaves at step l or later is useful through
+    # step l; bin each server at min(last, steps - 1) + 1 in its sample's row
+    keys = np.minimum(last[:, :B], steps - 1, dtype=np.intp)
+    keys += np.arange(1, n * (steps + 1), steps + 1)[:, None]
+    gone = np.bincount(keys.reshape(-1), minlength=n * (steps + 1)).reshape(n, steps + 1)
+    profile = gone[:, :steps].T.cumsum(axis=0)
+    return np.subtract(B, profile, out=profile)
 
 
-def _server_chain(item_servers: np.ndarray, B: int, steps: int,
+def _server_chain(hosts: np.ndarray, B: int, steps: int,
                   replay: _rng.IntegersReplay) -> np.ndarray:
     """Move a batch of samples through the first ``steps`` downloads of the
     server-uniform jump chain in lockstep; returns their useful-server counts,
     (steps, n) int64, column i for sample i.
 
-    ``item_servers[i]`` is sample i's item array as ``_fragment_profile``
-    reads it, and row i of ``replay`` its trajectory stream. Each step draws,
-    as the seeding contract says, the winner's position among the useful
-    servers, then a position among the winner's remaining items, both in
-    ascending order.
+    Row j of ``hosts[i]`` lists the 0-based servers holding sample i's item
+    j: the R replicas of a fragment, each server once and each repeat turned
+    into the dummy server B (``_drop_repeats``), or the one server of a coded
+    fragment. Row i of ``replay`` is sample i's trajectory stream. Each step
+    draws, as the seeding contract says, the winner's position among the
+    useful servers, then a position among the winner's remaining items, both
+    in ascending order. The replay reads one half-word per draw in one gather;
+    its rejection loop runs only for the rows whose low product falls below
+    their range, and it extends the blocks that ``_ensemble_chunk`` gives it,
+    two half-words per step plus two, only once rejected draws have used up a
+    row's two spare half-words.
 
     Per-sample state is flat, B+1 rows per sample: each server's ascending
     item list as a table row of L entries, with a mask of the entries not yet
     taken; residual item counts; and the running count of useful servers
     along each sample's servers, offset to ascend across samples, so that one
-    ``searchsorted`` finds every winner. A server repeated within an item
-    becomes the dummy server B, whose count starts at 0 and only falls, so it
-    is never useful.
+    ``searchsorted`` finds every winner. The dummy server's count starts at 0
+    and only falls, so it is never useful and its row is never read. A step
+    recounts the useful servers only of the samples where a server ran dry.
     """
-    n, items, R = item_servers.shape
+    n, items, R = hosts.shape
     B1 = B + 1
-    hosts = np.sort(item_servers, axis=2)
-    hosts[:, :, 1:][hosts[:, :, 1:] == hosts[:, :, :-1]] = B
-    rows = (hosts + (np.arange(n) * B1)[:, None, None]).ravel()  # each entry's row
+    # each entry's row, in the narrowest unsigned type that holds it
+    rows = np.add(hosts.reshape(n, -1), np.arange(0, n * B1, B1)[:, None],
+                  dtype=np.min_scalar_type(n * B1), casting="unsafe").reshape(-1)
     # the entries are in (sample, item) order, so a stable sort by row lists
     # each row's items in ascending order (a radix sort on narrow keys)
-    by_row = np.argsort(rows.astype(np.min_scalar_type(n * B1)), kind="stable")
+    by_row = np.argsort(rows, kind="stable")
     residual = np.bincount(rows, minlength=n * B1)
-    col = np.empty_like(rows)
-    col[by_row] = np.arange(len(rows)) - (residual.cumsum() - residual)[rows[by_row]]
+    it = np.int32 if residual.max() * n * B1 < 2**31 else np.int64  # holds every slot
+    firsts = np.cumsum(residual, dtype=it)
+    firsts -= residual
     residual[B::B1] = 0
     L = int(residual.max())
-    entry = rows * L + np.minimum(col, L - 1)  # the dummy server's row is never read
-    real = rows % B1 != B
-    table = np.zeros(n * B1 * L, dtype=np.intp)
-    table[entry[real]] = np.arange(len(rows))[real] // R % items
+    # each entry's slot: its row times L plus its rank in the row, which only
+    # the dummy server's row can push past L - 1
+    sorted_rows = rows[by_row]
+    slot = np.arange(len(rows), dtype=it)
+    slot -= firsts[sorted_rows]
+    np.minimum(slot, L - 1, out=slot)
+    slot += np.multiply(sorted_rows, L, dtype=it)
+    entry = np.empty_like(slot)
+    entry[by_row] = slot
     free = np.zeros((n * B1, L), dtype=bool)
-    free_flat = free.ravel()
-    free_flat[entry[real]] = True
+    free_flat = free.reshape(-1)
+    free_flat[slot] = True
+    del by_row, sorted_rows, slot
+    # a slot names its item by the item's first entry
+    table = np.empty(n * B1 * L, dtype=it)
+    table[entry.reshape(-1, R)] = np.arange(0, len(rows), R, dtype=it)[:, None]
+    residual2d = residual.reshape(n, B1)
 
-    useful = residual.reshape(n, B1) > 0
-    nuse = useful.sum(axis=1)
     rank_off = np.arange(n) * (B1 + 1)
-    rank = useful.cumsum(axis=1) + rank_off[:, None]
-    item_off = (np.arange(n) * items * R)[:, None] + np.arange(R)
+    rank = (residual2d > 0).cumsum(axis=1)
+    nuse = rank[:, -1].copy()
+    rank += rank_off[:, None]
+    rank_flat = rank.reshape(-1)
+    replicas = np.arange(R)[:, None]
     profile = np.empty((steps, n), dtype=np.int64)
     for ell in range(steps):
         profile[ell] = nuse
         j = replay.integers(nuse.view(np.uint64)).view(np.int64)
-        w = rank.ravel().searchsorted(rank_off + j, side="right")  # the winner's row
-        k = replay.integers(residual[w].view(np.uint64))
-        v = table[w * L + _nth_true(free[w], k)]
-        e = item_off + v[:, None] * R  # the entries of item v
-        free_flat[entry[e]] = False
-        h = rows[e]
-        left = residual[h]
+        w = rank_flat.searchsorted(rank_off + j, side="right")  # the winner's row
+        k = replay.integers(residual.take(w).view(np.uint64))
+        c = _nth_true(free.take(w, axis=0), k)
+        c += w * L
+        e = table.take(c) + replicas  # the entries of the item taken, (R, n)
+        free_flat[entry.take(e).astype(np.intp)] = False
+        h = rows.take(e).astype(np.intp)
+        left = residual.take(h)
         left -= 1
         residual[h] = left
-        dead = left == 0
-        if dead.any():
-            nuse -= dead.sum(axis=1)
-            s = np.flatnonzero(dead.any(axis=1))
-            rank[s] = (residual.reshape(n, B1)[s] > 0).cumsum(axis=1) + rank_off[s, None]
+        s = (left == 0).any(axis=0).nonzero()[0]
+        if len(s):
+            c = (residual2d.take(s, axis=0) > 0).cumsum(axis=1)
+            nuse[s] = c[:, -1]
+            c += rank_off[s, None]
+            rank[s] = c
     return profile
 
 
@@ -721,11 +773,11 @@ def _ensemble_chunk(args):
     dup = 0
     for lo in range(start, stop, BATCH_RUNS):
         samples = range(lo, min(lo + BATCH_RUNS, stop))
-        servers = np.array([placement_servers(gen, B, V, R) for gen in
-                            _rng.streams(seed, _rng.DOMAIN_PLACEMENT, samples)])
+        servers = np.empty((len(samples), V, R), dtype=np.int16 if B < 2**15 else np.intp)
+        for row, gen in zip(servers, _rng.streams(seed, _rng.DOMAIN_PLACEMENT, samples)):
+            row[...] = placement_servers(gen, B, V, R)
         if kind == "rep":
-            rows = np.sort(servers, axis=2)
-            dup += int((rows[:, :, 1:] == rows[:, :, :-1]).any(axis=2).sum())
+            dup += int(_drop_repeats(servers, B).any(axis=2).sum())
         else:
             servers = servers.reshape(len(samples), V * R, 1)
         if order_mode == SERVER_UNIFORM:
@@ -733,9 +785,8 @@ def _ensemble_chunk(args):
             replay = _rng.stream_replay(seed, _rng.DOMAIN_TRAJECTORY, samples, V + 1)
             profile = _server_chain(servers, B, V, replay)
         else:
-            profile = np.array([
-                _fragment_profile(s, B, V, gen) for s, gen in
-                zip(servers, _rng.streams(seed, _rng.DOMAIN_TRAJECTORY, samples))]).T
+            profile = _fragment_order(servers, B, V,
+                                      _rng.streams(seed, _rng.DOMAIN_TRAJECTORY, samples))
         psum += profile.sum(axis=1)
         psumsq += (profile * profile).sum(axis=1)
     return psum, psumsq, dup

@@ -53,12 +53,14 @@ scalar calls would have left it in.
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _LOW32 = np.uint64(0xFFFFFFFF)
+_LOW_HALF = 0 if sys.byteorder == "little" else 1  # the low uint32 of a uint64
 _SHIFT32 = np.uint64(32)
 _HALF = 1 << 32
 
@@ -203,47 +205,73 @@ class IntegersReplay:
     ``integers``, replayed by numpy's own Lemire rejection from each row's
     block of 32-bit half-words.
 
-    Row i reads ``half[i]`` in order from ``used[i]`` on. When a row's block
-    runs out, every block is extended: ``extend(h)`` returns, as an (n, h)
-    array, the h half-words each row's stream holds after the h of its block.
+    Row i reads ``half[i]`` in order from ``used[i]`` on. A call reads one
+    half-word in every row by one gather; only rows whose low product falls
+    below their range go through the rejection loop, and only rows that
+    reject read further. A scalar bound on the half-words used grows by one
+    per read; only when it reaches the block's width is ``used`` read, and
+    only when a row has used its whole block is every block extended:
+    ``extend(h)`` returns, as an (n, h) array, the h half-words each row's
+    stream holds after the h of its block. So a block with one half-word per
+    call is never extended unless a draw is rejected.
     """
 
     def __init__(self, half: np.ndarray, extend):
-        self.half = half
-        self.used = np.zeros(len(half), dtype=np.intp)
-        self._base = np.arange(len(half)) * half.shape[1]
         self._extend = extend
+        self._set_block(half, np.zeros(len(half), dtype=np.intp))
+
+    def _set_block(self, half: np.ndarray, used: np.ndarray) -> None:
+        self.half = half
+        self._flat = half.reshape(-1)
+        self._base = np.arange(len(half)) * half.shape[1]
+        self._pos = self._base + used  # each row's next half-word in ``_flat``
+        self._top = int(used.max(initial=0))  # at least every row's ``used``
+
+    @property
+    def used(self) -> np.ndarray:
+        """Per row, the half-words its calls have read so far."""
+        return self._pos - self._base
 
     def integers(self, m: np.ndarray) -> np.ndarray:
         """Per row i, the value ``integers(0, m[i])`` returns, as uint64, for
         uint64 ranges 1 <= m < 2**32. ``m = 1`` reads nothing and gives 0; a
         row whose half-word is rejected reads its next one, and only those
         rows do."""
-        x = self._next(slice(None), m != 1)
-        x *= m
-        # reject while (x mod 2**32) < (2**32 - m) mod m, a threshold below m
-        low = x & _LOW32
-        maybe = np.flatnonzero(low < m)
-        while len(maybe):
-            mr = m[maybe]
-            rows = maybe[low[maybe] < (_HALF - mr) % mr]
-            if not len(rows):
-                break
-            x[rows] = self._next(rows, True) * m[rows]
-            low[rows] = x[rows] & _LOW32
-            maybe = rows[low[rows] < m[rows]]
-        return x >> _SHIFT32
+        self._fit()
+        x = self._flat.take(self._pos) * m
+        self._pos += m != 1
+        low = x.view(np.uint32)[_LOW_HALF::2]  # x mod 2**32, a view of x
+        maybe = (low < m).nonzero()[0]
+        if len(maybe):
+            self._reject(x, low, m, maybe)
+        x >>= _SHIFT32
+        return x
 
-    def _next(self, rows, advance) -> np.ndarray:
-        """The next half-word of each of ``rows``; rows where ``advance`` is
-        True move past it."""
-        used = self.used[rows]
-        if used.max() == self.half.shape[1]:
-            self.half = np.concatenate((self.half, self._extend(self.half.shape[1])), axis=1)
-            self._base = np.arange(len(self.half)) * self.half.shape[1]
-        u = np.take(self.half, self._base[rows] + used)
-        self.used[rows] = used + advance
-        return u
+    def _reject(self, x, low, m, rows) -> None:
+        """Redraw, in place in ``x``, the rows whose low product lies below
+        numpy's threshold ``(2**32 - m) mod m``: ``rows`` holds every row whose
+        low product lies below m, a bound on the threshold."""
+        while True:
+            mr = m[rows]
+            rows = rows[low[rows] < (_HALF - mr) % mr]
+            if not len(rows):
+                return
+            self._fit()
+            pos = self._pos[rows]
+            x[rows] = self._flat.take(pos) * m[rows]
+            self._pos[rows] = pos + 1
+            rows = rows[low[rows] < m[rows]]
+
+    def _fit(self) -> None:
+        """Make sure every row has a half-word left to read, counting the read
+        about to happen in the scalar bound."""
+        if self._top >= self.half.shape[1]:
+            used = self.used
+            self._top = int(used.max())
+            if self._top >= self.half.shape[1]:
+                width = self.half.shape[1]
+                self._set_block(np.concatenate((self.half, self._extend(width)), axis=1), used)
+        self._top += 1
 
 
 def stream_replay(seed: int, domain: int, indices: range, count: int) -> IntegersReplay:
@@ -253,7 +281,7 @@ def stream_replay(seed: int, domain: int, indices: range, count: int) -> Integer
     def half(first: int, stop: int) -> np.ndarray:
         # each word's little-endian halves: low half first
         block = stream_words(seed, domain, indices, stop)[first:]
-        return np.ascontiguousarray(block.T, dtype="<u8").view("<u4").astype(np.uint64)
+        return np.ascontiguousarray(block.T, dtype="<u8").view("<u4")
 
     return IntegersReplay(half(0, count), lambda h: half(h // 2, h))
 

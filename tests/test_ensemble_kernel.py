@@ -109,6 +109,19 @@ def test_chunk_matches_oracle_at_benchmark_shapes(B, V, R, kind):
     assert dup == want[2]
 
 
+@pytest.mark.parametrize("kind", ["rep", "mds"])
+@pytest.mark.parametrize("B,V,R", [(20, 50, 5), (100, 200, 3)])
+def test_fragment_chunk_matches_oracle_at_benchmark_shapes(B, V, R, kind):
+    """Fragment order over the same samples: the batched pass places up to
+    256 x 600 items at once, more flat positions than 16 bits hold."""
+    start = 3 * engine.BATCH_RUNS - 5
+    args = (B, V, R, kind, engine.FRAGMENT_UNIFORM, 17, start, start + engine.BATCH_RUNS + 9)
+    psum, psumsq, dup = engine._ensemble_chunk(args)
+    want = scalar_ensemble_chunk(args)
+    assert np.array_equal(psum, want[0]) and np.array_equal(psumsq, want[1])
+    assert dup == want[2]
+
+
 SUMMARY_FIELDS = ["kind", "order_mode", "B", "V", "R", "samples", "master_seed",
                   "normalized_aggregate", "duplicate_frequency"]
 
@@ -210,6 +223,32 @@ def test_integers_replay_mixed_ranges(pending):
     ranges = np.random.default_rng(5).choice(REPLAY_RANGES, size=(300, ROWS)).tolist()
     for block in (1, 64, 1000):
         assert_rows_match(ranges, pending, block)
+
+
+# per row: reads nothing, rejects a quarter, rejects a half, small ranges
+EDGE_RANGES = [1, 3 * 2**30, 2**31 + 1, 2, 7, 100, 1, 3]
+
+
+@pytest.mark.parametrize("pending", [False, True], ids=["fresh", "pending"])
+def test_integers_replay_fast_path_ends_at_the_block_edge(pending):
+    """A block of one half-word per call: rows whose draws are never rejected
+    read exactly their block and leave it as it was, while a rejection makes
+    its row read past the edge, which extends every block."""
+    calls = 30
+    small = [m for m in EDGE_RANGES if m < 2**30]
+    replay = assert_rows_match([small] * calls, pending, calls)
+    assert replay.half.shape[1] == calls
+    assert replay.used.tolist() == [0 if m == 1 else calls for m in small]
+
+    replay = assert_rows_match([EDGE_RANGES] * calls, pending, calls)
+    assert replay.half.shape[1] > calls
+    for m, used in zip(EDGE_RANGES, replay.used.tolist()):
+        if m == 1:
+            assert used == 0
+        elif m < 2**30:
+            assert used == calls
+        else:  # these rows rejected some of their half-words
+            assert used > calls
 
 
 @pytest.mark.parametrize("words", [1, 40])
