@@ -21,11 +21,13 @@ results are also independent of the batch size. Exact expectations come
 from propagating subset probabilities through the chain (2^V states).
 
 Random-ensemble samples run on their drawn server arrays, without building a
-placement object, a batch at a time. Fragment-uniform order draws each
-sample's permutation from its stream and does the rest in one numpy pass
-over the batch; server-uniform order is a second lockstep kernel that moves
-the batch through the steps together, its ``integers(0, m)`` picks replayed
-row by row by ``rng.IntegersReplay``.
+placement object, a batch at a time. A batch's placements come from one read
+of its placement streams, turned into servers by one batched Lemire step
+(``rng.lemire_fill``); the few samples it cannot give are drawn one by one.
+Fragment-uniform order draws each sample's permutation from its stream and
+does the rest in one numpy pass over the batch; server-uniform order is a
+second lockstep kernel that moves the batch through the steps together, its
+``integers(0, m)`` picks replayed row by row by ``rng.IntegersReplay``.
 """
 
 from __future__ import annotations
@@ -766,6 +768,25 @@ class EnsembleSummary:
     duplicate_frequency: float | None
 
 
+def _placements(B: int, V: int, R: int, seed: int, samples: range) -> np.ndarray:
+    """Each sample's ``placement_servers`` from its ``DOMAIN_PLACEMENT``
+    stream, (n, V, R), int16 where B allows it.
+
+    One ``stream_words`` read gives every sample's first ceil(V*R/2) words,
+    and ``rng.lemire_fill`` turns the batch's half-words into servers at
+    once. A sample whose draw rejects one of its half-words (each with
+    probability below B / 2**32), and every sample when B > 2**32, is drawn
+    again by ``placement_servers`` on a fresh stream."""
+    n = len(samples)
+    servers = np.empty((n, V, R), dtype=np.int16 if B < 2**15 else np.intp)
+    words = _rng.stream_words(seed, _rng.DOMAIN_PLACEMENT, samples, (V * R + 1) // 2)
+    redraw = _rng.lemire_fill(words.T, B, servers.reshape(n, V * R))
+    for i in redraw.nonzero()[0]:
+        gen = _rng.stream(seed, _rng.DOMAIN_PLACEMENT, samples[i])
+        servers[i] = placement_servers(gen, B, V, R)
+    return servers
+
+
 def _ensemble_chunk(args):
     B, V, R, kind, order_mode, seed, start, stop = args
     psum = np.zeros(V, dtype=np.int64)
@@ -773,9 +794,7 @@ def _ensemble_chunk(args):
     dup = 0
     for lo in range(start, stop, BATCH_RUNS):
         samples = range(lo, min(lo + BATCH_RUNS, stop))
-        servers = np.empty((len(samples), V, R), dtype=np.int16 if B < 2**15 else np.intp)
-        for row, gen in zip(servers, _rng.streams(seed, _rng.DOMAIN_PLACEMENT, samples)):
-            row[...] = placement_servers(gen, B, V, R)
+        servers = _placements(B, V, R, seed, samples)
         if kind == "rep":
             dup += int(_drop_repeats(servers, B).any(axis=2).sum())
         else:

@@ -49,6 +49,12 @@ above holds value for value. A batch of samples reads each sample's block
 from the start of its trajectory stream (``stream_replay``); one sample read
 from a caller's generator (``integers_replay``) leaves it in the state the
 scalar calls would have left it in.
+
+Placements are replayed a batch at a time as well: ``lemire_fill`` runs the
+same step, with the same threshold, on the first V*R half-words of every
+sample's placement stream at once. A sample with a rejected half-word, or
+every sample when B > 2**32, where numpy draws whole words, is drawn again by
+numpy's own call, so every placement keeps the values of the contract.
 """
 
 from __future__ import annotations
@@ -71,9 +77,13 @@ DOMAIN_FRAGMENT = 3     # one fragment's replica draws
 DOMAIN_TRAJECTORY = 5   # the download trajectory of one ensemble sample
 
 
-def _key(seed: int, domain: int, index: int) -> int:
+def _check_index(index: int) -> None:
     if index < 0 or index >= 1 << 56:
         raise ValueError(f"stream index out of range: {index}")
+
+
+def _key(seed: int, domain: int, index: int) -> int:
+    _check_index(index)
     return (index << 72) | ((domain & 0xFF) << 64) | (int(seed) & _MASK64)
 
 
@@ -90,22 +100,29 @@ def streams(seed: int, domain: int, indices: range):
     building a new generator; so every yielded generator is the same object,
     valid only until the next one is taken. The re-keying writes the key into
     one state dict in place: setting the state copies it into the generator.
+    The dict holds plain Python ints, not numpy arrays, because numpy's
+    ``Philox`` state setter reads the counter, the buffer and the key entry by
+    entry, and a numpy element costs several times an int to read. Of the
+    128-bit key (``_key``) only the high word, ``(index << 8) | domain``,
+    changes from index to index; both ends of the range are checked once.
     """
+    if len(indices):
+        _check_index(indices[0])
+        _check_index(indices[-1])
     bits = np.random.Philox(key=0)
     gen = np.random.Generator(bits)
-    key = np.zeros(2, dtype=np.uint64)
+    key = [int(seed) & _MASK64, 0]
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+    domain &= 0xFF
     for index in indices:
-        k = _key(seed, domain, index)
-        key[0] = k & _MASK64
-        key[1] = k >> 64
+        key[1] = (index << 8) | domain
         bits.state = state
         yield gen
 
@@ -200,6 +217,37 @@ def half_words(gen: np.random.Generator, n: int) -> np.ndarray:
     return gen.integers(0, _HALF, size=n, dtype=np.uint64)
 
 
+def lemire_threshold(m):
+    """NumPy's rejection threshold ``(2**32 - m) mod m`` for ``integers(0,
+    m)`` with 1 <= m <= 2**32: a half-word u is rejected when the low half of
+    ``u * m`` lies below it. Works on ints and on uint64 arrays alike."""
+    return (_HALF - m) % m
+
+
+def lemire_fill(words: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
+    """Write into row i of ``out``, (n, k), the values ``integers(0, m,
+    size=k)`` draws from a stream whose first words are row i of ``words``
+    (n, at least k/2 uint64), if none of its first k half-words is rejected;
+    returns the mask of the rows where one is, whose values are wrong and
+    must be drawn again.
+
+    The half-words are read low half first, and numpy's Lemire step runs on
+    the whole (n, k) block in one multiply and one shift. For m > 2**32,
+    where numpy draws whole words instead, every row is masked and ``out``
+    is left as it was."""
+    n, k = out.shape
+    if m > _HALF:
+        return np.ones(n, dtype=bool)
+    half = np.ascontiguousarray(words, dtype="<u8").view("<u4")[:, :k]
+    x = half.astype(np.uint64)  # a plain cast: a mixed-type multiply would buffer
+    x *= np.uint64(m)
+    low = x.view(np.uint32)[:, _LOW_HALF::2]  # x mod 2**32, a view of x
+    redraw = low.min(axis=1, initial=_HALF - 1) < lemire_threshold(m)
+    x >>= _SHIFT32
+    out[...] = x
+    return redraw
+
+
 class IntegersReplay:
     """Rows of ``Generator.integers(0, m)`` calls, one call per row per
     ``integers``, replayed by numpy's own Lemire rejection from each row's
@@ -252,8 +300,7 @@ class IntegersReplay:
         numpy's threshold ``(2**32 - m) mod m``: ``rows`` holds every row whose
         low product lies below m, a bound on the threshold."""
         while True:
-            mr = m[rows]
-            rows = rows[low[rows] < (_HALF - mr) % mr]
+            rows = rows[low[rows] < lemire_threshold(m[rows])]
             if not len(rows):
                 return
             self._fit()

@@ -176,3 +176,22 @@ def test_main_alternates_checkouts_and_records_the_command_it_ran(tmp_path, monk
                                  "ensemble": {"equal": 7, "pairs": 10}}
     with pytest.raises(SystemExit):  # trajectory files are never overwritten
         bench_record.main([f"x={tmp_path / 'a'}", "--out-dir", str(tmp_path)])
+
+
+@pytest.mark.parametrize("out", ["missing", "a-file"])
+def test_main_refuses_an_out_dir_that_is_not_a_directory_before_any_run(tmp_path, monkeypatch,
+                                                                         capsys, out):
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, result_line(1.0, 40.0) + "\n",
+                                           facts_line() + "\n")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    (tmp_path / "a-file").write_text("")
+    with pytest.raises(SystemExit) as exit_info:
+        bench_record.main([f"x={tmp_path}", "--runs", "1", "--out-dir", str(tmp_path / out)])
+    assert exit_info.value.code == 2
+    assert "not an existing directory" in capsys.readouterr().err
+    assert calls == []  # no run started

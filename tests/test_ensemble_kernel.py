@@ -7,6 +7,8 @@ shares only ``rng.stream`` with the engine: it reads placements by their raw
 fields and rescans every server at every step.
 """
 
+from math import gcd
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +158,36 @@ def test_streams_equal_fresh_generators():
         assert np.array_equal(gen.integers(0, 9, size=(4, 3)), fresh.integers(0, 9, size=(4, 3)))
 
 
+DOMAINS = [getattr(rng, name) for name in dir(rng) if name.startswith("DOMAIN_")]
+EDGE_SEEDS = [0, -1, 2**63 + 5, 2**64 - 1, 2**70 + 3]
+EDGE_INDICES = range(0, 2**56, 2**56 - 1)  # 0 and 2**56 - 1
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_streams_equal_fresh_generators_at_edge_keys(seed, domain):
+    """Seeds that wrap modulo 2**64 and indices at both ends of their range:
+    both key words reach 2**63 or more, which the re-keyed state holds as
+    Python ints."""
+    assert list(EDGE_INDICES) == [0, 2**56 - 1]
+    for index, gen in zip(EDGE_INDICES, rng.streams(seed, domain, EDGE_INDICES)):
+        fresh = rng.stream(seed, domain, index)
+        np.testing.assert_equal(gen.bit_generator.state, fresh.bit_generator.state)
+        assert np.array_equal(gen.bit_generator.random_raw(5), fresh.bit_generator.random_raw(5))
+        for m in (1, 7, 2**31 + 1, 2**32, 2**62 + 3):
+            assert gen.integers(0, m) == fresh.integers(0, m)
+        assert np.array_equal(gen.permutation(23), fresh.permutation(23))
+    key = rng.stream(seed, domain, 2**56 - 1).bit_generator.state["state"]["key"]
+    assert int(key[1]) >= 2**63
+
+
+@pytest.mark.parametrize("indices", [range(-1, 3), range(2**56 - 2, 2**56 + 1),
+                                     range(2**56, -1, -1)])
+def test_streams_refuse_indices_out_of_range(indices):
+    with pytest.raises(ValueError):
+        next(rng.streams(3, rng.DOMAIN_RUN, indices))
+
+
 # Lemire's rejection threshold (2**32 - m) % m is about 2**30 and 2**31 - 1
 # for the two middle ranges, so they reject a quarter and a half of their
 # half-words; 2**32 - 1 rejects only a zero low half.
@@ -286,3 +318,85 @@ def test_integers_replay_without_draws_keeps_state():
         for _ in range(5):
             assert replay.integers(np.ones(1, dtype=np.uint64)).tolist() == [0]
     assert_same_state(gen, ref)
+
+
+# (V, R) with V*R odd and even: an odd count leaves the last word's high half
+# unread
+FILL_SHAPES = [(1, 1), (3, 1), (5, 2), (7, 3)]
+FILL_SAMPLES = range(engine.BATCH_RUNS - 30, engine.BATCH_RUNS + 30)
+
+
+@pytest.mark.parametrize("V, R", FILL_SHAPES)
+@pytest.mark.parametrize("B", REPLAY_RANGES + [2**32, 2**32 + 1])
+def test_placements_equal_numpy_draws(B, V, R):
+    """The batched Lemire fill with its fallback gives every sample
+    ``integers(0, B, size=(V, R))`` from its placement stream, over samples
+    on both sides of a ``BATCH_RUNS`` boundary: the rejecting ranges mix
+    rows of the fast path and redrawn rows, and beyond 2**32, where numpy
+    draws whole words, every row is redrawn."""
+    got = engine._placements(B, V, R, 43, FILL_SAMPLES)
+    for i, s in enumerate(FILL_SAMPLES):
+        want = rng.stream(43, rng.DOMAIN_PLACEMENT, s).integers(0, B, size=(V, R))
+        assert np.array_equal(got[i], want), (s, got[i], want)
+    words = rng.stream_words(43, rng.DOMAIN_PLACEMENT, FILL_SAMPLES, (V * R + 1) // 2)
+    redraw = rng.lemire_fill(words.T, B, np.empty((len(FILL_SAMPLES), V * R), np.int64))
+    if B > 2**32:
+        assert redraw.all()
+    elif B in (3 * 2**30, 2**31 + 1) and V * R <= 3:  # a longer row rarely escapes
+        assert redraw.any() and not redraw.all()
+    elif B < 2**30:
+        assert not redraw.any()
+
+
+def crafted_stream(words):
+    """A generator whose next words are ``words`` (at most four), then its
+    own Philox stream."""
+    gen = np.random.Generator(np.random.Philox(key=99))
+    state = gen.bit_generator.state
+    state["buffer_pos"] = 4 - len(words)
+    state["buffer"][state["buffer_pos"]:] = words
+    gen.bit_generator.state = state
+    return gen
+
+
+def low_product_half_word(m, target):
+    """A half-word u with (u * m) mod 2**32 == target, or None if there is
+    none."""
+    g = gcd(m, 2**32)
+    if target < 0 or target % g:
+        return None
+    u = (target // g) * pow(m // g, -1, 2**32 // g) % (2**32 // g)
+    assert u * m % 2**32 == target
+    return u
+
+
+@pytest.mark.parametrize("m", REPLAY_RANGES[1:] + [2**32, 5, 2**31 - 1])
+def test_lemire_fill_at_the_threshold(m):
+    """Half-words whose low product lies just below, at and just above
+    numpy's threshold, in every position of a row: ``lemire_fill`` masks
+    exactly the rows where numpy's own draw rejects a half-word, which read
+    more than their four half-words, and gives numpy's values elsewhere."""
+    t, g = rng.lemire_threshold(m), gcd(m, 2**32)  # low products are multiples of g
+    keep = low_product_half_word(m, 2**32 - g)  # never rejected
+    rows = [[keep] * 4]
+    for target in sorted({t - g, t - 1, t, t + 1}):
+        u = low_product_half_word(m, target)
+        if u is not None:
+            rows += [[keep] * pos + [u] + [keep] * (3 - pos) for pos in range(4)]
+    half = np.array(rows, dtype=np.uint64)
+    words = half[:, 0::2] | half[:, 1::2] << np.uint64(32)
+    out = np.empty((len(rows), 4), dtype=np.int64)
+    redraw = rng.lemire_fill(words, m, out)
+    for i, row in enumerate(words.tolist()):
+        gen, ref = crafted_stream(row), crafted_stream(row)
+        want = gen.integers(0, m, size=4)
+        rng.half_words(ref, 4)
+        try:
+            assert_same_state(gen, ref)
+            rejected = False
+        except AssertionError:
+            rejected = True
+        assert redraw[i] == rejected, (rows[i], t)
+        if not rejected:
+            assert out[i].tolist() == want.tolist()
+    assert redraw.any() == (t > 0)

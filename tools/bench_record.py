@@ -15,8 +15,9 @@ the same results is read from the file.
     python3 tools/bench_record.py before=../parent after=. --runs 10 --seed 1 --seconds 30
 
 writes ``BENCH_before.json`` and ``BENCH_after.json`` into ``--out-dir``
-(default: the repository root). The files are meant to be committed and
-never overwritten, so the tool refuses to replace one.
+(default: the repository root), which must exist. The files are meant to be
+committed and never overwritten, so the tool refuses to replace one. Both
+checks run before the first run.
 """
 
 from __future__ import annotations
@@ -184,6 +185,8 @@ def main(argv=None) -> int:
     labels = [label for label, _ in args.targets]
     if len(set(labels)) != len(labels):
         parser.error("labels must differ")
+    if not args.out_dir.is_dir():
+        parser.error(f"--out-dir {args.out_dir} is not an existing directory")
     outs = {label: args.out_dir / f"BENCH_{label}.json" for label in labels}
     for path in outs.values():
         if path.exists():
