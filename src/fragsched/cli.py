@@ -200,13 +200,19 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _report_rate(label: str, count: int, unit: str, start: float) -> None:
+    """Print on stderr the time since ``start`` and the rate of ``count``
+    ``unit`` done in it."""
+    elapsed = time.perf_counter() - start
+    print(f"{label}: {count} {unit} in {elapsed:.3f} s "
+          f"({count / max(elapsed, 1e-9):,.0f} {unit}/s)", file=sys.stderr)
+
+
 def _timed_monte_carlo(config, threads: int, label: str):
     """``engine.monte_carlo``, reporting its elapsed time and runs/s on stderr."""
     start = time.perf_counter()
     summary = engine.monte_carlo(config, threads=threads)
-    elapsed = time.perf_counter() - start
-    print(f"{label}: {config.runs} runs in {elapsed:.3f} s "
-          f"({config.runs / max(elapsed, 1e-9):,.0f} runs/s)", file=sys.stderr)
+    _report_rate(label, config.runs, "runs", start)
     return summary
 
 
@@ -290,10 +296,12 @@ def cmd_mdp(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
+    start = time.perf_counter()
     summary = engine.ensemble_monte_carlo(
         args.B, args.V, args.R, args.kind, args.mode, args.samples, args.seed,
         threads=args.threads,
     )
+    _report_rate("ensemble", args.samples, "samples", start)
     expected = (
         analytics.random_rep_expected(args.B, args.V, args.R)
         if args.kind == "rep"

@@ -27,7 +27,13 @@ of its placement streams, turned into servers by one batched Lemire step
 Fragment-uniform order draws each sample's permutation from its stream and
 does the rest in one numpy pass over the batch; server-uniform order is a
 second lockstep kernel that moves the batch through the steps together, its
-``integers(0, m)`` picks replayed row by row by ``rng.IntegersReplay``.
+``integers(0, m)`` picks replayed row by row by ``rng.IntegersReplay``. When
+every item has one host (coded fragments, or replication with R = 1), the
+items a server holds are interchangeable: which one it delivers changes no
+other server. So server order then runs on per-server item counts alone
+(``_server_counts``), with no item table; it still reads the item draw,
+whose value goes unused, so its draws and results are those of the full
+kernel (``_server_chain``).
 """
 
 from __future__ import annotations
@@ -66,9 +72,10 @@ __all__ = [
 # batch, so a larger batch spreads them over more runs; its buffers grow with
 # it (a 256-run batch of the order-11 plane peaks at 2.3 MB under a ranked
 # policy, 1.5 MB under a nonadaptive one, plus 0.55 MB of stream words; a
-# 256-sample ensemble batch at B = 100, V = 200, R = 3 at 5.3 MB in server
-# order and 2.9 MB in fragment order, tracemalloc). A 250-run chunk is one
-# batch. Results do not depend on this value.
+# 256-sample ensemble batch at B = 100, V = 200, R = 3 at 5.5 MB in server
+# order with replicas, 2.8 MB with coded fragments, and 2.9 MB in fragment
+# order, tracemalloc). A 250-run chunk is one batch. Results do not depend on
+# this value.
 BATCH_RUNS = 256
 
 SERVER_UNIFORM = "server"
@@ -605,7 +612,7 @@ def simulate_ensemble_profile(
     if order_mode == FRAGMENT_UNIFORM:
         return _fragment_order(servers[None], placement.B, placement.V, [gen])[:, 0]
     with _rng.integers_replay(gen, 2 * placement.V) as replay:
-        return _server_chain(servers[None], placement.B, placement.V, replay)[:, 0]
+        return _server_order(servers[None], placement.B, placement.V, replay)[:, 0]
 
 
 def _check_order_mode(order_mode: str) -> None:
@@ -662,6 +669,76 @@ def _fragment_order(hosts: np.ndarray, B: int, steps: int, gens) -> np.ndarray:
     return np.subtract(B, profile, out=profile)
 
 
+def _server_order(hosts: np.ndarray, B: int, steps: int,
+                  replay: _rng.IntegersReplay) -> np.ndarray:
+    """The server-uniform useful-server counts of a batch, (steps, n) int64:
+    ``_server_counts`` when every item has one host (``hosts.shape[2] ==
+    1``: coded fragments, or a single replica), else ``_server_chain``."""
+    kernel = _server_counts if hosts.shape[2] == 1 else _server_chain
+    return kernel(hosts, B, steps, replay)
+
+
+def _server_steps(residual: np.ndarray, steps: int, replay: _rng.IntegersReplay,
+                  take) -> np.ndarray:
+    """The lockstep loop both server-order kernels run; returns the
+    useful-server counts, (steps, n) int64, column i for sample i.
+
+    Row i of ``residual``, (n, width), holds sample i's per-server item
+    counts; the kernel's ``take`` updates them in place. The loop keeps the
+    running count of useful servers along each row, offset to ascend across
+    samples, so that one ``searchsorted`` finds every winner. Each step
+    records the useful count, draws the winner's position among the useful
+    servers and finds its flat row w, and calls ``take(w)``: it draws and
+    removes the winner's item and returns the samples where a server ran dry,
+    the only ones whose useful servers are counted again.
+    """
+    n, width = residual.shape
+    rank_off = np.arange(n) * (width + 1)
+    rank = (residual > 0).cumsum(axis=1)
+    nuse = rank[:, -1].copy()
+    rank += rank_off[:, None]
+    rank_flat = rank.reshape(-1)
+    profile = np.empty((steps, n), dtype=np.int64)
+    for ell in range(steps):
+        profile[ell] = nuse
+        j = replay.integers(nuse.view(np.uint64)).view(np.int64)
+        w = rank_flat.searchsorted(rank_off + j, side="right")  # the winner's row
+        s = take(w)
+        if len(s) and ell < steps - 1:  # the counts are not read after the last step
+            c = (residual.take(s, axis=0) > 0).cumsum(axis=1)
+            nuse[s] = c[:, -1]
+            c += rank_off[s, None]
+            rank[s] = c
+            del c  # not held through the next step's ``take``
+    return profile
+
+
+def _server_counts(hosts: np.ndarray, B: int, steps: int,
+                   replay: _rng.IntegersReplay) -> np.ndarray:
+    """``_server_chain`` for items with one host each, from item counts alone.
+
+    A server's items are then interchangeable: whichever of them the winner
+    delivers, the winner loses one item and no other server loses any, so the
+    useful-server counts depend only on how many items each server holds.
+    The state is those counts, B per sample, from one ``bincount``. The
+    contract's second draw, the item's position among the winner's m items,
+    is still made, because it reads the stream (a rejected half-word
+    included); its value goes unused.
+    """
+    n = len(hosts)
+    rows = hosts.reshape(n, -1) + np.arange(0, n * B, B)[:, None]
+    residual = np.bincount(rows.reshape(-1), minlength=n * B)
+
+    def take(w):
+        left = residual.take(w)
+        replay.integers(left.view(np.uint64))  # the item's position
+        left -= 1
+        residual[w] = left
+        return (left == 0).nonzero()[0]
+
+    return _server_steps(residual.reshape(n, B), steps, replay, take)
+
+
 def _server_chain(hosts: np.ndarray, B: int, steps: int,
                   replay: _rng.IntegersReplay) -> np.ndarray:
     """Move a batch of samples through the first ``steps`` downloads of the
@@ -671,10 +748,11 @@ def _server_chain(hosts: np.ndarray, B: int, steps: int,
     Row j of ``hosts[i]`` lists the 0-based servers holding sample i's item
     j: the R replicas of a fragment, each server once and each repeat turned
     into the dummy server B (``_drop_repeats``), or the one server of a coded
-    fragment. Row i of ``replay`` is sample i's trajectory stream. Each step
-    draws, as the seeding contract says, the winner's position among the
-    useful servers, then a position among the winner's remaining items, both
-    in ascending order. The replay reads one half-word per draw in one gather;
+    fragment, though ``_server_counts`` serves items with one host faster.
+    Row i of ``replay`` is sample i's trajectory stream. Each step draws, as
+    the seeding contract says, the winner's position among the useful
+    servers, then a position among the winner's remaining items, both in
+    ascending order. The replay reads one half-word per draw in one gather;
     its rejection loop runs only for the rows whose low product falls below
     their range, and it extends the blocks that ``_ensemble_chunk`` gives it,
     two half-words per step plus two, only once rejected draws have used up a
@@ -682,11 +760,9 @@ def _server_chain(hosts: np.ndarray, B: int, steps: int,
 
     Per-sample state is flat, B+1 rows per sample: each server's ascending
     item list as a table row of L entries, with a mask of the entries not yet
-    taken; residual item counts; and the running count of useful servers
-    along each sample's servers, offset to ascend across samples, so that one
-    ``searchsorted`` finds every winner. The dummy server's count starts at 0
-    and only falls, so it is never useful and its row is never read. A step
-    recounts the useful servers only of the samples where a server ran dry.
+    taken, and residual item counts, from which ``_server_steps`` finds the
+    winners. The dummy server's count starts at 0 and only falls, so it is
+    never useful and its row is never read.
     """
     n, items, R = hosts.shape
     B1 = B + 1
@@ -718,19 +794,9 @@ def _server_chain(hosts: np.ndarray, B: int, steps: int,
     # a slot names its item by the item's first entry
     table = np.empty(n * B1 * L, dtype=it)
     table[entry.reshape(-1, R)] = np.arange(0, len(rows), R, dtype=it)[:, None]
-    residual2d = residual.reshape(n, B1)
-
-    rank_off = np.arange(n) * (B1 + 1)
-    rank = (residual2d > 0).cumsum(axis=1)
-    nuse = rank[:, -1].copy()
-    rank += rank_off[:, None]
-    rank_flat = rank.reshape(-1)
     replicas = np.arange(R)[:, None]
-    profile = np.empty((steps, n), dtype=np.int64)
-    for ell in range(steps):
-        profile[ell] = nuse
-        j = replay.integers(nuse.view(np.uint64)).view(np.int64)
-        w = rank_flat.searchsorted(rank_off + j, side="right")  # the winner's row
+
+    def take(w):
         k = replay.integers(residual.take(w).view(np.uint64))
         c = _nth_true(free.take(w, axis=0), k)
         c += w * L
@@ -740,13 +806,9 @@ def _server_chain(hosts: np.ndarray, B: int, steps: int,
         left = residual.take(h)
         left -= 1
         residual[h] = left
-        s = (left == 0).any(axis=0).nonzero()[0]
-        if len(s):
-            c = (residual2d.take(s, axis=0) > 0).cumsum(axis=1)
-            nuse[s] = c[:, -1]
-            c += rank_off[s, None]
-            rank[s] = c
-    return profile
+        return (left == 0).any(axis=0).nonzero()[0]
+
+    return _server_steps(residual.reshape(n, B1), steps, replay, take)
 
 
 @dataclass(frozen=True)
@@ -802,7 +864,7 @@ def _ensemble_chunk(args):
         if order_mode == SERVER_UNIFORM:
             # 2V half-words serve every step unless a draw is rejected
             replay = _rng.stream_replay(seed, _rng.DOMAIN_TRAJECTORY, samples, V + 1)
-            profile = _server_chain(servers, B, V, replay)
+            profile = _server_order(servers, B, V, replay)
         else:
             profile = _fragment_order(servers, B, V,
                                       _rng.streams(seed, _rng.DOMAIN_TRAJECTORY, samples))

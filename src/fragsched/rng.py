@@ -36,6 +36,10 @@ two streams through numpy's ``Generator`` methods:
    Server-uniform order makes two ``integers(0, m)`` calls per step, in this
    order: the winner's position in the ascending list of useful servers,
    then a position in the ascending list of the winner's remaining items.
+   Where every item has one host (MDS, or replication with R = 1), the item
+   taken cannot change the useful servers, so that second call's value goes
+   unused; it is still made, because it reads the stream (a rejected
+   half-word included), and later draws depend on where it leaves off.
 
 NumPy computes ``integers(0, m)`` for ``m <= 2**32`` from the stream's 32-bit
 half-words, each 64-bit word read low half first (a high half left over by an

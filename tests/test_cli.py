@@ -356,6 +356,22 @@ class TestTimingsOnStderr:
         assert "runs/s" not in out.read_text()
         assert "runs/s" not in out.with_suffix(".profile.csv").read_text()
 
+    def test_ensemble_reports_elapsed_and_rate(self, tmp_path, capsys):
+        argv = ["ensemble", "--kind", "mds", "--mode", "server", "--B", "6", "--V", "5",
+                "--R", "2", "--samples", "70", "--seed", "2"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        rate = r"70 samples in \d+\.\d{3} s \([\d,]+ samples/s\)"
+        assert re.fullmatch(rf"ensemble: {rate}\n", captured.err)
+        out = tmp_path / "ens.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        captured_file = capsys.readouterr()
+        assert re.fullmatch(rf"ensemble: {rate}\n", captured_file.err)
+        assert captured_file.out == ""
+        # stdout carries the CSV's bytes, and neither carries the timing
+        assert captured.out == out.read_text()
+        assert "samples/s" not in captured.out
+
     def test_reproduce_reports_each_row(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
         main(["reproduce", "table-download-times", "--runs", "100", "--seed", "20260809",

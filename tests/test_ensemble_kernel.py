@@ -7,6 +7,7 @@ shares only ``rng.stream`` with the engine: it reads placements by their raw
 fields and rescans every server at every step.
 """
 
+import hashlib
 from math import gcd
 
 import numpy as np
@@ -98,11 +99,12 @@ def test_chunk_matches_oracle(kind, mode):
 
 
 @pytest.mark.parametrize("kind", ["rep", "mds"])
-@pytest.mark.parametrize("B,V,R", [(20, 50, 5), (100, 200, 3)])
+@pytest.mark.parametrize("B,V,R", [(20, 50, 5), (100, 200, 3), (100, 200, 1)])
 def test_chunk_matches_oracle_at_benchmark_shapes(B, V, R, kind):
     """Server order at the benchmark's shapes, where many servers run dry in
     one step of a batch; the samples fill one ``BATCH_RUNS`` batch and spill
-    into the next."""
+    into the next. With R = 1 every item has one host, so both kinds run the
+    count-only kernel."""
     start = 3 * engine.BATCH_RUNS - 5
     args = (B, V, R, kind, engine.SERVER_UNIFORM, 17, start, start + engine.BATCH_RUNS + 9)
     psum, psumsq, dup = engine._ensemble_chunk(args)
@@ -122,6 +124,50 @@ def test_fragment_chunk_matches_oracle_at_benchmark_shapes(B, V, R, kind):
     want = scalar_ensemble_chunk(args)
     assert np.array_equal(psum, want[0]) and np.array_equal(psumsq, want[1])
     assert dup == want[2]
+
+
+# sha256 of mean_profile's and se_profile's bytes, and duplicate_frequency,
+# of the benchmark's eight ensemble configurations at reduced sample counts
+# (300 samples at B = 20 and 270 at B = 100, each past one ``BATCH_RUNS``
+# batch), seed 2026, one worker
+GOLDEN_SAMPLES = {20: 300, 100: 270}
+GOLDEN = {
+    ("rep", "server", 20, 50, 5): (
+        "36da3302fd90fc92885592e0ef9d15b414298026e28156021cfd2eebc6c2d526",
+        "48f0b6d48f822bfdd83788454263f138ce0083a035fe4d496a72afc069d9d676", 0.4214),
+    ("rep", "fragment", 20, 50, 5): (
+        "21849378e044e3e3555b3eeb5cbc01fe9f23bd17eb7b9ada27102217b47add9a",
+        "44a1354ebaddd2048a40cc804cd681efd0c01b2810ca640d2fb38676329cf906", 0.4214),
+    ("mds", "server", 20, 50, 5): (
+        "721b82f766cb493ac0735bfa164da3668cc7bade552fae69e0f4da9a66ecde00",
+        "aaea736520a0032727b94e82821d174f29d8aa7fb306ec53932d227499294fe7", None),
+    ("mds", "fragment", 20, 50, 5): (
+        "a187b9df60a865d7a6f11ab65b8ebc2db4ae1333fd7987122dd29498bf7176b6",
+        "7a12e561363385e9dfeeab326368731c030ed4b374e7f5897ac819159d2884c5", None),
+    ("rep", "server", 100, 200, 3): (
+        "39f85ad3009d304d463745b87e2eddb3a70648645cb1f152e719cf68822d5e90",
+        "eee60544a1eb3b45634f66c702fb91209f0fc34e2616a5f89a9b2c70f9031898", 0.03088888888888889),
+    ("rep", "fragment", 100, 200, 3): (
+        "ef8e5651c01b7a66d0cd505eb8b863f773d651f572da49cb57d19861b6fbca72",
+        "2afd2f016e0a50e1693c5686f2bf29d015513651c8163f4cd9cdc678f4ead203", 0.03088888888888889),
+    ("mds", "server", 100, 200, 3): (
+        "59a801ec93395942c806b862dfb87e74c43bbb58be9b6e8fa6ce25a781f8bc63",
+        "407863a34f12bf1c769aeba14ecb0bf7065a8f5168498371d591eab4b9d5fd21", None),
+    ("mds", "fragment", 100, 200, 3): (
+        "8dbc0a48c68ccc0a4e77e8e2d2365e85d6c30ba5843f38f215002669034f285c",
+        "0ee9c1edca2934c7627db3f7e3273bf5105878bc2ae897b82c945f92de9d5738", None),
+}
+
+
+@pytest.mark.parametrize("config", list(GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_benchmark_configurations_match_golden(config):
+    """The summaries of the benchmark's configurations, pinned bit for bit."""
+    kind, mode, B, V, R = config
+    summary = ensemble_monte_carlo(B, V, R, kind, mode, GOLDEN_SAMPLES[B], 2026, threads=1)
+    mean_sha, se_sha, dup = GOLDEN[config]
+    assert hashlib.sha256(summary.mean_profile.tobytes()).hexdigest() == mean_sha
+    assert hashlib.sha256(summary.se_profile.tobytes()).hexdigest() == se_sha
+    assert summary.duplicate_frequency == dup
 
 
 SUMMARY_FIELDS = ["kind", "order_mode", "B", "V", "R", "samples", "master_seed",
