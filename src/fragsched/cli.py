@@ -259,7 +259,9 @@ def cmd_simulate(args) -> int:
 def cmd_exact(args) -> int:
     scheme = read_scheme(args.scheme)
     policy = resolve_policy(scheme, args.scheduler, args.pushback, args.rank, args.tie, args.init)
+    start = time.perf_counter()
     result = engine.exact_mean_download(scheme, policy, args.mu)
+    _report_rate("exact", 1 << scheme.V, "states", start)  # the 2^V subsets the DP is sized for
     header = _config_header(args, scheme, policy=policy.describe())
     doc = {
         "config": header,
@@ -274,7 +276,9 @@ def cmd_exact(args) -> int:
 
 def cmd_mdp(args) -> int:
     scheme = read_scheme(args.scheme)
+    start = time.perf_counter()
     solution = mdp_solve(scheme, cap=args.cap)
+    _report_rate("mdp", len(solution.values), "states", start)
     doc = {
         "config": _config_header(args, scheme),
         "optimal_value": float(solution.optimal_value),

@@ -20,6 +20,15 @@ the full set down over every set; the forward DP (``policy_evaluate_exact``,
 ``engine.exact_mean_download``) runs them up from the empty set over the
 reachable sets only, each level in first-insertion order: the order in which
 a loop over parents, then servers, then fragments first meets them.
+``_first_seen`` numbers a batch's new sets in that order with one
+``np.minimum.at`` of position markers into the mask-to-position array it
+already keeps, so it needs no sort and no further array of size 2^V.
+Before ``mdp_solve`` solves a level, it adds each child's reward term to the
+child's numerator once per child, not once per edge into it, so a parent
+reads the combined numerator by a plain gather; it subtracts the term again
+after the level, and being exact ints the numerators are restored as they
+were. Both passes go a batch at a time, so they allocate only per-batch
+arrays.
 
 Rational mode keeps Python-int numerators over one common denominator per
 level. The forward DP builds a Fraction only for a level's totals;
@@ -70,14 +79,14 @@ def _peak_bytes(scheme: StorageScheme, solver: str) -> int:
     ``mdp_solve`` holds a Python-int numerator per state in ``values`` (an
     8-byte pointer and the int, of about d * log2(L) bits at depth d), a
     B-byte row of the int8 decision array, and a few 8-byte arrays per mask
-    while it runs: 112-128 bytes a state at B = V, 236-295 at B = 3V and
-    286-342 at B = 4V, measured at V = 15..18, which 3 * B + 170 covers
-    (below V = 15 the per-batch buffers weigh more). log2(L) is about 1.4 B,
-    so the numerators average about 0.09 * V * B bytes, under the 3 * B
-    slope up to the cap V = 20. The forward DP holds two levels of reachable states and a
-    position per mask: about 20-30 bytes a state in floats, plus the
-    numerators' bytes in rationals (V * log2(D) bits at the widest level, D
-    as in ``_forward_dp``).
+    while it runs: 84-110 bytes a state at B = V, 159-211 at B = 3V and
+    194-261 at B = 4V, measured as ``ru_maxrss`` growth at V = 15..18, which
+    3 * B + 170 covers (below V = 15 the per-batch buffers weigh more).
+    log2(L) is about 1.4 B, so the numerators average about 0.09 * V * B
+    bytes, under the 3 * B slope up to the cap V = 20. The forward DP holds
+    two levels of reachable states and a position per mask: about 20-30
+    bytes a state in floats, plus the numerators' bytes in rationals
+    (V * log2(D) bits at the widest level, D as in ``_forward_dp``).
     """
     V, B = scheme.V, scheme.B
     if solver == "mdp":
@@ -177,22 +186,30 @@ def mdp_solve(scheme: StorageScheme, cap: int = DEFAULT_MDP_CAP) -> MdpSolution:
     n_use = np.zeros(full + 1, dtype=np.intp)
     best = np.full((full + 1, B), -1, dtype=np.int8)
     columns = np.arange(B)
+    holds = np.bitwise_or.reduce(rule.slot_bits, axis=1)  # each server's fragment mask
     levels = _levels(np.bitwise_count(np.arange(full + 1, dtype=np.int64)))
     for size in range(V - 1, -1, -1):
         scale = L ** (V - size - 1)  # the children's denominator over V
+        kids = levels[size + 1]
+        # each child's reward-plus-value numerator, once per child rather than
+        # once per edge into it; exact ints, so subtracting restores num below
+        for piece in _chunks(kids, rule):
+            num[piece] += n_use[piece].astype(object) * scale
         for masks in _chunks(levels[size], rule):
             free = rule.choice_slots(masks)
             child = (masks[:, None, None] | rule.slot_bits)[free]
             val = np.full(free.shape, -1, dtype=object)
-            val[free] = n_use[child].astype(object) * scale + num[child]
+            val[free] = num[child]
             col = val.argmax(axis=2)  # the first maximum: the lowest optimal fragment
             top = np.take_along_axis(val, col[:, :, None], axis=2)[:, :, 0]
-            useful = free.any(axis=2)
+            useful = (holds & ~masks[:, None]) != 0  # a server with a residual fragment
             top[~useful] = 0
             n = np.count_nonzero(useful, axis=1)
             n_use[masks] = n
             num[masks] = top.sum(axis=1) * share[n]
             best[masks] = np.where(useful, rule.slot_frags[columns, col], -1)
+        for piece in _chunks(kids, rule):
+            num[piece] -= n_use[piece].astype(object) * scale
     # read-only: a write would change optimal_value and every MdpPolicy built
     # from this solution
     num.flags.writeable = False
@@ -248,7 +265,10 @@ def _forward_dp(rule: DecisionRule, rational: bool = True):
         lo = seen = 0
         for chunk in _chunks(masks, rule):
             slots = rule.choice_slots(chunk)
-            count = slots.sum(axis=2)
+            # choices per server: K slice adds beat a sum over the short last axis
+            count = slots[:, :, 0].astype(np.intp)
+            for k in range(1, K):
+                count += slots[:, :, k]
             n = np.count_nonzero(count, axis=1)
             n_use[lo:lo + len(chunk)] = n
             if not last:
@@ -280,13 +300,23 @@ def _forward_dp(rule: DecisionRule, rational: bool = True):
     return per_ell, per_ell_inv, aggregate
 
 
+_FIRST = np.iinfo(np.intp).min  # position j of a new mask is marked _FIRST + j, far below -1
+
+
 def _first_seen(child: np.ndarray, index_of: np.ndarray, count: int):
     """Positions of the ``child`` masks in their level, numbering the masks
     not seen before from ``count`` in order of first appearance. Returns the
-    positions and the new masks."""
+    positions and the new masks.
+
+    ``index_of`` is -1 for a mask not yet seen in the level. Each new mask
+    takes the least marker ``_FIRST + j`` over its positions j among the new
+    masks, so the masks whose marker equals their own position are the first
+    occurrences, already in order of appearance; numbering them overwrites
+    every marker. No sort and no further array of size 2^V."""
     new = child[index_of[child] < 0]
-    fresh, first = np.unique(new, return_index=True)
-    fresh = fresh[np.argsort(first)]
+    marks = np.arange(_FIRST, _FIRST + len(new))
+    np.minimum.at(index_of, new, marks)
+    fresh = new[index_of[new] == marks]
     index_of[fresh] = np.arange(count, count + len(fresh))
     return index_of[child], fresh
 

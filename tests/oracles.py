@@ -315,6 +315,21 @@ def scalar_forward_dp(rule, rational: bool = True):
     return per_ell, per_ell_inv, aggregate
 
 
+def sorted_first_seen(child, index_of, count: int):
+    """The forward DP's numbering of a batch of child masks as it was done
+    with a sort: the masks not yet numbered (``index_of`` -1) in order of
+    first appearance, by ``np.unique`` and an ``argsort`` of the first
+    indices. Numbers them from ``count`` in ``index_of`` and returns every
+    child's position and the new masks."""
+    import numpy as np
+
+    new = child[index_of[child] < 0]
+    fresh, first = np.unique(new, return_index=True)
+    fresh = fresh[np.argsort(first)]
+    index_of[fresh] = np.arange(count, count + len(fresh))
+    return index_of[child], fresh
+
+
 def scalar_mdp_solve(scheme):
     """Backward induction over all downloaded subsets in descending mask
     order; returns (values, decisions) keyed as in ``MdpSolution``."""

@@ -372,6 +372,27 @@ class TestTimingsOnStderr:
         assert captured.out == out.read_text()
         assert "samples/s" not in captured.out
 
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--scheduler", "ranked", "--rank", "harmonic"],
+        ["mdp", "--compare-rank", "harmonic"],
+    ], ids=["exact", "mdp"])
+    def test_exact_solvers_report_states_and_rate(self, tmp_path, capsys, pp2, argv):
+        scheme = tmp_path / "pp2.json"
+        write_scheme(pp2, scheme)
+        argv = argv[:1] + ["--scheme", str(scheme)] + argv[1:]
+        rate = rf"{argv[0]}: 128 states in \d+\.\d{{3}} s \([\d,]+ states/s\)"
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert re.fullmatch(rf"{rate}\n", captured.err)
+        out = tmp_path / "out.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        captured_file = capsys.readouterr()
+        assert re.fullmatch(rf"{rate}\n", captured_file.err)
+        assert captured_file.out == ""
+        # stdout carries the JSON's bytes, and neither carries the timing
+        assert captured.out == out.read_text()
+        assert "states/s" not in captured.out
+
     def test_reproduce_reports_each_row(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
         main(["reproduce", "table-download-times", "--runs", "100", "--seed", "20260809",

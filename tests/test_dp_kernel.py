@@ -1,8 +1,10 @@
 """The level-synchronous subset DPs of ``fragsched.mdp`` against their
 one-state-at-a-time loops (``oracles.scalar_forward_dp`` and
 ``oracles.scalar_mdp_solve``), the batched ``DecisionRule.choice_slots``
-against the scalar ``choices``, and ``mdp_solve`` against a brute-force
-backward induction over frozensets that shares no solver code.
+against the scalar ``choices``, ``mdp_solve`` against a brute-force
+backward induction over frozensets that shares no solver code, and the
+forward DP's sort-free numbering of first-seen states against the sorted
+one it replaced.
 """
 
 from fractions import Fraction
@@ -13,10 +15,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fragsched import affine_plane, build_scheme, cyclic_shift, mdp_solve
-from fragsched.mdp import _forward_dp
+from fragsched.mdp import _first_seen, _forward_dp
 from fragsched.scheduling import compile_policy
 from oracles import (decision_items, optimal_reward_to_go, scalar_forward_dp, scalar_mdp_solve,
-                     useful_count, value_items)
+                     sorted_first_seen, useful_count, value_items)
 from conftest import FANO_OCCUPANCY
 from test_kernel import IRREGULAR, POLICY_KINDS, make_policy, small_schemes
 
@@ -52,6 +54,37 @@ def test_forward_dp_matches_scalar_loop_on_fixed_schemes(name):
     for kind in POLICY_KINDS:
         for rational in (True, False):
             check_forward_dp(scheme, kind, rational)
+
+
+@st.composite
+def child_batches(draw):
+    """V and a level's batches of child masks, drawn from few masks so that
+    they repeat within a batch and across batches; then an empty batch and
+    the first batch again, every mask of which is numbered by then."""
+    V = draw(st.integers(1, 8))
+    pool = draw(st.lists(st.integers(0, (1 << V) - 1), min_size=1, max_size=12, unique=True))
+    batches = draw(st.lists(st.lists(st.sampled_from(pool), max_size=40), min_size=1, max_size=5))
+    return V, batches + [[], batches[0]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=child_batches())
+def test_first_seen_matches_sorted_numbering(case):
+    V, batches = case
+    got_index = np.full(1 << V, -1, dtype=np.intp)
+    want_index = got_index.copy()
+    seen = 0
+    for batch in batches:
+        child = np.array(batch, dtype=np.int64)
+        got_ids, got_fresh = _first_seen(child, got_index, seen)
+        want_ids, want_fresh = sorted_first_seen(child, want_index, seen)
+        assert got_ids.tolist() == want_ids.tolist()
+        assert got_fresh.tolist() == want_fresh.tolist()
+        seen += len(want_fresh)
+    assert len(got_fresh) == 0  # every mask of the repeated first batch was numbered
+    assert got_index.tolist() == want_index.tolist()
+    # no marker is left behind: every entry is unseen or a position in the level
+    assert ((got_index == -1) | ((got_index >= 0) & (got_index < seen))).all()
 
 
 def test_mdp_solve_matches_scalar_loop_on_affine_plane():

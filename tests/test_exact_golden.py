@@ -15,6 +15,12 @@ subset DP are widest) were produced by the one-state-at-a-time dict loops
 before the level-synchronous kernels replaced them; they add a SHA-256 of
 ``repr(sorted(values.items()))`` over the mask -> reward-to-go dict that
 ``oracles.value_items`` reads from the solution.
+
+The pins on cyclic 15/3 (``mdp_solve``) and cyclic 16/4 (float forward DP)
+cover popcount levels that the solvers split across many batches of
+``mdp._SLOTS`` order slots; they were produced by the solvers before each
+child state's value was combined once per level and before first-seen
+states were numbered without a sort.
 """
 
 import hashlib
@@ -192,12 +198,25 @@ LARGE_MDP_SOLUTIONS = {
         lambda: cyclic_shift(10, 3), "18828427592311/2571912000000",
         "571751a2be7dcad70e177d0692f8243fbe41173c3800670230f17381aec880fe",
         "0ec13c73b52721f04330241f9d2a8e4820d2a181bbe34466861f6927abf2a6e0"),
+    # 182 states per batch: the widest levels (6,435 sets) take 36 batches
+    "cyclic153": (
+        lambda: cyclic_shift(15, 3),
+        "15001809488901628084622491250291897/1360895781004568592451668000000000",
+        "7a26e9a93e06dfcdec40452aabe3714a5c6fa7a3692edd04e39b2b7f88b8d5f9",
+        "98323cc3fffcfb2dce7192492fdc5e10a24bd07597986fbe777907c19c29bae7"),
 }
 
 # repr of the float-mode mean download time on cyclic 10/4 at mu = 1
 CYCLIC_10_4_FLOAT_MEANS = {
     "random": "1.2666497770567235",
     "harmonic-low": "1.2225889262297123",
+}
+
+# repr of the float-mode mean download time on cyclic 16/4 at mu = 1: 128
+# states per batch, so the widest levels span about 100 batches
+CYCLIC_16_4_FLOAT_MEANS = {
+    "random": "1.4287732623752",
+    "harmonic-low": "1.36852732982893",
 }
 
 
@@ -215,3 +234,10 @@ def test_float_mean_matches_pinned_at_benchmark_size(kind):
     scheme = cyclic_shift(10, 4)
     mean = exact_mean_download(scheme, make_policy(scheme, kind), 1.0, exact=False).mean
     assert repr(mean) == CYCLIC_10_4_FLOAT_MEANS[kind]
+
+
+@pytest.mark.parametrize("kind", CYCLIC_16_4_FLOAT_MEANS)
+def test_float_mean_matches_pinned_across_batches(kind):
+    scheme = cyclic_shift(16, 4)
+    mean = exact_mean_download(scheme, make_policy(scheme, kind), 1.0, exact=False).mean
+    assert repr(mean) == CYCLIC_16_4_FLOAT_MEANS[kind]
