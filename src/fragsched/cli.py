@@ -21,7 +21,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import analytics, engine
+from . import analytics, engine, rng
 from .constructions import (
     affine_plane,
     cyclic_shift,
@@ -106,8 +106,13 @@ _NOT_CONFIG = ("func", "threads", "out", "scheme")
 
 
 def _config_header(args, scheme=None, **extra) -> dict:
+    """An artifact's config: the command's options, ``extra``, the scheme's
+    hash, and, for a command that takes ``--seed``, the seeding contract
+    version its draws follow."""
     cfg = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG and v is not None}
     cfg.update(extra)
+    if "seed" in cfg:
+        cfg["seeding_contract"] = rng.SEEDING_CONTRACT
     if scheme is not None:
         cfg["scheme_hash"] = scheme_hash(scheme)
     return {k: cfg[k] for k in sorted(cfg)}

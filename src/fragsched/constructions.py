@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import rng as _rng
 from .errors import CapacityMismatch, InvalidParams, NotPrime
 from .model import StorageScheme, build_scheme
@@ -200,36 +202,42 @@ def large_storage_scheme(V: int, B: int, K: int) -> ReplicationPlacement:
     return ReplicationPlacement(B=B, V=V, R=R, theta=tuple(tuple(t) for t in theta))
 
 
-def sample_random_replication(B: int, V: int, R: int, seed: int) -> ReplicationPlacement:
-    """Placement with every replica's server i.i.d. uniform on [1, B].
-
-    Fragment v draws its R servers from the stream (seed, fragment, v), so the
-    placement of each fragment is a pure function of (seed, v).
-    """
+def check_ensemble_params(B: int, V: int, R: int) -> None:
+    """Refuse ensemble sizes the version-2 draws cannot serve: B, V and R
+    must be positive, and B below 2**32, the range one half-word covers."""
     if min(B, V, R) < 1:
         raise InvalidParams("B, V, R must be positive")
-    theta = []
-    for v in range(V):
-        gen = _rng.stream(seed, _rng.DOMAIN_FRAGMENT, v)
-        theta.append(tuple(int(b) + 1 for b in gen.integers(0, B, size=R)))
-    return ReplicationPlacement(B=B, V=V, R=R, theta=tuple(theta))
+    if B >= 1 << 32:
+        raise InvalidParams(f"B must be below 2**32, got {B}")
+
+
+def sample_random_replication(B: int, V: int, R: int, seed: int) -> ReplicationPlacement:
+    """Placement with every replica's server i.i.d. uniform on [1, B]: the
+    ``placement_servers`` of sample 0, row v holding the R replicas of
+    fragment v."""
+    check_ensemble_params(B, V, R)
+    servers = placement_servers(seed, range(1), B, V, R)[0]
+    return ReplicationPlacement(B=B, V=V, R=R, theta=tuple(map(tuple, (servers + 1).tolist())))
 
 
 def sample_random_mds(B: int, V: int, R: int, seed: int, index: int = 0) -> MdsPlacement:
     """Placement with each of the V*R coded fragments on an i.i.d. uniform
     server; ``index`` selects an independent sample stream."""
-    if min(B, V, R) < 1:
-        raise InvalidParams("B, V, R must be positive")
-    servers = placement_servers(_rng.stream(seed, _rng.DOMAIN_PLACEMENT, index), B, V, R)
+    check_ensemble_params(B, V, R)
+    servers = placement_servers(seed, range(index, index + 1), B, V, R)[0]
     chi = tuple((servers.ravel() + 1).tolist())
     return MdsPlacement(B=B, V=V, R=R, chi=chi)
 
 
-def placement_servers(gen, B: int, V: int, R: int):
-    """The 0-based servers of one sampled ensemble placement, V x R i.i.d.
-    uniform on [0, B), from the sample's ``DOMAIN_PLACEMENT`` stream ``gen``.
+def placement_servers(seed: int, samples: range, B: int, V: int, R: int) -> np.ndarray:
+    """The 0-based servers of the ensemble placements ``samples``, (n, V, R)
+    uint64, i.i.d. uniform on [0, B) by the version-2 draw (``rng``): sample
+    s reads the first ceil(V*R/2) words of its ``DOMAIN_PLACEMENT`` stream,
+    whose half-words, low half first, give its servers in row-major order.
 
     A replication placement reads row v as the R replicas of fragment v; an
     MDS placement reads the rows in order as its V*R coded fragments (chi).
     """
-    return gen.integers(0, B, size=(V, R))
+    words = _rng.stream_words(seed, _rng.DOMAIN_PLACEMENT, samples, (V * R + 1) // 2)
+    half = np.ascontiguousarray(words.T, dtype="<u8").view("<u4")[:, :V * R]
+    return _rng.half_picks(half, np.uint64(B)).reshape(len(samples), V, R)

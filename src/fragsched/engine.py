@@ -22,18 +22,16 @@ from propagating subset probabilities through the chain (2^V states).
 
 Random-ensemble samples run on their drawn server arrays, without building a
 placement object, a batch at a time. A batch's placements come from one read
-of its placement streams, turned into servers by one batched Lemire step
-(``rng.lemire_fill``); the few samples it cannot give are drawn one by one.
-Fragment-uniform order draws each sample's permutation from its stream and
-does the rest in one numpy pass over the batch; server-uniform order is a
-second lockstep kernel that moves the batch through the steps together, its
-``integers(0, m)`` picks replayed row by row by ``rng.IntegersReplay``. When
-every item has one host (coded fragments, or replication with R = 1), the
-items a server holds are interchangeable: which one it delivers changes no
-other server. So server order then runs on per-server item counts alone
-(``_server_counts``), with no item table; it still reads the item draw,
-whose value goes unused, so its draws and results are those of the full
-kernel (``_server_chain``).
+of its placement streams, turned into servers by one multiply-shift
+(``constructions.placement_servers``). Fragment-uniform order draws each sample's
+permutation from its stream and does the rest in one numpy pass over the
+batch; server-uniform order is a second lockstep kernel that moves the batch
+through the steps together, reading one word per sample and step. When every
+item has one host (coded fragments, or replication with R = 1), the items a
+server holds are interchangeable: which one it delivers changes no other
+server. So server order then runs on per-server item counts alone
+(``_server_counts``), with no item table and no item draw; its results are
+those of the full kernel (``_server_chain``).
 """
 
 from __future__ import annotations
@@ -46,7 +44,8 @@ from math import isfinite, sqrt
 import numpy as np
 
 from . import rng as _rng
-from .constructions import MdsPlacement, ReplicationPlacement, placement_servers
+from .constructions import (MdsPlacement, ReplicationPlacement, check_ensemble_params,
+                            placement_servers)
 from .errors import EmptyProfile, InvalidParams, InvalidRate
 from .mdp import DEFAULT_EVAL_CAP, _forward_dp, check_size
 from .model import StorageScheme
@@ -611,8 +610,7 @@ def simulate_ensemble_profile(
     _drop_repeats(servers, placement.B)
     if order_mode == FRAGMENT_UNIFORM:
         return _fragment_order(servers[None], placement.B, placement.V, [gen])[:, 0]
-    with _rng.integers_replay(gen, 2 * placement.V) as replay:
-        return _server_order(servers[None], placement.B, placement.V, replay)[:, 0]
+    return _server_order(servers[None], placement.B, _rng.words(gen, placement.V)[:, None])[:, 0]
 
 
 def _check_order_mode(order_mode: str) -> None:
@@ -669,41 +667,49 @@ def _fragment_order(hosts: np.ndarray, B: int, steps: int, gens) -> np.ndarray:
     return np.subtract(B, profile, out=profile)
 
 
-def _server_order(hosts: np.ndarray, B: int, steps: int,
-                  replay: _rng.IntegersReplay) -> np.ndarray:
-    """The server-uniform useful-server counts of a batch, (steps, n) int64:
-    ``_server_counts`` when every item has one host (``hosts.shape[2] ==
-    1``: coded fragments, or a single replica), else ``_server_chain``."""
-    kernel = _server_counts if hosts.shape[2] == 1 else _server_chain
-    return kernel(hosts, B, steps, replay)
+def _server_order(hosts: np.ndarray, B: int, words: np.ndarray) -> np.ndarray:
+    """The server-uniform useful-server counts of a batch, (steps, n) int64,
+    column i for sample i, from its trajectory words, (steps, n) uint64, one
+    word per sample and step (any view, only read): ``_server_counts`` when
+    every item has one host (``hosts.shape[2] == 1``: coded fragments, or a
+    single replica), else ``_server_chain``. The words are split once: the
+    low halves pick the winners, the high halves the items."""
+    high = np.empty(words.shape, dtype=np.uint32)
+    low = np.empty(words.shape, dtype=np.uint32)
+    _rng.split_words(words, high, low)
+    del words  # not held through the steps, which read only the halves
+    if hosts.shape[2] == 1:
+        return _server_counts(hosts, B, low)
+    return _server_chain(hosts, B, low, high)
 
 
-def _server_steps(residual: np.ndarray, steps: int, replay: _rng.IntegersReplay,
-                  take) -> np.ndarray:
+def _server_steps(residual: np.ndarray, low: np.ndarray, take) -> np.ndarray:
     """The lockstep loop both server-order kernels run; returns the
     useful-server counts, (steps, n) int64, column i for sample i.
 
     Row i of ``residual``, (n, width), holds sample i's per-server item
     counts; the kernel's ``take`` updates them in place. The loop keeps the
     running count of useful servers along each row, offset to ascend across
-    samples, so that one ``searchsorted`` finds every winner. Each step
-    records the useful count, draws the winner's position among the useful
-    servers and finds its flat row w, and calls ``take(w)``: it draws and
-    removes the winner's item and returns the samples where a server ran dry,
-    the only ones whose useful servers are counted again.
+    samples, so that one ``searchsorted`` finds every winner. Step l records
+    the useful count, picks the winner's position among the useful servers
+    from row l of ``low``, finds its flat row w, and calls ``take(l, w)``: it
+    removes the winner's item and returns the samples where a server ran
+    dry, the only ones whose useful servers are counted again.
     """
     n, width = residual.shape
+    steps = len(low)
     rank_off = np.arange(n) * (width + 1)
     rank = (residual > 0).cumsum(axis=1)
     nuse = rank[:, -1].copy()
+    nuse_u = nuse.view(np.uint64)
     rank += rank_off[:, None]
     rank_flat = rank.reshape(-1)
     profile = np.empty((steps, n), dtype=np.int64)
     for ell in range(steps):
         profile[ell] = nuse
-        j = replay.integers(nuse.view(np.uint64)).view(np.int64)
+        j = _rng.half_picks(low[ell], nuse_u).view(np.int64)
         w = rank_flat.searchsorted(rank_off + j, side="right")  # the winner's row
-        s = take(w)
+        s = take(ell, w)
         if len(s) and ell < steps - 1:  # the counts are not read after the last step
             c = (residual.take(s, axis=0) > 0).cumsum(axis=1)
             nuse[s] = c[:, -1]
@@ -713,50 +719,42 @@ def _server_steps(residual: np.ndarray, steps: int, replay: _rng.IntegersReplay,
     return profile
 
 
-def _server_counts(hosts: np.ndarray, B: int, steps: int,
-                   replay: _rng.IntegersReplay) -> np.ndarray:
+def _server_counts(hosts: np.ndarray, B: int, low: np.ndarray) -> np.ndarray:
     """``_server_chain`` for items with one host each, from item counts alone.
 
     A server's items are then interchangeable: whichever of them the winner
     delivers, the winner loses one item and no other server loses any, so the
     useful-server counts depend only on how many items each server holds.
-    The state is those counts, B per sample, from one ``bincount``. The
-    contract's second draw, the item's position among the winner's m items,
-    is still made, because it reads the stream (a rejected half-word
-    included); its value goes unused.
+    The state is those counts, B per sample, from one ``bincount``, and the
+    item is never drawn: its half-word is fixed by the contract, so skipping
+    it moves no other draw.
     """
     n = len(hosts)
     rows = hosts.reshape(n, -1) + np.arange(0, n * B, B)[:, None]
     residual = np.bincount(rows.reshape(-1), minlength=n * B)
 
-    def take(w):
+    def take(ell, w):
         left = residual.take(w)
-        replay.integers(left.view(np.uint64))  # the item's position
         left -= 1
         residual[w] = left
         return (left == 0).nonzero()[0]
 
-    return _server_steps(residual.reshape(n, B), steps, replay, take)
+    return _server_steps(residual.reshape(n, B), low, take)
 
 
-def _server_chain(hosts: np.ndarray, B: int, steps: int,
-                  replay: _rng.IntegersReplay) -> np.ndarray:
-    """Move a batch of samples through the first ``steps`` downloads of the
-    server-uniform jump chain in lockstep; returns their useful-server counts,
-    (steps, n) int64, column i for sample i.
+def _server_chain(hosts: np.ndarray, B: int, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """Move a batch of samples through the server-uniform jump chain in
+    lockstep, one step per row of ``low`` and ``high``; returns their
+    useful-server counts, (steps, n) int64, column i for sample i.
 
     Row j of ``hosts[i]`` lists the 0-based servers holding sample i's item
     j: the R replicas of a fragment, each server once and each repeat turned
     into the dummy server B (``_drop_repeats``), or the one server of a coded
     fragment, though ``_server_counts`` serves items with one host faster.
-    Row i of ``replay`` is sample i's trajectory stream. Each step draws, as
-    the seeding contract says, the winner's position among the useful
-    servers, then a position among the winner's remaining items, both in
-    ascending order. The replay reads one half-word per draw in one gather;
-    its rejection loop runs only for the rows whose low product falls below
-    their range, and it extends the blocks that ``_ensemble_chunk`` gives it,
-    two half-words per step plus two, only once rejected draws have used up a
-    row's two spare half-words.
+    Step l picks, as the seeding contract says, the winner's position among
+    the useful servers from the low half of sample i's word l and a position
+    among the winner's remaining items from its high half, both in ascending
+    order.
 
     Per-sample state is flat, B+1 rows per sample: each server's ascending
     item list as a table row of L entries, with a mask of the entries not yet
@@ -796,8 +794,8 @@ def _server_chain(hosts: np.ndarray, B: int, steps: int,
     table[entry.reshape(-1, R)] = np.arange(0, len(rows), R, dtype=it)[:, None]
     replicas = np.arange(R)[:, None]
 
-    def take(w):
-        k = replay.integers(residual.take(w).view(np.uint64))
+    def take(ell, w):
+        k = _rng.half_picks(high[ell], residual.take(w).view(np.uint64))
         c = _nth_true(free.take(w, axis=0), k)
         c += w * L
         e = table.take(c) + replicas  # the entries of the item taken, (R, n)
@@ -808,7 +806,7 @@ def _server_chain(hosts: np.ndarray, B: int, steps: int,
         residual[h] = left
         return (left == 0).any(axis=0).nonzero()[0]
 
-    return _server_steps(residual.reshape(n, B1), steps, replay, take)
+    return _server_steps(residual.reshape(n, B1), low, take)
 
 
 @dataclass(frozen=True)
@@ -830,25 +828,6 @@ class EnsembleSummary:
     duplicate_frequency: float | None
 
 
-def _placements(B: int, V: int, R: int, seed: int, samples: range) -> np.ndarray:
-    """Each sample's ``placement_servers`` from its ``DOMAIN_PLACEMENT``
-    stream, (n, V, R), int16 where B allows it.
-
-    One ``stream_words`` read gives every sample's first ceil(V*R/2) words,
-    and ``rng.lemire_fill`` turns the batch's half-words into servers at
-    once. A sample whose draw rejects one of its half-words (each with
-    probability below B / 2**32), and every sample when B > 2**32, is drawn
-    again by ``placement_servers`` on a fresh stream."""
-    n = len(samples)
-    servers = np.empty((n, V, R), dtype=np.int16 if B < 2**15 else np.intp)
-    words = _rng.stream_words(seed, _rng.DOMAIN_PLACEMENT, samples, (V * R + 1) // 2)
-    redraw = _rng.lemire_fill(words.T, B, servers.reshape(n, V * R))
-    for i in redraw.nonzero()[0]:
-        gen = _rng.stream(seed, _rng.DOMAIN_PLACEMENT, samples[i])
-        servers[i] = placement_servers(gen, B, V, R)
-    return servers
-
-
 def _ensemble_chunk(args):
     B, V, R, kind, order_mode, seed, start, stop = args
     psum = np.zeros(V, dtype=np.int64)
@@ -856,15 +835,15 @@ def _ensemble_chunk(args):
     dup = 0
     for lo in range(start, stop, BATCH_RUNS):
         samples = range(lo, min(lo + BATCH_RUNS, stop))
-        servers = _placements(B, V, R, seed, samples)
+        servers = placement_servers(seed, samples, B, V, R).astype(
+            np.int16 if B < 2**15 else np.intp)
         if kind == "rep":
             dup += int(_drop_repeats(servers, B).any(axis=2).sum())
         else:
             servers = servers.reshape(len(samples), V * R, 1)
         if order_mode == SERVER_UNIFORM:
-            # 2V half-words serve every step unless a draw is rejected
-            replay = _rng.stream_replay(seed, _rng.DOMAIN_TRAJECTORY, samples, V + 1)
-            profile = _server_order(servers, B, V, replay)
+            profile = _server_order(
+                servers, B, _rng.stream_words(seed, _rng.DOMAIN_TRAJECTORY, samples, V))
         else:
             profile = _fragment_order(servers, B, V,
                                       _rng.streams(seed, _rng.DOMAIN_TRAJECTORY, samples))
@@ -890,8 +869,7 @@ def ensemble_monte_carlo(
     """
     if kind not in ("rep", "mds"):
         raise InvalidParams(f"unknown ensemble kind {kind!r}")
-    if min(B, V, R) < 1:
-        raise InvalidParams("B, V, R must be positive")
+    check_ensemble_params(B, V, R)
     _check_order_mode(order_mode)
     if samples < 1:
         raise InvalidParams("samples must be >= 1")

@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import InvalidParams, TooManyFragments
 from .model import StorageScheme
-from .scheduling import DecisionRule, RandomWorkConserving, compile_policy
+from .scheduling import DecisionRule, RandomWorkConserving, compile_policy, slot_counts
 
 __all__ = ["MdpSolution", "PolicyEvaluation", "mdp_solve", "policy_evaluate_exact"]
 
@@ -265,10 +265,7 @@ def _forward_dp(rule: DecisionRule, rational: bool = True):
         lo = seen = 0
         for chunk in _chunks(masks, rule):
             slots = rule.choice_slots(chunk)
-            # choices per server: K slice adds beat a sum over the short last axis
-            count = slots[:, :, 0].astype(np.intp)
-            for k in range(1, K):
-                count += slots[:, :, k]
+            count = slot_counts(slots)  # choices per server
             n = np.count_nonzero(count, axis=1)
             n_use[lo:lo + len(chunk)] = n
             if not last:

@@ -391,7 +391,7 @@ class DecisionRule:
             return free & (self.slot_frags == self.table[masks][:, :, None])
         if self.values is not None:
             residual = np.full((len(masks), self.B + 1), self.K + 1)
-            residual[:, :-1] = free.sum(axis=2)
+            residual[:, :-1] = slot_counts(free)
             scores = self.rank_values[residual][:, self.cand_hosts].sum(axis=1)
             scores[~free] = self.key_none
             free &= scores == scores.min(axis=2, keepdims=True)
@@ -416,6 +416,16 @@ class DecisionRule:
                 free = [v for v in free if scores[v] == best]
             out[b] = free if self.uniform else free[:1]
         return out
+
+
+def slot_counts(slots: np.ndarray) -> np.ndarray:
+    """The marked slots of each (state, server) row of a boolean (n, B, K)
+    slot array, as an (n, B) intp array: K slice adds beat a sum over the
+    short last axis."""
+    count = slots[:, :, 0].astype(np.intp)
+    for k in range(1, slots.shape[2]):
+        count += slots[:, :, k]
+    return count
 
 
 def compile_policy(scheme: StorageScheme, policy) -> DecisionRule:

@@ -562,7 +562,21 @@ def scalar_trajectory(rt: ScalarRuntime, mu: float, gen):
 # ---------------------------------------------------------------------------
 # Scalar ensemble download: one sample, one Python step at a time, rescanning
 # every server per step. The reference for the engine's ensemble kernel; it
-# reads placements by their raw fields and draws from ``rng.stream`` itself.
+# reads placements by their raw fields and draws from ``rng.stream`` itself,
+# by the version-2 contract: each draw onto [0, m) maps one 32-bit half-word
+# h, low half of a word first, to (h * m) >> 32, in Python ints.
+
+
+def _half_pick(h: int, m: int) -> int:
+    return (h * m) >> 32
+
+
+def _placement_draws(gen, B: int, count: int) -> list[int]:
+    """``count`` servers on [0, B) from the stream's first half-words."""
+    halves = []
+    for u in _stream_words(gen, (count + 1) // 2).tolist():
+        halves += [u & 0xFFFFFFFF, u >> 32]
+    return [_half_pick(h, B) for h in halves[:count]]
 
 
 def _ensemble_holders(placement):
@@ -599,17 +613,18 @@ def _scalar_profile(holders, B: int, item_count: int, steps: int, order_mode: st
                 count[b] -= 1
         return profile
 
-    # server-uniform jump chain
+    # server-uniform jump chain: step l reads word l, whose low half picks
+    # the winner and whose high half picks the item
     by_server: list[list[int]] = [[] for _ in range(B)]
     for v, hs in enumerate(holders):
         for b in hs:
             by_server[b].append(v)
-    for taken in range(steps):
+    for taken, word in enumerate(_stream_words(gen, steps).tolist()):
         useful = [b for b in range(B) if count[b] > 0]
         profile[taken] = len(useful)
-        w = useful[int(gen.integers(0, len(useful)))]
+        w = useful[_half_pick(word & 0xFFFFFFFF, len(useful))]
         residual = [v for v in by_server[w] if remaining[v]]
-        v = residual[int(gen.integers(0, len(residual)))]
+        v = residual[_half_pick(word >> 32, len(residual))]
         remaining[v] = False
         for b in holders[v]:
             count[b] -= 1
@@ -629,14 +644,13 @@ def scalar_ensemble_chunk(args):
     for s in range(start, stop):
         traj_gen = rng.stream(seed, rng.DOMAIN_TRAJECTORY, s)
         place_gen = rng.stream(seed, rng.DOMAIN_PLACEMENT, s)
+        servers = _placement_draws(place_gen, B, V * R)
         if kind == "rep":
-            theta = place_gen.integers(0, B, size=(V, R))
-            holders = [sorted(set(row)) for row in theta.tolist()]
+            holders = [sorted(set(servers[v * R:(v + 1) * R])) for v in range(V)]
             dup += sum(1 for hs in holders if len(hs) < R)
             p = _scalar_profile(holders, B, V, V, order_mode, traj_gen)
         else:
-            chi = place_gen.integers(0, B, size=V * R)
-            p = _scalar_profile([[b] for b in chi.tolist()], B, V * R, V, order_mode, traj_gen)
+            p = _scalar_profile([[b] for b in servers], B, V * R, V, order_mode, traj_gen)
         psum += p
         psumsq += p * p
     return psum, psumsq, dup

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from fragsched import build_scheme, projective_plane, read_scheme, scheme_hash, write_scheme
+from fragsched import build_scheme, projective_plane, read_scheme, rng, scheme_hash, write_scheme
 from fragsched.cli import ACCEPTANCE_ROWS, main
 from fragsched.errors import (
     DuplicateReplicaOnServer,
@@ -282,7 +282,8 @@ class TestReproduce:
 
 class TestArtifactsIndependentOfExecution:
     """The same experiment writes the same bytes at any worker count and to
-    any output path: neither ``--threads`` nor ``--out`` enters a header."""
+    any output path: neither ``--threads`` nor ``--out`` enters a header.
+    Every command that takes ``--seed`` records the seeding contract."""
 
     @staticmethod
     def run_twice(tmp_path, flags, name):
@@ -303,6 +304,7 @@ class TestArtifactsIndependentOfExecution:
         assert a.with_suffix(".profile.csv").read_bytes() == b.with_suffix(".profile.csv").read_bytes()
         config = json.loads(a.read_text())["config"]
         assert "threads" not in config and "out" not in config
+        assert config["seeding_contract"] == rng.SEEDING_CONTRACT == 2
 
     def test_ensemble(self, tmp_path):
         a, b = self.run_twice(tmp_path, ["ensemble", "--kind", "rep", "--mode", "server", "--B", "9",
@@ -310,12 +312,14 @@ class TestArtifactsIndependentOfExecution:
                               "ens.csv")
         assert a.read_bytes() == b.read_bytes()
         assert "# threads=" not in a.read_text() and "# out=" not in a.read_text()
+        assert "# seeding_contract=2\n" in a.read_text()
 
     def test_reproduce_acceptance(self, tmp_path):
         a, b = self.run_twice(tmp_path, ["reproduce", "table-download-times", "--rows", "acceptance",
                                          "--runs", "300", "--seed", "20260809"], "table.csv")
         assert a.read_bytes() == b.read_bytes()
         assert "# threads=" not in a.read_text() and "# out=" not in a.read_text()
+        assert "# seeding_contract=2\n" in a.read_text()
 
 
 class TestSchemeNamedByHash:

@@ -1,14 +1,14 @@
 """The ensemble trajectory kernels against the scalar one-sample oracle, bit
-for bit; the row-vectorized ``integers(0, m)`` replay against numpy's own
-calls; and the re-keyed streams both draw from.
+for bit; the version-2 half-word draw; and the re-keyed streams both draw
+from.
 
 The oracle (``oracles.scalar_ensemble_profile`` / ``scalar_ensemble_chunk``)
 shares only ``rng.stream`` with the engine: it reads placements by their raw
-fields and rescans every server at every step.
+fields, makes its own half-word draws in Python ints, and rescans every
+server at every step.
 """
 
 import hashlib
-from math import gcd
 
 import numpy as np
 import pytest
@@ -20,9 +20,13 @@ from fragsched import (
     ReplicationPlacement,
     ensemble_monte_carlo,
     large_storage_scheme,
+    sample_random_mds,
+    sample_random_replication,
     simulate_ensemble_profile,
 )
 from fragsched import engine, rng
+from fragsched.constructions import placement_servers
+from fragsched.errors import InvalidParams
 from oracles import scalar_ensemble_chunk, scalar_ensemble_profile
 
 MODES = [engine.SERVER_UNIFORM, engine.FRAGMENT_UNIFORM]
@@ -129,12 +133,13 @@ def test_fragment_chunk_matches_oracle_at_benchmark_shapes(B, V, R, kind):
 # sha256 of mean_profile's and se_profile's bytes, and duplicate_frequency,
 # of the benchmark's eight ensemble configurations at reduced sample counts
 # (300 samples at B = 20 and 270 at B = 100, each past one ``BATCH_RUNS``
-# batch), seed 2026, one worker
+# batch), seed 2026, one worker. The server-order pins were computed by
+# ``oracles.scalar_ensemble_chunk``, not by the kernels they check.
 GOLDEN_SAMPLES = {20: 300, 100: 270}
 GOLDEN = {
     ("rep", "server", 20, 50, 5): (
-        "36da3302fd90fc92885592e0ef9d15b414298026e28156021cfd2eebc6c2d526",
-        "48f0b6d48f822bfdd83788454263f138ce0083a035fe4d496a72afc069d9d676", 0.4214),
+        "5bb1b147299d25d51c503b31640f83457622b9f04e32b97779091f6b4cd115f7",
+        "bb7c19d13d598b28a57caed3166177400c912fd0c16b2c50eb1a8aec0f0517dd", 0.4214),
     ("rep", "fragment", 20, 50, 5): (
         "21849378e044e3e3555b3eeb5cbc01fe9f23bd17eb7b9ada27102217b47add9a",
         "44a1354ebaddd2048a40cc804cd681efd0c01b2810ca640d2fb38676329cf906", 0.4214),
@@ -145,14 +150,14 @@ GOLDEN = {
         "a187b9df60a865d7a6f11ab65b8ebc2db4ae1333fd7987122dd29498bf7176b6",
         "7a12e561363385e9dfeeab326368731c030ed4b374e7f5897ac819159d2884c5", None),
     ("rep", "server", 100, 200, 3): (
-        "39f85ad3009d304d463745b87e2eddb3a70648645cb1f152e719cf68822d5e90",
-        "eee60544a1eb3b45634f66c702fb91209f0fc34e2616a5f89a9b2c70f9031898", 0.03088888888888889),
+        "3cc5300beb03bbe161d3e2088fe2750206451c6aeef9196370cda49cd988e9d3",
+        "c870a00e5f0e6c3dd0c4de5403acdd8c344e688764b7f3b6b387cd2d6e0bfcb9", 0.03088888888888889),
     ("rep", "fragment", 100, 200, 3): (
         "ef8e5651c01b7a66d0cd505eb8b863f773d651f572da49cb57d19861b6fbca72",
         "2afd2f016e0a50e1693c5686f2bf29d015513651c8163f4cd9cdc678f4ead203", 0.03088888888888889),
     ("mds", "server", 100, 200, 3): (
-        "59a801ec93395942c806b862dfb87e74c43bbb58be9b6e8fa6ce25a781f8bc63",
-        "407863a34f12bf1c769aeba14ecb0bf7065a8f5168498371d591eab4b9d5fd21", None),
+        "cef8551dc7b82c06f108f0d3f7d2ec6cc235de1cd02692dbf89428124d419565",
+        "ae0ef268892069b48ac871880bfe00e290fa6e77f84fabb6be3c8ca91d0a1ba1", None),
     ("mds", "fragment", 100, 200, 3): (
         "8dbc0a48c68ccc0a4e77e8e2d2365e85d6c30ba5843f38f215002669034f285c",
         "0ee9c1edca2934c7627db3f7e3273bf5105878bc2ae897b82c945f92de9d5738", None),
@@ -204,7 +209,9 @@ def test_streams_equal_fresh_generators():
         assert np.array_equal(gen.integers(0, 9, size=(4, 3)), fresh.integers(0, 9, size=(4, 3)))
 
 
-DOMAINS = [getattr(rng, name) for name in dir(rng) if name.startswith("DOMAIN_")]
+# every domain value the contract has used, the retired 3 included: a stream
+# is keyed the same way whatever its domain byte
+DOMAINS = sorted({getattr(rng, name) for name in dir(rng) if name.startswith("DOMAIN_")} | {3})
 EDGE_SEEDS = [0, -1, 2**63 + 5, 2**64 - 1, 2**70 + 3]
 EDGE_INDICES = range(0, 2**56, 2**56 - 1)  # 0 and 2**56 - 1
 
@@ -234,215 +241,76 @@ def test_streams_refuse_indices_out_of_range(indices):
         next(rng.streams(3, rng.DOMAIN_RUN, indices))
 
 
-# Lemire's rejection threshold (2**32 - m) % m is about 2**30 and 2**31 - 1
-# for the two middle ranges, so they reject a quarter and a half of their
-# half-words; 2**32 - 1 rejects only a zero low half.
-REPLAY_RANGES = [1, 2, 3, 7, 100, 3 * 2**30, 2**31 + 1, 2**32 - 1]
-ROWS = 10
+HALF_WORDS = [0, 1, 2, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1]
 
 
-def replay_streams(index, pending):
-    """Two equal streams; ``pending`` leaves a buffered high half-word."""
-    gen, ref = (rng.stream(47, rng.DOMAIN_TRAJECTORY, index) for _ in range(2))
-    if pending:
-        gen.integers(0, 5)
-        ref.integers(0, 5)
-    assert gen.bit_generator.state["has_uint32"] == int(pending)
-    return gen, ref
-
-
-def generator_replay(gens, block):
-    """A replay with one row per generator, reading its half-words ``block``
-    at a time: a short block makes the replay extend every row many times."""
-    def read(h):
-        return np.array([rng.half_words(g, h) for g in gens])
-
-    return rng.IntegersReplay(read(block), read)
-
-
-def assert_rows_match(ranges, pending, block):
-    """Round r draws ``integers(0, ranges[r][i])`` in row i: the replay gives
-    numpy's scalar values, and a fresh stream advanced by the half-words row
-    i used ends in the state the scalar calls leave."""
-    pairs = [replay_streams(index, pending) for index in range(len(ranges[0]))]
-    replay = generator_replay([gen for gen, _ in pairs], block)
-    for m in ranges:
-        got = replay.integers(np.array(m, dtype=np.uint64))
-        assert got.dtype == np.uint64
-        assert got.tolist() == [int(ref.integers(0, mi)) for (_, ref), mi in zip(pairs, m)]
-    for index, (_, ref) in enumerate(pairs):
-        gen, _ = replay_streams(index, pending)
-        rng.half_words(gen, int(replay.used[index]))
-        assert_same_state(gen, ref)
-    return replay
-
-
-@pytest.mark.parametrize("pending", [False, True], ids=["fresh", "pending"])
-@pytest.mark.parametrize("m", REPLAY_RANGES)
-def test_integers_replay_matches_numpy(m, pending):
-    """The vectorized replay against numpy's own scalar ``integers(0, m)``
-    calls, row by row: if a NumPy release changes how it draws them, this
-    fails."""
-    calls = 40
-    # a 3-half-word block makes the replay extend its blocks many times
-    replay = assert_rows_match([[m] * ROWS] * calls, pending, 3)
-    if m == 1:
-        assert not replay.used.any()
-    elif m in (3 * 2**30, 2**31 + 1):  # the calls did reject half-words
-        assert (replay.used > calls).all()
-    else:
-        assert (replay.used >= calls).all()
-
-
-@pytest.mark.parametrize("pending", [False, True], ids=["fresh", "pending"])
-def test_integers_replay_mixed_ranges(pending):
-    """Every round mixes ranges across rows, so some rows reject while others
-    read nothing; only the rejecting rows redraw."""
-    ranges = np.random.default_rng(5).choice(REPLAY_RANGES, size=(300, ROWS)).tolist()
-    for block in (1, 64, 1000):
-        assert_rows_match(ranges, pending, block)
-
-
-# per row: reads nothing, rejects a quarter, rejects a half, small ranges
-EDGE_RANGES = [1, 3 * 2**30, 2**31 + 1, 2, 7, 100, 1, 3]
-
-
-@pytest.mark.parametrize("pending", [False, True], ids=["fresh", "pending"])
-def test_integers_replay_fast_path_ends_at_the_block_edge(pending):
-    """A block of one half-word per call: rows whose draws are never rejected
-    read exactly their block and leave it as it was, while a rejection makes
-    its row read past the edge, which extends every block."""
-    calls = 30
-    small = [m for m in EDGE_RANGES if m < 2**30]
-    replay = assert_rows_match([small] * calls, pending, calls)
-    assert replay.half.shape[1] == calls
-    assert replay.used.tolist() == [0 if m == 1 else calls for m in small]
-
-    replay = assert_rows_match([EDGE_RANGES] * calls, pending, calls)
-    assert replay.half.shape[1] > calls
-    for m, used in zip(EDGE_RANGES, replay.used.tolist()):
-        if m == 1:
-            assert used == 0
-        elif m < 2**30:
-            assert used == calls
-        else:  # these rows rejected some of their half-words
-            assert used > calls
-
-
-@pytest.mark.parametrize("words", [1, 40])
-def test_stream_replay_reads_each_stream(words):
-    """The chunk path's replay reads stream i from its start; one word per
-    row runs out at once, so its rows are extended from the streams."""
-    ranges = np.random.default_rng(6).choice(REPLAY_RANGES, size=(60, ROWS)).tolist()
-    indices = range(30, 30 + ROWS)
-    replay = rng.stream_replay(47, rng.DOMAIN_TRAJECTORY, indices, words)
-    refs = [rng.stream(47, rng.DOMAIN_TRAJECTORY, i) for i in indices]
-    for m in ranges:
-        got = replay.integers(np.array(m, dtype=np.uint64))
-        assert got.tolist() == [int(ref.integers(0, mi)) for ref, mi in zip(refs, m)]
-    if words == 1:
-        assert replay.half.shape[1] > 2
-    for index, ref in zip(indices, refs):
-        gen = rng.stream(47, rng.DOMAIN_TRAJECTORY, index)
-        rng.half_words(gen, int(replay.used[index - 30]))
-        assert_same_state(gen, ref)
-
-
-@pytest.mark.parametrize("pending", [False, True], ids=["fresh", "pending"])
-def test_integers_replay_leaves_the_generator_as_scalar_calls(pending):
-    ranges = np.random.default_rng(7).choice(REPLAY_RANGES, size=200).tolist()
-    gen, ref = replay_streams(3, pending)
-    with rng.integers_replay(gen, 5) as replay:
-        got = [int(replay.integers(np.array([m], dtype=np.uint64))[0]) for m in ranges]
-    assert got == [int(ref.integers(0, m)) for m in ranges]
-    assert_same_state(gen, ref)
-
-
-def test_integers_replay_without_draws_keeps_state():
-    gen, ref = replay_streams(3, True)
-    with rng.integers_replay(gen, 8) as replay:
-        for _ in range(5):
-            assert replay.integers(np.ones(1, dtype=np.uint64)).tolist() == [0]
-    assert_same_state(gen, ref)
+@pytest.mark.parametrize("m", [1, 2**32 - 1])
+def test_half_picks_at_the_range_ends(m):
+    """``(h * m) >> 32`` in 64-bit words equals the Python-int value at the
+    smallest and the largest range a draw serves, for half-words at both
+    ends: m = 1 always gives 0, and 2**32 - 1 gives h - 1 for every h > 0."""
+    got = rng.half_picks(np.array(HALF_WORDS, dtype=np.uint32), np.uint64(m))
+    assert got.dtype == np.uint64
+    assert got.tolist() == [(h * m) >> 32 for h in HALF_WORDS]
+    want = [0] * len(HALF_WORDS) if m == 1 else [max(h - 1, 0) for h in HALF_WORDS]
+    assert got.tolist() == want
 
 
 # (V, R) with V*R odd and even: an odd count leaves the last word's high half
 # unread
-FILL_SHAPES = [(1, 1), (3, 1), (5, 2), (7, 3)]
-FILL_SAMPLES = range(engine.BATCH_RUNS - 30, engine.BATCH_RUNS + 30)
+PLACEMENT_SHAPES = [(1, 1), (3, 1), (5, 2), (7, 3)]
+PLACEMENT_SAMPLES = range(226, 286)
 
 
-@pytest.mark.parametrize("V, R", FILL_SHAPES)
-@pytest.mark.parametrize("B", REPLAY_RANGES + [2**32, 2**32 + 1])
+@pytest.mark.parametrize("V, R", PLACEMENT_SHAPES)
+@pytest.mark.parametrize("B", [1, 2, 7, 2**31 + 1, 2**32 - 1])
+def test_placements_read_one_half_word_per_server(B, V, R):
+    """Entry k of a sample's placement is half-word k of its stream, low
+    half of a word first, mapped onto [0, B) in Python ints, at every B, one
+    included."""
+    got = placement_servers(43, PLACEMENT_SAMPLES, B, V, R)
+    assert got.shape == (len(PLACEMENT_SAMPLES), V, R)
+    for i, s in enumerate(PLACEMENT_SAMPLES):
+        words = rng.stream(43, rng.DOMAIN_PLACEMENT, s).bit_generator.random_raw((V * R + 1) // 2)
+        halves = [h for u in words.tolist() for h in (u & 0xFFFFFFFF, u >> 32)]
+        want = [(h * B) >> 32 for h in halves[:V * R]]
+        assert got[i].reshape(-1).tolist() == want, s
+
+
+@pytest.mark.parametrize("V, R", PLACEMENT_SHAPES)
+@pytest.mark.parametrize("B", [1, 2, 3, 7, 100, 3 * 2**30, 2**31 + 1, 2**32 - 1])
 def test_placements_equal_numpy_draws(B, V, R):
-    """The batched Lemire fill with its fallback gives every sample
-    ``integers(0, B, size=(V, R))`` from its placement stream, over samples
-    on both sides of a ``BATCH_RUNS`` boundary: the rejecting ranges mix
-    rows of the fast path and redrawn rows, and beyond 2**32, where numpy
-    draws whole words, every row is redrawn."""
-    got = engine._placements(B, V, R, 43, FILL_SAMPLES)
-    for i, s in enumerate(FILL_SAMPLES):
-        want = rng.stream(43, rng.DOMAIN_PLACEMENT, s).integers(0, B, size=(V, R))
-        assert np.array_equal(got[i], want), (s, got[i], want)
-    words = rng.stream_words(43, rng.DOMAIN_PLACEMENT, FILL_SAMPLES, (V * R + 1) // 2)
-    redraw = rng.lemire_fill(words.T, B, np.empty((len(FILL_SAMPLES), V * R), np.int64))
-    if B > 2**32:
-        assert redraw.all()
-    elif B in (3 * 2**30, 2**31 + 1) and V * R <= 3:  # a longer row rarely escapes
-        assert redraw.any() and not redraw.all()
-    elif B < 2**30:
-        assert not redraw.any()
+    """The version-2 draw is numpy's Lemire step without its rejection: each
+    sample's placement equals ``integers(0, B, size=(V, R))`` from its
+    placement stream up to the first half-word numpy would reject, and so
+    in full where numpy rejects none. Below 2**30 numpy rejects nothing
+    here; at 3 * 2**30 and 2**31 + 1 it rejects a quarter and a half of the
+    half-words, so short rows show both kinds of sample."""
+    threshold = (2**32 - B) % B
+    got = placement_servers(43, PLACEMENT_SAMPLES, B, V, R)
+    rejected, compared = [], 0
+    for i, s in enumerate(PLACEMENT_SAMPLES):
+        words = rng.stream(43, rng.DOMAIN_PLACEMENT, s).bit_generator.random_raw((V * R + 1) // 2)
+        halves = [h for u in words.tolist() for h in (u & 0xFFFFFFFF, u >> 32)][:V * R]
+        k = next((j for j, h in enumerate(halves) if (h * B) & 0xFFFFFFFF < threshold), V * R)
+        want = rng.stream(43, rng.DOMAIN_PLACEMENT, s).integers(0, B, size=(V, R)).reshape(-1)
+        assert got[i].reshape(-1)[:k].tolist() == want[:k].tolist(), s
+        rejected.append(k < V * R)
+        compared += k
+    assert compared > 0
+    if B < 2**30 or B == 2**32 - 1:  # threshold 1 at 2**32 - 1: only h = 0
+        assert not any(rejected)
+    elif V * R <= 3:  # a longer row rarely escapes
+        assert any(rejected) and not all(rejected)
 
 
-def crafted_stream(words):
-    """A generator whose next words are ``words`` (at most four), then its
-    own Philox stream."""
-    gen = np.random.Generator(np.random.Philox(key=99))
-    state = gen.bit_generator.state
-    state["buffer_pos"] = 4 - len(words)
-    state["buffer"][state["buffer_pos"]:] = words
-    gen.bit_generator.state = state
-    return gen
-
-
-def low_product_half_word(m, target):
-    """A half-word u with (u * m) mod 2**32 == target, or None if there is
-    none."""
-    g = gcd(m, 2**32)
-    if target < 0 or target % g:
-        return None
-    u = (target // g) * pow(m // g, -1, 2**32 // g) % (2**32 // g)
-    assert u * m % 2**32 == target
-    return u
-
-
-@pytest.mark.parametrize("m", REPLAY_RANGES[1:] + [2**32, 5, 2**31 - 1])
-def test_lemire_fill_at_the_threshold(m):
-    """Half-words whose low product lies just below, at and just above
-    numpy's threshold, in every position of a row: ``lemire_fill`` masks
-    exactly the rows where numpy's own draw rejects a half-word, which read
-    more than their four half-words, and gives numpy's values elsewhere."""
-    t, g = rng.lemire_threshold(m), gcd(m, 2**32)  # low products are multiples of g
-    keep = low_product_half_word(m, 2**32 - g)  # never rejected
-    rows = [[keep] * 4]
-    for target in sorted({t - g, t - 1, t, t + 1}):
-        u = low_product_half_word(m, target)
-        if u is not None:
-            rows += [[keep] * pos + [u] + [keep] * (3 - pos) for pos in range(4)]
-    half = np.array(rows, dtype=np.uint64)
-    words = half[:, 0::2] | half[:, 1::2] << np.uint64(32)
-    out = np.empty((len(rows), 4), dtype=np.int64)
-    redraw = rng.lemire_fill(words, m, out)
-    for i, row in enumerate(words.tolist()):
-        gen, ref = crafted_stream(row), crafted_stream(row)
-        want = gen.integers(0, m, size=4)
-        rng.half_words(ref, 4)
-        try:
-            assert_same_state(gen, ref)
-            rejected = False
-        except AssertionError:
-            rejected = True
-        assert redraw[i] == rejected, (rows[i], t)
-        if not rejected:
-            assert out[i].tolist() == want.tolist()
-    assert redraw.any() == (t > 0)
+@pytest.mark.parametrize("B", [2**32, 2**32 + 1, 2**40])
+def test_servers_beyond_one_half_word_are_refused(B):
+    """B >= 2**32 is refused before any draw or task, by the ensemble and by
+    both samplers."""
+    with pytest.raises(InvalidParams, match="2\\*\\*32"):
+        ensemble_monte_carlo(B, 3, 2, "rep", engine.SERVER_UNIFORM, 4, 1, threads=2)
+    with pytest.raises(InvalidParams, match="2\\*\\*32"):
+        sample_random_replication(B, 3, 2, seed=1)
+    with pytest.raises(InvalidParams, match="2\\*\\*32"):
+        sample_random_mds(B, 3, 2, seed=1)
