@@ -19,6 +19,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 from . import analytics, engine, rng
@@ -171,7 +172,7 @@ def _req(args, name: str):
 
 def cmd_inspect(args) -> int:
     scheme = read_scheme(args.scheme)
-    ov = overlap_profile(scheme)
+    ov = _timed_overlap_profile(scheme, "inspect")
     design = scheme_to_design(scheme)
     lam2 = verify_t_design(design, 2)
     laws = conservation_check(design, 2, lam2) if lam2 is not None else conservation_check(design)
@@ -193,7 +194,7 @@ def cmd_inspect(args) -> int:
 def cmd_bounds(args) -> int:
     scheme = read_scheme(args.scheme)
     p = scheme.params
-    lb_general = analytics.general_lower_profile(scheme, overlap_profile(scheme))
+    lb_general = analytics.general_lower_profile(scheme, _timed_overlap_profile(scheme, "bounds"))
     env = analytics.bound_envelope(scheme)
     rep = analytics.random_rep_expected(p.B, p.V, p.R)
     mds = analytics.random_mds_expected(p.B, p.V, p.R)
@@ -219,6 +220,15 @@ def _timed_monte_carlo(config, threads: int, label: str):
     summary = engine.monte_carlo(config, threads=threads)
     _report_rate(label, config.runs, "runs", start)
     return summary
+
+
+def _timed_overlap_profile(scheme, label: str):
+    """``overlap_profile``, reporting on stderr its elapsed time and the
+    server and fragment pairs it counted per second."""
+    start = time.perf_counter()
+    ov = overlap_profile(scheme)
+    _report_rate(label, comb(scheme.B, 2) + comb(scheme.V, 2), "pairs", start)
+    return ov
 
 
 def _summary_doc(summary, header: dict) -> dict:

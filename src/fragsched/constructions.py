@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import CapacityMismatch, InvalidParams, NotPrime
-from .model import StorageScheme, build_scheme
+from .model import StorageScheme, build_scheme, physical_memory
 
 __all__ = [
     "ReplicationPlacement",
@@ -137,18 +137,9 @@ class ReplicationPlacement:
     def __post_init__(self) -> None:
         if len(self.theta) != self.V or any(len(t) != self.R for t in self.theta):
             raise InvalidParams("theta must be V sequences of R server ids")
-        counts = [0] * self.B
-        occ = []
-        for t in self.theta:
-            for b in t:
-                if not 1 <= b <= self.B:
-                    raise InvalidParams(f"server id {b} outside [1, {self.B}]")
-                counts[b - 1] += 1
-            occ.append(frozenset(t))
-        object.__setattr__(self, "occupancy", tuple(occ))
-        object.__setattr__(
-            self, "alpha_per_server", tuple(Fraction(c, self.V) for c in counts)
-        )
+        alpha = _alpha_per_server(self.theta, self.B, self.V)
+        object.__setattr__(self, "occupancy", tuple(frozenset(t) for t in self.theta))
+        object.__setattr__(self, "alpha_per_server", alpha)
 
     def multiplicity(self, fragment: int, server: int) -> int:
         return sum(1 for b in self.theta[fragment - 1] if b == server)
@@ -171,14 +162,37 @@ class MdsPlacement:
     def __post_init__(self) -> None:
         if len(self.chi) != self.V * self.R:
             raise InvalidParams("chi must place V*R coded fragments")
-        counts = [0] * self.B
-        for b in self.chi:
-            if not 1 <= b <= self.B:
-                raise InvalidParams(f"server id {b} outside [1, {self.B}]")
-            counts[b - 1] += 1
-        object.__setattr__(
-            self, "alpha_per_server", tuple(Fraction(c, self.V) for c in counts)
-        )
+        object.__setattr__(self, "alpha_per_server", _alpha_per_server(self.chi, self.B, self.V))
+
+
+# Peak bytes per server of ``_alpha_per_server``: a count (8), its Python
+# list slot (8), the tuple slot (8), the Fraction (48) and, once V or the
+# counts pass 256, its own int objects (28 each). ``tracemalloc`` measured
+# 73 to 106 bytes a server at B = 10**6.
+_BYTES_PER_SERVER = 128
+
+
+def _alpha_per_server(servers, B: int, V: int) -> tuple[Fraction, ...]:
+    """(1/V) times the number of the 1-based ids ``servers`` (any nesting)
+    on each server 1..B.
+
+    Refuses, before allocating anything B-sized, a B whose per-server fields
+    would exceed physical memory, and any id that is not an integer in
+    [1, B]."""
+    need = B * _BYTES_PER_SERVER
+    physical = physical_memory()
+    if physical is not None and need > physical:
+        raise InvalidParams(f"B={B}: a placement's per-server fields need about "
+                            f"{need / 2**30:,.1f} GiB ({need:,} bytes), more than the "
+                            f"{physical / 2**30:,.1f} GiB of physical memory")
+    ids = np.asarray(servers).ravel()
+    if ids.size and ids.dtype.kind not in "iu":
+        raise InvalidParams(f"server ids must be integers in [1, {B}]")
+    outside = (ids < 1) | (ids > B)
+    if outside.any():
+        raise InvalidParams(f"server id {ids[outside][0]} outside [1, {B}]")
+    counts = np.bincount(ids.astype(np.intp) - 1, minlength=B)
+    return tuple(Fraction(c, V) for c in counts.tolist())
 
 
 def large_storage_scheme(V: int, B: int, K: int) -> ReplicationPlacement:

@@ -52,7 +52,6 @@ the state count and the estimated peak memory before anything is allocated.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
@@ -60,7 +59,7 @@ from math import comb, lcm
 import numpy as np
 
 from .errors import InvalidParams, TooManyFragments
-from .model import StorageScheme
+from .model import StorageScheme, physical_memory
 from .scheduling import DecisionRule, RandomWorkConserving, compile_policy, slot_counts
 
 __all__ = ["MdpSolution", "PolicyEvaluation", "mdp_solve", "policy_evaluate_exact"]
@@ -109,12 +108,11 @@ def check_size(scheme: StorageScheme, cap: int, solver: str) -> None:
         what = "solver" if solver == "mdp" else "evaluation"
         raise TooManyFragments(f"V={V} exceeds the {what} cap {cap}: {1 << V:,} states, "
                                f"estimated peak memory {peak / 2**30:,.1f} GiB")
-    if hasattr(os, "sysconf"):  # POSIX; elsewhere only the cap applies
-        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if peak > physical:
-            raise TooManyFragments(f"V={V}, B={scheme.B}: {1 << V:,} states, estimated peak "
-                                   f"memory {peak / 2**30:,.1f} GiB exceeds the "
-                                   f"{physical / 2**30:,.1f} GiB of physical memory")
+    physical = physical_memory()  # None off POSIX, where only the cap applies
+    if physical is not None and peak > physical:
+        raise TooManyFragments(f"V={V}, B={scheme.B}: {1 << V:,} states, estimated peak "
+                               f"memory {peak / 2**30:,.1f} GiB exceeds the "
+                               f"{physical / 2**30:,.1f} GiB of physical memory")
 
 
 def _as_mask(subset, V: int) -> int:

@@ -20,10 +20,13 @@ All fragment and server ids are 1-based.
 from __future__ import annotations
 
 import itertools
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, isfinite
+
+import numpy as np
 
 from .errors import (
     DuplicateReplicaOnServer,
@@ -193,24 +196,98 @@ def build_scheme(
     )
 
 
+def physical_memory() -> int | None:
+    """This machine's physical memory in bytes, or None where the platform
+    does not report it (``os.sysconf`` is POSIX-only). Size checks refuse
+    work whose estimated memory exceeds it, before allocating anything."""
+    if not hasattr(os, "sysconf"):
+        return None
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def overlap_profile(scheme: StorageScheme) -> OverlapProfile:
     """Exact pairwise-overlap maxima and histograms.
+
+    Builds the B x V incidence once and packs each server's row, and each
+    fragment's row of the transpose, into uint64 words. A pair's overlap is
+    the popcount of the AND of its two rows, summed over the words. Integer
+    bit operations only: no float matmul, so no BLAS buffers.
+
+    Cost: C(B,2) * ceil(V/64) + C(V,2) * ceil(B/64) word ANDs and popcounts,
+    done by numpy in row blocks. Memory: the incidence, one byte per entry
+    with both sides rounded up to multiples of 64, and two packings of an
+    eighth of that, plus a transient per row block that stays within
+    ``_PAIR_BLOCK_BYTES`` (256 KiB) while one row of 26 bytes per pair
+    fits, that is up to about 10,000 servers or fragments; past that a block
+    is one row.
 
     With fewer than two servers (or fragments) the respective maximum is 0 by
     convention and the histogram is empty.
     """
-    tau_hist: Counter[int] = Counter()
-    for sa, sb in itertools.combinations(scheme.fragment_sets, 2):
-        tau_hist[len(sa & sb)] += 1
-    lam_hist: Counter[int] = Counter()
-    for pa, pb in itertools.combinations(scheme.occupancy, 2):
-        lam_hist[len(pa & pb)] += 1
+    incidence = _incidence(scheme)
+    tau_hist = _pair_histogram(_packed_words(incidence[:scheme.B]))
+    lam_hist = _pair_histogram(_packed_words(incidence[:, :scheme.V].T))
     return OverlapProfile(
         tau_max=max(tau_hist, default=0),
         lambda_max=max(lam_hist, default=0),
-        tau_histogram=dict(tau_hist),
-        lambda_histogram=dict(lam_hist),
+        tau_histogram=tau_hist,
+        lambda_histogram=lam_hist,
     )
+
+
+def _incidence(scheme: StorageScheme) -> np.ndarray:
+    """The B x V boolean incidence, entry (b-1, v-1) saying whether server b
+    stores fragment v, padded with False rows and columns to multiples of 64
+    on both sides, so that every row and column packs into whole words."""
+    sizes = [len(s) for s in scheme.fragment_sets]
+    servers = np.repeat(np.arange(scheme.B), sizes)
+    fragments = np.fromiter(itertools.chain.from_iterable(scheme.fragment_sets),
+                            dtype=np.intp, count=len(servers))
+    incidence = np.zeros((-(-scheme.B // 64) * 64, -(-scheme.V // 64) * 64), dtype=bool)
+    incidence[servers, fragments - 1] = True
+    return incidence
+
+
+def _packed_words(rows: np.ndarray) -> np.ndarray:
+    """The rows of a boolean matrix 64k columns wide as uint64 words,
+    word-major: entry (w, i) holds columns 64w..64w+63 of row i, column j in
+    bit j % 64."""
+    return np.ascontiguousarray(np.packbits(rows, axis=1, bitorder="little").view("<u8").T)
+
+
+# Bytes the arrays of one row block of ``_pair_histogram`` may hold at once.
+_PAIR_BLOCK_BYTES = 1 << 18
+# Bytes a block holds per pair: the ANDed word (8), its popcount (1), the
+# running uint32 sum (4), the mask (1), the kept sum (4) and bincount's intp
+# copy of it (8).
+_BYTES_PER_PAIR = 26
+
+
+def _pair_histogram(words: np.ndarray) -> dict[int, int]:
+    """Map each overlap popcount(row i & row j), i < j, of the word-major
+    rows ``words`` (``_packed_words``) to the number of pairs with it.
+
+    A block of k rows goes against all later rows at once, one word at a
+    time into reused buffers, and the pairs with j <= i are masked out. k is
+    the largest count that keeps a block within ``_PAIR_BLOCK_BYTES``, and
+    at least 1.
+    """
+    n_words, n = words.shape
+    hist = np.zeros(64 * n_words + 1, dtype=np.int64)
+    step = max(1, _PAIR_BLOCK_BYTES // (n * _BYTES_PER_PAIR))
+    # row r of a block against column c, the block's (c+1)-th later row
+    above = np.arange(1, n) > np.arange(min(step, n))[:, None]
+    for i0 in range(0, n - 1, step):
+        i1 = min(i0 + step, n - 1)
+        shape = (i1 - i0, n - 1 - i0)
+        anded = np.empty(shape, dtype=np.uint64)
+        popcounts = np.empty(shape, dtype=np.uint8)
+        overlaps = np.zeros(shape, dtype=np.uint32)
+        for w in range(n_words):
+            np.bitwise_and(words[w, i0:i1, None], words[w, None, i0 + 1:], out=anded)
+            overlaps += np.bitwise_count(anded, out=popcounts)
+        hist += np.bincount(overlaps[above[:shape[0], :shape[1]]], minlength=hist.size)
+    return {k: count for k, count in enumerate(hist.tolist()) if count}
 
 
 def verify_t_design(design: Design, t: int) -> int | None:

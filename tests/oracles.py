@@ -8,6 +8,7 @@ the scalar subset DPs read only the scalar decision rule,
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 
@@ -23,6 +24,25 @@ def count_t_subsets(points: int, blocks: list[set[int]], t: int) -> dict[tuple, 
         ss = set(sub)
         counts[sub] = sum(1 for blk in blocks if ss <= blk)
     return counts
+
+
+def pairwise_overlap_profile(scheme):
+    """``model.overlap_profile`` by intersecting every pair of fragment sets
+    and every pair of occupancy sets."""
+    from fragsched.model import OverlapProfile
+
+    tau_hist: Counter[int] = Counter()
+    for sa, sb in itertools.combinations(scheme.fragment_sets, 2):
+        tau_hist[len(sa & sb)] += 1
+    lam_hist: Counter[int] = Counter()
+    for pa, pb in itertools.combinations(scheme.occupancy, 2):
+        lam_hist[len(pa & pb)] += 1
+    return OverlapProfile(
+        tau_max=max(tau_hist, default=0),
+        lambda_max=max(lam_hist, default=0),
+        tau_histogram=dict(tau_hist),
+        lambda_histogram=dict(lam_hist),
+    )
 
 
 def random_wc_transition(blocks: list[set[int]], downloaded: set[int]) -> dict[int, Fraction]:

@@ -3,7 +3,8 @@ import re
 
 import pytest
 
-from fragsched import build_scheme, projective_plane, read_scheme, rng, scheme_hash, write_scheme
+from fragsched import (build_scheme, cyclic_shift, projective_plane, read_scheme, rng, scheme_hash,
+                       write_scheme)
 from fragsched.cli import ACCEPTANCE_ROWS, main
 from fragsched.errors import (
     DuplicateReplicaOnServer,
@@ -174,8 +175,6 @@ class TestSimulateExactMdp:
         assert doc["optimal_value"] > 0
 
     def test_mdp_cap_exits_one(self, tmp_path, capsys):
-        from fragsched import cyclic_shift
-
         path = tmp_path / "big.json"
         write_scheme(cyclic_shift(25, 3), path)
         assert main(["mdp", "--scheme", str(path)]) == 1
@@ -396,6 +395,25 @@ class TestTimingsOnStderr:
         # stdout carries the JSON's bytes, and neither carries the timing
         assert captured.out == out.read_text()
         assert "states/s" not in captured.out
+
+    @pytest.mark.parametrize("command", ["inspect", "bounds"])
+    def test_overlap_commands_report_pairs_and_rate(self, tmp_path, capsys, command):
+        scheme = tmp_path / "cyclic.json"
+        write_scheme(cyclic_shift(12, 3), scheme)
+        argv = [command, "--scheme", str(scheme)]
+        # C(12,2) server pairs plus C(12,2) fragment pairs
+        rate = rf"{command}: 132 pairs in \d+\.\d{{3}} s \([\d,]+ pairs/s\)"
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert re.fullmatch(rf"{rate}\n", captured.err)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        captured_file = capsys.readouterr()
+        assert re.fullmatch(rf"{rate}\n", captured_file.err)
+        assert captured_file.out == ""
+        # stdout carries the artifact's bytes, and neither carries the timing
+        assert captured.out == out.read_text()
+        assert "pairs/s" not in captured.out
 
     def test_reproduce_reports_each_row(self, tmp_path, capsys):
         out = tmp_path / "table.csv"

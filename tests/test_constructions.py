@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from fragsched import (
     scheme_to_design,
     verify_t_design,
 )
+from fragsched.constructions import MdsPlacement, ReplicationPlacement
 from fragsched.errors import CapacityMismatch, InvalidParams, NotPrime
 
 
@@ -235,3 +237,42 @@ class TestRandomMds:
 
     def test_replay_identical(self):
         assert sample_random_mds(5, 4, 3, seed=7).chi == sample_random_mds(5, 4, 3, seed=7).chi
+
+
+class TestPlacementFields:
+    """A placement's per-server fields are sized by B: a B whose fields
+    cannot fit in physical memory is refused before they are built, and
+    every server id must be an integer in [1, B]."""
+
+    @pytest.mark.parametrize("sample", [sample_random_replication, sample_random_mds])
+    def test_largest_drawable_B_is_refused_quickly(self, sample):
+        start = time.perf_counter()
+        with pytest.raises(InvalidParams, match=r"B=4294967295: .*\(549,755,813,760 bytes\)"):
+            sample(2**32 - 1, 3, 2, seed=1)
+        assert time.perf_counter() - start < 1.0
+
+    def test_refusal_reads_physical_memory(self, monkeypatch):
+        machine = {"SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr("os.sysconf", machine.__getitem__)
+        with pytest.raises(InvalidParams, match=r"B=40000: .* physical memory"):
+            sample_random_mds(40_000, 3, 2, seed=1)
+        assert len(sample_random_mds(30_000, 3, 2, seed=1).alpha_per_server) == 30_000
+
+    @pytest.mark.parametrize("ids, match", [
+        ((0, 1, 2, 3, 1, 1), "server id 0 outside"),
+        ((1, 2, 3, 4, 5, 7), "server id 7 outside"),
+        ((1.0,) * 6, "integers"),
+        ((2**70,) + (1,) * 5, "integers"),
+    ])
+    def test_ids_outside_the_servers_are_refused(self, ids, match):
+        with pytest.raises(InvalidParams, match=match):
+            MdsPlacement(B=6, V=3, R=2, chi=ids)
+        with pytest.raises(InvalidParams, match=match):
+            ReplicationPlacement(B=6, V=3, R=2, theta=(ids[:2], ids[2:4], ids[4:]))
+
+    def test_alpha_counts_each_servers_replicas(self):
+        mds = MdsPlacement(B=6, V=3, R=2, chi=(1, 2, 2, 6, 6, 6))
+        assert mds.alpha_per_server == tuple(Fraction(c, 3) for c in (1, 2, 0, 0, 0, 3))
+        rep = ReplicationPlacement(B=4, V=2, R=2, theta=((1, 1), (4, 2)))
+        assert rep.alpha_per_server == tuple(Fraction(c, 2) for c in (2, 1, 0, 1))
+        assert rep.occupancy == (frozenset({1}), frozenset({2, 4}))

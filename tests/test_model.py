@@ -1,8 +1,12 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fragsched import (
     Design,
@@ -24,8 +28,10 @@ from fragsched.errors import (
     InvalidRate,
     NonUniformDesign,
 )
+from fragsched import model
+from fragsched.constructions import cyclic_shift, projective_plane
 from fragsched.scheduling import compile_policy
-from oracles import count_t_subsets, useful_count
+from oracles import count_t_subsets, pairwise_overlap_profile, useful_count
 
 
 class TestBuildScheme:
@@ -87,6 +93,24 @@ class TestBuildScheme:
         assert sum(len(s) for s in fano.fragment_sets) == p.V * p.R == p.B * p.K
 
 
+@st.composite
+def overlap_schemes(draw):
+    """Schemes with B, V <= 40 and uneven server sizes; some repeat a
+    server's fragment set, or put one fragment on every server."""
+    B, V = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rnd = draw(st.randoms(use_true_random=False))
+    sets = [set(rnd.sample(range(1, V + 1), rnd.randint(0, V))) for _ in range(B)]
+    if B > 1 and draw(st.booleans()):
+        sets[-1] = set(sets[0])
+    if draw(st.booleans()):
+        for s in sets:
+            s.add(1)
+    for v in range(1, V + 1):  # every fragment needs a holder
+        if not any(v in s for s in sets):
+            sets[rnd.randrange(B)].add(v)
+    return build_scheme([{b for b, s in enumerate(sets, 1) if v in s} for v in range(1, V + 1)], B=B)
+
+
 class TestOverlapProfile:
     def test_fano_overlaps(self, fano):
         ov = overlap_profile(fano)
@@ -113,6 +137,42 @@ class TestOverlapProfile:
         ov = overlap_profile(build_scheme([{1}]))
         assert ov.lambda_max == 0 and ov.tau_max == 0
         assert ov.lambda_histogram == {} and ov.tau_histogram == {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(scheme=overlap_schemes(),
+           block_bytes=st.one_of(st.just(model._PAIR_BLOCK_BYTES), st.integers(1, 40_000)))
+    def test_equals_pairwise_oracle(self, scheme, block_bytes):
+        # a small block budget splits even a 40-row side into many row blocks
+        with mock.patch.object(model, "_PAIR_BLOCK_BYTES", block_bytes):
+            assert overlap_profile(scheme) == pairwise_overlap_profile(scheme)
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_scheme([{1, 2, 3}]),           # V = 1
+        lambda: build_scheme([{1}, {1}, {1}]),       # B = 1
+        lambda: projective_plane(11),                # both sides in two row blocks
+        lambda: cyclic_shift(133, 12),
+        lambda: build_scheme([{b for b in range(1, 131) if (b * v) % 7 < 1 + v % 5}
+                              for v in range(1, 121)], B=130),
+    ], ids=["V1", "B1", "pp11", "cyclic133", "uneven130x120"])
+    def test_equals_pairwise_oracle_at_the_default_block_size(self, make):
+        scheme = make()
+        assert overlap_profile(scheme) == pairwise_overlap_profile(scheme)
+
+    def test_cyclic_600_closed_form_within_a_mebibyte(self):
+        # servers at cyclic distance d < 20 share 20 - d fragments, others none,
+        # and likewise for fragments; 600 pairs sit at each distance 1..19
+        scheme = cyclic_shift(600, 20)
+        tracemalloc.start()
+        try:
+            ov = overlap_profile(scheme)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        hist = {20 - d: 600 for d in range(1, 20)}
+        hist[0] = 600 * 599 // 2 - 19 * 600
+        assert ov == model.OverlapProfile(tau_max=19, lambda_max=19,
+                                          tau_histogram=hist, lambda_histogram=hist)
+        assert peak < 1 << 20
 
 
 def useful_after(scheme, downloads) -> set[int]:
