@@ -4,7 +4,6 @@ and download-latency simulation."""
 from .analytics import (
     asymptotic_compare,
     bound_envelope,
-    design_lb_profile,
     duplicate_prob_lb,
     mds_aggregate_bounds,
     mds_useful_bounds,

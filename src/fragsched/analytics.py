@@ -17,7 +17,7 @@ are total in l and safe to plot or assert against trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +32,6 @@ __all__ = [
     "useful_lower_bound_early",
     "useful_lower_bound_late",
     "general_lower_profile",
-    "design_lb_profile",
     "bound_envelope",
     "random_rep_expected",
     "random_mds_expected",
@@ -47,6 +46,10 @@ __all__ = [
 class BoundProfile:
     """Pointwise bounds on N(I_l) for l = 0..V-1, clipped to [0, B].
 
+    ``lower_general`` is the overlap-only lower profile, before the
+    single-overlap recursion that can raise it to ``lower``;
+    :func:`useful_upper_bound` leaves both at zero.
+
     ``normalized_sum_upper`` is the profile-sum ceiling sum(upper)/(B*V),
     valid for every trajectory. ``normalized_sum_remark`` carries the closed
     form 1 - (m+1)/(2V); its derivation assumes B/R is an integer and it can
@@ -56,6 +59,7 @@ class BoundProfile:
     B: int
     V: int
     lower: np.ndarray
+    lower_general: np.ndarray
     upper: np.ndarray
     normalized_sum_upper: Fraction
     normalized_sum_remark: Fraction
@@ -72,6 +76,7 @@ def useful_upper_bound(B: int, V: int, R: int) -> BoundProfile:
         B=B,
         V=V,
         lower=np.zeros(V, dtype=np.int64),
+        lower_general=np.zeros(V, dtype=np.int64),
         upper=upper,
         normalized_sum_upper=Fraction(int(upper.sum()), B * V),
         normalized_sum_remark=remark,
@@ -119,43 +124,23 @@ def general_lower_profile(scheme: StorageScheme, overlap: OverlapProfile) -> np.
                      for ell in range(V)], dtype=np.int64)
 
 
-def design_lb_profile(scheme: StorageScheme) -> BoundProfile:
-    """Best available lower profile for a scheme.
+def bound_envelope(scheme: StorageScheme) -> BoundProfile:
+    """Every bound profile of a scheme, from one ``overlap_profile`` call.
 
-    For fragment-set overlap 1 (projective/affine plane class) the profile is
-    the running maximum of the general profile and the single-overlap
-    recursion seeded from it; otherwise it is the general profile
-    (:func:`general_lower_profile`).
+    ``lower_general`` is :func:`general_lower_profile`. Where two servers
+    share at most one fragment (projective/affine plane class), ``lower`` is
+    the running maximum of it and the single-overlap recursion seeded from it;
+    otherwise it equals ``lower_general``. ``upper`` and both sums are
+    :func:`useful_upper_bound`'s.
     """
     B, V, K = scheme.B, scheme.V, scheme.params.K
     ov = overlap_profile(scheme)
-    lower = general_lower_profile(scheme, ov)
+    general = general_lower_profile(scheme, ov)
+    lower = general.copy()
     if ov.tau_max <= 1 and K >= 2:
         for ell in range(1, V):
             lower[ell] = min(B, max(lower[ell], lower[ell - 1] - (ell - 1) // (K - 1)))
-    ub = useful_upper_bound(B, V, scheme.params.R)
-    return BoundProfile(
-        B=B,
-        V=V,
-        lower=lower,
-        upper=np.full(V, B, dtype=np.int64),
-        normalized_sum_upper=ub.normalized_sum_upper,
-        normalized_sum_remark=ub.normalized_sum_remark,
-    )
-
-
-def bound_envelope(scheme: StorageScheme) -> BoundProfile:
-    """Lower and upper profiles combined for trajectory checking."""
-    lb = design_lb_profile(scheme)
-    ub = useful_upper_bound(scheme.B, scheme.V, scheme.params.R)
-    return BoundProfile(
-        B=scheme.B,
-        V=scheme.V,
-        lower=lb.lower,
-        upper=ub.upper,
-        normalized_sum_upper=ub.normalized_sum_upper,
-        normalized_sum_remark=ub.normalized_sum_remark,
-    )
+    return replace(useful_upper_bound(B, V, scheme.params.R), lower=lower, lower_general=general)
 
 
 @dataclass(frozen=True)
@@ -175,13 +160,9 @@ def random_rep_expected(B: int, V: int, R: int) -> EnsembleExpectation:
     """Replication ensemble: E[N(I_l)] = B*(1 - (1-1/B)^(R*(V-l))).
 
     The aggregate is the exact sum of the per-step means over B*V, i.e.
-    1 - y^R*(1-y^(R*V)) / (V*(1-y^R)) with y = 1-1/B; for B = 1 the single
-    server stays useful throughout and the aggregate is 1.
+    1 - y^R*(1-y^(R*V)) / (V*(1-y^R)) with y = 1-1/B. At B = 1, y = 0 and
+    both give exactly 1: the single server stays useful throughout.
     """
-    if B == 1:
-        return EnsembleExpectation(
-            kind="rep", B=B, V=V, R=R, per_ell=np.ones(V), aggregate=1.0
-        )
     y = 1.0 - 1.0 / B
     per_ell = B * (1.0 - y ** (R * (V - np.arange(V, dtype=np.float64))))
     aggregate = 1.0 - (y**R) * (1.0 - y ** (R * V)) / (V * (1.0 - y**R))
@@ -190,11 +171,7 @@ def random_rep_expected(B: int, V: int, R: int) -> EnsembleExpectation:
 
 def random_mds_expected(B: int, V: int, R: int) -> EnsembleExpectation:
     """MDS ensemble: E[N(I_l)] = B*(1 - (1-1/B)^(R*V-l)); the aggregate is
-    1 - (B/V)*y^((R-1)*V+1)*(1-y^V)."""
-    if B == 1:
-        return EnsembleExpectation(
-            kind="mds", B=B, V=V, R=R, per_ell=np.ones(V), aggregate=1.0
-        )
+    1 - (B/V)*y^((R-1)*V+1)*(1-y^V), exactly 1 at B = 1 (y = 0)."""
     y = 1.0 - 1.0 / B
     per_ell = B * (1.0 - y ** (R * V - np.arange(V, dtype=np.float64)))
     aggregate = 1.0 - (B / V) * y ** ((R - 1) * V + 1) * (1.0 - y**V)

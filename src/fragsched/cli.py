@@ -94,15 +94,15 @@ def resolve_policy(scheme, scheduler: str, push: int | None, rank: str, tie: str
     raise InvalidParams(f"unknown scheduler {scheduler!r}")
 
 
-# the handler, the flags that say how or where a command runs rather than
-# what it computes, and the scheme file's path, whose content ``scheme_hash``
-# names: artifacts leave them out
 # argparse reads an argument that starts with "-" as a flag unless it looks
 # like a plain negative decimal, so "--mu -inf" never reaches the rate check.
 MU_HELP = ("download rate of one server, positive and finite (default 1.0); "
            "write --mu=VALUE, such as --mu=-inf, for a value that starts with "
            "-inf or -nan or is negative in exponent form: argparse reads those "
            "as flags")
+# the handler, the flags that say how or where a command runs rather than
+# what it computes, and the scheme file's path, whose content ``scheme_hash``
+# names: artifacts leave them out
 _NOT_CONFIG = ("func", "threads", "out", "scheme")
 
 
@@ -172,10 +172,10 @@ def _req(args, name: str):
 
 def cmd_inspect(args) -> int:
     scheme = read_scheme(args.scheme)
-    ov = _timed_overlap_profile(scheme, "inspect")
+    ov = _timed_pairs(overlap_profile, scheme, "inspect")
     design = scheme_to_design(scheme)
     lam2 = verify_t_design(design, 2)
-    laws = conservation_check(design, 2, lam2) if lam2 is not None else conservation_check(design)
+    laws = conservation_check(design, 2, lam2)
     p = scheme.params
     doc = {
         "config": _config_header(args, scheme),
@@ -194,11 +194,10 @@ def cmd_inspect(args) -> int:
 def cmd_bounds(args) -> int:
     scheme = read_scheme(args.scheme)
     p = scheme.params
-    lb_general = analytics.general_lower_profile(scheme, _timed_overlap_profile(scheme, "bounds"))
-    env = analytics.bound_envelope(scheme)
+    env = _timed_pairs(analytics.bound_envelope, scheme, "bounds")
     rep = analytics.random_rep_expected(p.B, p.V, p.R)
     mds = analytics.random_mds_expected(p.B, p.V, p.R)
-    rows = [(ell, int(lb_general[ell]), int(env.lower[ell]), int(env.upper[ell]),
+    rows = [(ell, int(env.lower_general[ell]), int(env.lower[ell]), int(env.upper[ell]),
              f"{rep.per_ell[ell]:.6f}", f"{mds.per_ell[ell]:.6f}") for ell in range(p.V)]
     header = _config_header(args, scheme)
     _emit_csv(header, ["ell", "lb_general", "lb_design", "ub", "rep_expected", "mds_expected"],
@@ -222,13 +221,14 @@ def _timed_monte_carlo(config, threads: int, label: str):
     return summary
 
 
-def _timed_overlap_profile(scheme, label: str):
-    """``overlap_profile``, reporting on stderr its elapsed time and the
-    server and fragment pairs it counted per second."""
+def _timed_pairs(compute, scheme, label: str):
+    """``compute(scheme)``, which counts the scheme's overlaps once, reporting
+    on stderr its elapsed time and the server and fragment pairs counted per
+    second."""
     start = time.perf_counter()
-    ov = overlap_profile(scheme)
+    result = compute(scheme)
     _report_rate(label, comb(scheme.B, 2) + comb(scheme.V, 2), "pairs", start)
-    return ov
+    return result
 
 
 def _summary_doc(summary, header: dict) -> dict:
@@ -357,35 +357,33 @@ def _table_rows(which: str):
     return [(name, REFERENCE_MEANS[name]) for name in rows]
 
 
-def _build_table_policy(name: str, schemes):
-    scheme = schemes["pp" if name.startswith("pp/") else "cyclic"]
-    spec = name.split("/", 1)[1]
-    adaptive = spec.startswith(("harmonic-", "greedy-"))
-    if adaptive:
-        rank, base = spec.split("-", 1)
-    else:
-        rank, base = None, spec
-    push = None
-    if base.endswith("+pushback"):
-        base, push = base[: -len("+pushback")], 1
-    elif base == "pushback":
-        base, push = "sif", 1
-    order = _order_for(scheme, base, push)
-    if adaptive:
-        return scheme, RankedPolicy(rank=rank, tie="low", init_order=order)
-    return scheme, NonadaptivePolicy(order)
+def _table_orders(scheme) -> dict:
+    """The placement orders the table's rows name, each built once: ``sif``
+    and ``ud``, each also with ``+pushback`` on server 1, and ``pushback``,
+    which is ``sif+pushback``."""
+    orders = {"sif": smallest_index_first(scheme), "ud": uniform_diversity(scheme)}
+    for base in ("sif", "ud"):
+        orders[f"{base}+pushback"] = pushback(orders[base], scheme, 1)
+    orders["pushback"] = orders["sif+pushback"]
+    return orders
 
 
 def _reproduce_table(args) -> int:
     mu = 1e-5
     schemes = {"pp": projective_plane(11, mu=mu), "cyclic": cyclic_shift(133, 12, mu=mu)}
+    orders = {key: _table_orders(scheme) for key, scheme in schemes.items()}
     results = {}
     rows_out = []
     failures = []
     for name, target in _table_rows(args.rows):
-        scheme, policy = _build_table_policy(name, schemes)
+        # a row is "<scheme>/<order>" or "<scheme>/<rank>-<order>"
+        key, spec = name.split("/", 1)
+        rank, _, base = spec.rpartition("-")
+        order = orders[key][base]
+        policy = (RankedPolicy(rank=rank, tie="low", init_order=order) if rank
+                  else NonadaptivePolicy(order))
         config = engine.SimulationConfig(
-            scheme=scheme, policy=policy, mu=mu, runs=args.runs, master_seed=args.seed
+            scheme=schemes[key], policy=policy, mu=mu, runs=args.runs, master_seed=args.seed
         )
         summary = _timed_monte_carlo(config, args.threads, name)
         mean = summary.mean_download_time

@@ -86,7 +86,6 @@ def affine_plane(q: int, mu: float = 1.0) -> StorageScheme:
     renumbered consecutively in their original order.
     """
     pp = projective_plane(q, mu=mu)
-    pts = _canonical_points(q)
     # Block b is dual to point b; (0,0,1) is the first canonical point.
     deleted_block = 1
     deleted_points = pp.fragment_sets[deleted_block - 1]

@@ -87,13 +87,12 @@ def _peak_bytes(scheme: StorageScheme, solver: str) -> int:
     bytes a state in floats, plus the numerators' bytes in rationals
     (V * log2(D) bits at the widest level, D as in ``_forward_dp``).
     """
-    V, B = scheme.V, scheme.B
+    V, B, K = scheme.V, scheme.B, scheme.params.K
     if solver == "mdp":
         per_state = 3 * B + 170
     else:
         per_state = 32
         if solver == "rational":
-            K = max(len(f) for f in scheme.fragment_sets)
             per_state += V * (lcm(*range(1, B + 1)) * lcm(*range(1, K + 1))).bit_length() // 8
     return per_state << V
 

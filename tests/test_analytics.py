@@ -8,7 +8,6 @@ import pytest
 from fragsched import (
     asymptotic_compare,
     bound_envelope,
-    design_lb_profile,
     duplicate_prob_lb,
     mds_aggregate_bounds,
     mds_useful_bounds,
@@ -103,7 +102,7 @@ class TestLowerBoundLate:
 
 class TestDesignProfile:
     def test_fano_profile_values(self, fano):
-        prof = design_lb_profile(fano)
+        prof = bound_envelope(fano)
         assert prof.lower[0] == 7
         assert prof.lower[1] == 7  # single-overlap recursion keeps all alive
         assert prof.lower[6] == 3
@@ -112,12 +111,13 @@ class TestDesignProfile:
         for q in (2, 3):
             scheme = projective_plane(q)
             p = scheme.params
-            prof = design_lb_profile(scheme)
+            prof = bound_envelope(scheme)
             for ell in range(p.V):
                 general = max(
                     useful_lower_bound_early(p.B, p.K, 1, ell),
                     useful_lower_bound_late(p.R, 1, p.V, ell),
                 )
+                assert prof.lower_general[ell] == general
                 assert prof.lower[ell] >= general
 
     def test_envelope_holds_on_every_fano_trajectory(self, fano):
@@ -131,16 +131,17 @@ class TestDesignProfile:
                 seen.add(v)
 
     def test_cyclic_fallback_uses_general_bounds(self, cyclic73):
-        prof = design_lb_profile(cyclic73)
+        prof = bound_envelope(cyclic73)
         assert prof.lower[6] == 3   # one fragment left
         assert prof.lower[5] == 4   # lambda = 2, i = 2
         assert prof.lower[0] == 7
+        assert np.array_equal(prof.lower, prof.lower_general)  # tau = 2: no recursion
 
 
 class TestEnsembleClosedForms:
     def test_rep_degenerate_cases(self):
-        one = random_rep_expected(1, 5, 2)
-        assert np.all(one.per_ell == 1.0) and one.aggregate == 1.0
+        for one in (random_rep_expected(1, 5, 2), random_mds_expected(1, 5, 2)):
+            assert np.all(one.per_ell == 1.0) and one.aggregate == 1.0
         tiny = random_rep_expected(2, 1, 1)
         assert tiny.per_ell[0] == pytest.approx(1.0)
 

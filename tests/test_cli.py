@@ -1,10 +1,12 @@
+import hashlib
 import json
 import re
+from unittest import mock
 
 import pytest
 
-from fragsched import (build_scheme, cyclic_shift, projective_plane, read_scheme, rng, scheme_hash,
-                       write_scheme)
+from fragsched import (affine_plane, analytics, build_scheme, cyclic_shift, cli, model,
+                       projective_plane, read_scheme, rng, scheme_hash, write_scheme)
 from fragsched.cli import ACCEPTANCE_ROWS, main
 from fragsched.errors import (
     DuplicateReplicaOnServer,
@@ -123,6 +125,48 @@ class TestInspectAndBounds:
         assert len(lines) == 1 + 7
         first = lines[1].split(",")
         assert first[0] == "0" and first[3] == "7"
+
+
+class TestBoundsAndInspectGolden:
+    """SHA-256 of the ``bounds`` CSV and the ``inspect`` JSON, pinned from
+    the code before ``bound_envelope`` became the one producer of bound
+    profiles, so a change to how the profiles are derived cannot move a
+    byte unnoticed."""
+
+    SCHEMES = {
+        "pp2": lambda: projective_plane(2),
+        "pp3": lambda: projective_plane(3),
+        "affine3": lambda: affine_plane(3),
+        "cyclic73": lambda: cyclic_shift(7, 3),
+    }
+    GOLDEN = {
+        ("pp2", "bounds"): "b34beed6fd87ea34d64e726dab2e97fa01c10a50ea5ece4a7c0ee1ed2a7ed9bf",
+        ("pp2", "inspect"): "8364b7c1deac8339257e92516be9682d6fa04ba4d074ed07c71f32983cbcf038",
+        ("pp3", "bounds"): "dbc4d744c32fcccfd754247743b220f32aa84097f830401b400f70be1e034594",
+        ("pp3", "inspect"): "6a5b04eb8a60f97a423db1e2c27f19512e1de3802b13b5cb7830ec5499397756",
+        ("affine3", "bounds"): "e9c2b76d567593d131e1bf96a229c7d3f394ef70009933f96f013bc7527f1ecc",
+        ("affine3", "inspect"): "c8662184ed5edc46c4d8b1e142b0a2d7b4b1f769b5149cff3cec82edc7eab93b",
+        ("cyclic73", "bounds"): "13242c56fe11bc55d2b2046e0af26cfe711e1ffd06f5ce19507bd989d4202163",
+        ("cyclic73", "inspect"): "1768ae41893886d8c34c9c0c08f04e1aa5b60ea2e1303f8d8206f394e64b31a0",
+    }
+
+    @pytest.mark.parametrize("name, command", sorted(GOLDEN),
+                             ids=[f"{name}-{command}" for name, command in sorted(GOLDEN)])
+    def test_artifact_bytes(self, tmp_path, name, command):
+        scheme = tmp_path / f"{name}.json"
+        write_scheme(self.SCHEMES[name](), scheme)
+        out = tmp_path / f"{name}.{command}"
+        assert main([command, "--scheme", str(scheme), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN[name, command]
+
+    def test_bounds_counts_overlaps_once(self, tmp_path):
+        scheme = tmp_path / "pp3.json"
+        write_scheme(projective_plane(3), scheme)
+        counted = mock.Mock(wraps=model.overlap_profile)
+        with mock.patch.object(analytics, "overlap_profile", counted), \
+                mock.patch.object(cli, "overlap_profile", counted):
+            assert main(["bounds", "--scheme", str(scheme), "--out", str(tmp_path / "b.csv")]) == 0
+        assert counted.call_count == 1
 
 
 class TestSimulateExactMdp:

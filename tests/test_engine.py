@@ -10,9 +10,9 @@ from fragsched import (
     RandomWorkConserving,
     RankedPolicy,
     SimulationConfig,
+    bound_envelope,
     build_scheme,
     cyclic_shift,
-    design_lb_profile,
     exact_mean_download,
     mdp_solve,
     mean_download_lower_bound,
@@ -82,7 +82,7 @@ class TestSimulateRun:
                 assert rec.useful_profile[-1] == fano.params.R
 
     def test_harmonic_trajectories_respect_design_bound(self, fano):
-        lower = design_lb_profile(fano).lower
+        lower = bound_envelope(fano).lower
         pol = RankedPolicy(rank="harmonic", tie="low")
         for r in range(400):
             rec = simulate_run(fano, pol, 1.0, run_stream(21, r))
