@@ -8,7 +8,8 @@ the early phase at most i servers can have died while l < i*K - i(i-1)*tau/2;
 near the end, i remaining fragments keep at least i*R - i(i-1)*lambda/2
 servers useful. Schemes with fragment-set overlap capped at 1 additionally
 satisfy the recursion N(I_l) >= N(I_{l-1}) - floor((l-1)/(K-1)), which fills
-the middle range.
+the middle range. On schemes whose server sizes or replica counts vary, the
+lower bounds take K and R as the smallest of them.
 
 Vacuous regimes yield 0 (lower) or B (upper) rather than errors, so profiles
 are total in l and safe to plot or assert against trajectories.
@@ -89,10 +90,11 @@ def useful_lower_bound_early(B: int, K: int, tau_max: int, ell: int) -> int:
     Returns B - i* for the smallest i with l < i*K - i*(i-1)*tau/2 (within
     i <= floor(K/tau)+1), via an exact integer scan; equivalently the closed
     form B - (2K+tau - sqrt((2K+tau)^2 - 8*l*tau)) / (2*tau) rounded up,
-    valid while l < K*(K+tau)/(2*tau). Vacuous cases return 0. No downloads
-    means no dead servers, so l = 0 returns B outright.
+    valid while l < K*(K+tau)/(2*tau). Vacuous cases return 0, K < 1 (an
+    empty server is never useful) among them. Otherwise no downloads means no
+    dead servers, so l = 0 returns B outright.
     """
-    if tau_max < 1 or ell < 0:
+    if tau_max < 1 or ell < 0 or K < 1:
         return 0
     if ell == 0:
         return B
@@ -116,11 +118,19 @@ def useful_lower_bound_late(R: int, lambda_max: int, V: int, ell: int) -> int:
 
 def general_lower_profile(scheme: StorageScheme, overlap: OverlapProfile) -> np.ndarray:
     """Pointwise max of the early and late lower bounds on N(I_l), l = 0..V-1,
-    clipped to [0, B], from the scheme's ``overlap_profile``."""
-    B, V, p = scheme.B, scheme.V, scheme.params
+    clipped to [0, B], from the scheme's ``overlap_profile``.
+
+    Both bounds take the smallest server size and replica count: every server
+    holds at least that many fragments and every fragment that many replicas,
+    so the bounds hold on schemes that are not completely utilizing too. On
+    completely utilizing schemes these are ``params.K`` and ``params.R``.
+    """
+    B, V = scheme.B, scheme.V
+    K = min(len(s) for s in scheme.fragment_sets)
+    R = min(len(s) for s in scheme.occupancy)
     tau, lam = max(overlap.tau_max, 1), max(overlap.lambda_max, 1)
-    return np.array([min(B, max(useful_lower_bound_early(B, p.K, tau, ell),
-                                useful_lower_bound_late(p.R, lam, V, ell)))
+    return np.array([min(B, max(useful_lower_bound_early(B, K, tau, ell),
+                                useful_lower_bound_late(R, lam, V, ell)))
                      for ell in range(V)], dtype=np.int64)
 
 
@@ -129,11 +139,12 @@ def bound_envelope(scheme: StorageScheme) -> BoundProfile:
 
     ``lower_general`` is :func:`general_lower_profile`. Where two servers
     share at most one fragment (projective/affine plane class), ``lower`` is
-    the running maximum of it and the single-overlap recursion seeded from it;
-    otherwise it equals ``lower_general``. ``upper`` and both sums are
-    :func:`useful_upper_bound`'s.
+    the running maximum of it and the single-overlap recursion seeded from it,
+    with K the smallest server size; otherwise it equals ``lower_general``.
+    ``upper`` and both sums are :func:`useful_upper_bound`'s.
     """
-    B, V, K = scheme.B, scheme.V, scheme.params.K
+    B, V = scheme.B, scheme.V
+    K = min(len(s) for s in scheme.fragment_sets)
     ov = overlap_profile(scheme)
     general = general_lower_profile(scheme, ov)
     lower = general.copy()

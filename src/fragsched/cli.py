@@ -36,7 +36,7 @@ from .model import (
     conservation_check,
     overlap_profile,
     scheme_to_design,
-    verify_t_design,
+    two_design_lambda,
 )
 from .scheduling import (
     MdpPolicy,
@@ -173,9 +173,8 @@ def _req(args, name: str):
 def cmd_inspect(args) -> int:
     scheme = read_scheme(args.scheme)
     ov = _timed_pairs(overlap_profile, scheme, "inspect")
-    design = scheme_to_design(scheme)
-    lam2 = verify_t_design(design, 2)
-    laws = conservation_check(design, 2, lam2)
+    lam2 = two_design_lambda(scheme, ov)
+    laws = conservation_check(scheme_to_design(scheme), 2, lam2)
     p = scheme.params
     doc = {
         "config": _config_header(args, scheme),

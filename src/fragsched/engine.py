@@ -13,8 +13,10 @@ scalar ``choices``, the jump chain its padded batched tables.
 
 Monte Carlo runs draw from per-run derived streams, so results are
 reproducible and independent of worker count. With more than one worker,
-calls share one process pool that lives as long as the process, and each
-worker takes four contiguous chunks of the runs or samples, one at a time.
+calls share one process pool that lives as long as the process. The runs or
+samples are split into contiguous chunks of at least one batch where there
+are enough of them, at least one chunk and at most four per worker, and a
+worker takes one chunk at a time.
 One numpy kernel moves a batch of runs through the chain in lockstep, one
 step per iteration; per run it does the arithmetic of a one-run loop, so
 results are also independent of the batch size. Exact expectations come
@@ -73,8 +75,9 @@ __all__ = [
 # policy, 1.5 MB under a nonadaptive one, plus 0.55 MB of stream words; a
 # 256-sample ensemble batch at B = 100, V = 200, R = 3 at 5.5 MB in server
 # order with replicas, 2.8 MB with coded fragments, and 2.9 MB in fragment
-# order, tracemalloc). A 250-run chunk is one batch. Results do not depend on
-# this value.
+# order, tracemalloc). Calls with more than one worker split their work into
+# chunks of at least this many items where there are enough (``_run_tasks``),
+# so that their batches are full too. Results do not depend on this value.
 BATCH_RUNS = 256
 
 SERVER_UNIFORM = "server"
@@ -466,11 +469,17 @@ def _shutdown_pool() -> None:
 def _run_tasks(fn, args: tuple, n: int, threads: int) -> list:
     """``fn(args + (lo, hi))`` over consecutive chunks ``[lo, hi)`` of
     ``range(n)``, results in chunk order. One process runs ``range(n)`` as one
-    chunk; ``threads`` workers get four chunks per worker. A worker that
-    finishes early takes the next chunk, so a call does not wait on the one
-    worker the machine happens to run slowly. (On a 2-vCPU VM, with one chunk
-    per worker, the throughput of two-worker ensemble calls moved by about
-    20% between the machine's slow and fast spells; with four, by 6-9%.)
+    chunk. ``threads`` workers share up to ``k = min(4 * threads,
+    max(threads, ceil(n / BATCH_RUNS)))`` chunks of ``ceil(n / k)`` items.
+    So a chunk holds at least one full batch wherever ``n`` allows it: every
+    batch costs the kernels' fixed numpy calls on every step, and a
+    half-empty one wastes most of them. Every worker still gets a chunk
+    wherever ``n`` allows it, and up to four once ``n`` is large. A worker
+    that finishes early takes the next chunk, so a call does not wait on the
+    one worker the machine happens to run slowly. (On a 2-vCPU VM, with one
+    chunk per worker, the throughput of two-worker ensemble calls moved by
+    about 20% between the machine's slow and fast spells; with four, by
+    6-9%.)
 
     The workers are one pool per process, kept across calls, so a command
     that makes many calls starts its workers once. A pool whose worker died
@@ -479,7 +488,10 @@ def _run_tasks(fn, args: tuple, n: int, threads: int) -> list:
     """
     if threads < 1:
         raise InvalidParams(f"threads must be >= 1, got {threads}")
-    chunk = n if threads == 1 else -(-n // (threads * 4))
+    if threads == 1:
+        chunk = n
+    else:
+        chunk = -(-n // min(4 * threads, max(threads, -(-n // BATCH_RUNS))))
     tasks = [args + (lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     if threads > 1 and len(tasks) > 1:
         from concurrent.futures.process import BrokenProcessPool

@@ -44,6 +44,7 @@ __all__ = [
     "build_scheme",
     "overlap_profile",
     "verify_t_design",
+    "two_design_lambda",
     "conservation_laws",
     "conservation_check",
     "scheme_to_design",
@@ -315,6 +316,24 @@ def verify_t_design(design: Design, t: int) -> int | None:
     if len(counts) != comb(design.points, t):
         return None  # some t-subset occurs in zero blocks
     return lams.pop()
+
+
+def two_design_lambda(scheme: StorageScheme, overlap: OverlapProfile) -> int | None:
+    """``verify_t_design(scheme_to_design(scheme), 2)`` read off the scheme's
+    ``overlap_profile``, without walking block pairs.
+
+    The design's 2-subsets are fragment pairs, and a pair lies in as many
+    blocks as servers hold both fragments, so the design is a 2-design
+    exactly when every server holds the same number K >= 2 of fragments,
+    V >= 2, and every fragment pair has the same overlap lambda >= 1: the
+    fragment-pair histogram has the single key lambda.
+    """
+    sizes = {len(s) for s in scheme.fragment_sets}
+    if len(sizes) != 1 or sizes.pop() < 2 or scheme.V < 2:
+        return None
+    if len(overlap.lambda_histogram) != 1 or overlap.lambda_max < 1:
+        return None
+    return overlap.lambda_max
 
 
 def conservation_laws(

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fragsched import (
     asymptotic_compare,
     bound_envelope,
+    build_scheme,
     duplicate_prob_lb,
     mds_aggregate_bounds,
     mds_useful_bounds,
@@ -70,6 +73,11 @@ class TestLowerBoundEarly:
         # beyond l >= K(K+tau)/(2 tau) no i qualifies
         assert useful_lower_bound_early(7, 3, 1, 6) == 0
         assert useful_lower_bound_early(7, 3, 1, 50) == 0
+
+    def test_empty_server_is_vacuous_from_the_start(self):
+        # a server of no fragments is never useful, so not even l = 0 gives B
+        assert useful_lower_bound_early(7, 0, 1, 0) == 0
+        assert useful_lower_bound_early(7, 0, 1, 3) == 0
 
     def test_agrees_with_inequality_scan(self):
         # the returned bound is B - (smallest i satisfying the inequality)
@@ -252,3 +260,35 @@ class TestAsymptoticCompare:
     def test_b1_rejected(self):
         with pytest.raises(ValueError):
             asymptotic_compare(1, 5, 2)
+
+
+@st.composite
+def uneven_schemes(draw):
+    """Up to 6 fragments on up to 6 servers, not completely utilizing: replica
+    counts and server sizes vary, and a server may hold nothing."""
+    B, V = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    occupancy = [draw(st.sets(st.integers(1, B), min_size=1, max_size=B)) for _ in range(V)]
+    scheme = build_scheme(occupancy, B=B)
+    assume(not scheme.params.completely_utilizing)
+    return scheme
+
+
+class TestUnevenSchemes:
+    def test_smallest_replica_count_bounds_the_last_step(self):
+        # server 3 holds fragments 1 and 2, servers 1 and 2 fragment 1 only:
+        # downloading fragment 1 first leaves server 3 alone useful
+        scheme = build_scheme([{1, 2, 3}, {3}])
+        env = bound_envelope(scheme)
+        assert (scheme.params.K, scheme.params.R) == (2, 3)
+        assert env.lower[1] == env.lower_general[1] == 1
+        assert useful_count([set(s) for s in scheme.fragment_sets], {1}) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(scheme=uneven_schemes())
+    def test_lower_holds_on_every_download_order(self, scheme):
+        blocks = [set(s) for s in scheme.fragment_sets]
+        env = bound_envelope(scheme)
+        assert np.all(env.lower_general <= env.lower)
+        for order in itertools.permutations(range(1, scheme.V + 1)):
+            for ell in range(scheme.V):
+                assert env.lower[ell] <= useful_count(blocks, set(order[:ell])), (order, ell)

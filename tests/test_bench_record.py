@@ -178,6 +178,55 @@ def test_main_alternates_checkouts_and_records_the_command_it_ran(tmp_path, monk
         bench_record.main([f"x={tmp_path / 'a'}", "--out-dir", str(tmp_path)])
 
 
+def test_main_prints_the_comparison_after_writing_identical_files(tmp_path, monkeypatch, capsys):
+    walls = {"a": [100.0, 104.0, 96.0, 100.0], "b": [90.0, 92.0, 99.0, 99.0]}
+    runs_of = Counter()
+
+    def fake_run(cmd, cwd=None, **kwargs):
+        if cmd[0] == "git":
+            return subprocess.CompletedProcess(cmd, 128, "", "not a git repository")
+        name, workload = Path(cwd).name, cmd[cmd.index("--workload") + 1]
+        wall = walls[name][runs_of[name, workload]]  # every workload sees these runs
+        runs_of[name, workload] += 1
+        return subprocess.CompletedProcess(cmd, 0, result_line(wall, 40.0) + "\n",
+                                           facts_line() + "\n")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    assert bench_record.main([f"base={tmp_path / 'a'}", f"new={tmp_path / 'b'}", "--runs", "4",
+                              "--out-dir", str(tmp_path)]) == 0
+    err = capsys.readouterr().err
+    base = json.loads((tmp_path / "BENCH_base.json").read_text())
+    new = json.loads((tmp_path / "BENCH_new.json").read_text())
+    lines = err[err.index(f"wrote {tmp_path / 'BENCH_new.json'}\n"):].splitlines()[1:]
+    assert lines == bench_record.comparison_lines(base, new)
+    # the file bytes are those of the documents the lines were made from
+    for label, doc in (("base", base), ("new", new)):
+        text = (tmp_path / f"BENCH_{label}.json").read_text()
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # three workloads x the three metrics both report (items_per_ref is not)
+    assert len(lines) == 9
+    # medians 100 and 95.5, q1/q3 of a at 99 and 101; b wins 3 rounds, loses 1
+    assert ("table wall_refs (refs): base 100 (IQR 2) -> new 95.5 (-4.5%); "
+            "wins 3, losses 1 of 4 pairs") in lines
+    assert ("ensemble setup_s (s): base 0.03 (IQR 0) -> new 0.03 (+0.0%); "
+            "wins 0, losses 0 of 4 pairs") in lines
+
+
+def test_comparison_lines_skip_missing_metrics_and_zero_medians():
+    def doc(label, metrics, wins=None):
+        out = {"label": label, "workloads": {"exact": {"metrics": {
+            name: {"unit": "s", "median": m, "iqr": 0.5} for name, m in metrics.items()}}}}
+        if wins is not None:
+            out["pair_wins"] = {"against": "a", "workloads": {"exact": wins}}
+        return out
+
+    tally = {"wins": 1, "losses": 0, "pairs": 1}
+    first = doc("a", {"setup_s": 0.0, "wall_refs": 2.0})
+    later = doc("b", {"setup_s": 0.1}, {"setup_s": tally, "wall_refs": tally})
+    assert bench_record.comparison_lines(first, later) == [
+        "exact setup_s (s): a 0 (IQR 0.5) -> b 0.1 (n/a); wins 1, losses 0 of 1 pairs"]
+
+
 @pytest.mark.parametrize("out", ["missing", "a-file"])
 def test_main_refuses_an_out_dir_that_is_not_a_directory_before_any_run(tmp_path, monkeypatch,
                                                                          capsys, out):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -98,6 +99,21 @@ class TestMonteCarlo:
         assert s1.mean_download_time == s2.mean_download_time
         assert np.array_equal(s1.mean_profile, s2.mean_profile)
         assert s1.max_trajectory_aggregate == s2.max_trajectory_aggregate
+
+    @pytest.mark.parametrize("runs", [257, 513])
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_split_past_a_batch_keeps_every_field(self, cyclic73, runs, threads):
+        # 257 runs split 129 + 128 at two workers and 86 + 86 + 85 at three,
+        # 513 split 171 x 3 at both: task edges away from the batch edges
+        cfg = SimulationConfig(scheme=cyclic73, policy=RankedPolicy(rank="harmonic", tie="seeded"),
+                               mu=1.0, runs=runs, master_seed=9)
+        one, many = monte_carlo(cfg, threads=1), monte_carlo(cfg, threads=threads)
+        for field in dataclasses.fields(one):
+            a, b = getattr(one, field.name), getattr(many, field.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+            else:
+                assert a == b, field.name
 
     def test_seed_changes_results(self, fano):
         base = dict(scheme=fano, policy=RandomWorkConserving(), mu=1.0, runs=500)

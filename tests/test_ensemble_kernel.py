@@ -182,11 +182,14 @@ SUMMARY_FIELDS = ["kind", "order_mode", "B", "V", "R", "samples", "master_seed",
 @pytest.mark.parametrize("kind,mode", [("rep", "server"), ("rep", "fragment"),
                                        ("mds", "server"), ("mds", "fragment")])
 def test_summary_matches_oracle(kind, mode, monkeypatch):
-    # one worker runs all samples as one task, and w workers share 4w tasks
-    # of ceil(samples / 4w), so only the threads > 1 cases cross chunk edges:
-    # 2 samples split 1 + 1, 9 split 2 + 2 + 2 + 2 + 1, 17 split 5 x 3 + 2,
-    # 10 split ten tasks of 1
-    cases = [(1, 1), (4, 1), (5, 1), (9, 1), (2, 2), (9, 2), (17, 2), (10, 3)]
+    # one worker runs all samples as one task; w workers share
+    # k = min(4w, max(w, ceil(samples / BATCH_RUNS))) tasks of
+    # ceil(samples / k), so only the threads > 1 cases cross chunk edges:
+    # 2 samples split 1 + 1, 9 split 5 + 4, 17 split 9 + 8, 10 split 4 + 4 + 2,
+    # 257 (one past a batch) split 129 + 128, and 513 (one past two batches)
+    # at three workers split 171 x 3
+    cases = [(1, 1), (4, 1), (5, 1), (9, 1), (2, 2), (9, 2), (17, 2), (10, 3), (257, 2),
+             (513, 3)]
     got = {c: ensemble_monte_carlo(4, 5, 3, kind, mode, c[0], 31, threads=c[1]) for c in cases}
     monkeypatch.setattr(engine, "_ensemble_chunk", scalar_ensemble_chunk)
     for (samples, threads), summary in got.items():

@@ -20,6 +20,7 @@ from fragsched import (
     scheme_to_design,
     verify_t_design,
 )
+from fragsched.model import two_design_lambda
 from fragsched.errors import (
     DuplicateReplicaOnServer,
     EmptyOccupancy,
@@ -29,7 +30,7 @@ from fragsched.errors import (
     NonUniformDesign,
 )
 from fragsched import model
-from fragsched.constructions import cyclic_shift, projective_plane
+from fragsched.constructions import affine_plane, cyclic_shift, projective_plane
 from fragsched.scheduling import compile_policy
 from oracles import count_t_subsets, pairwise_overlap_profile, useful_count
 
@@ -108,6 +109,22 @@ def overlap_schemes(draw):
     for v in range(1, V + 1):  # every fragment needs a holder
         if not any(v in s for s in sets):
             sets[rnd.randrange(B)].add(v)
+    return build_scheme([{b for b, s in enumerate(sets, 1) if v in s} for v in range(1, V + 1)], B=B)
+
+
+@st.composite
+def complete_designs(draw):
+    """Every K-subset of V <= 7 fragments as a server, each repeated up to
+    three times: a 2-design with lambda = copies * C(V-2, K-2) when K >= 2.
+    Some lose their last server, and with it the design, where every fragment
+    keeps a holder."""
+    V = draw(st.integers(1, 7))
+    K = draw(st.integers(1, V))
+    copies = draw(st.integers(1, 3))
+    sets = [set(c) for c in itertools.combinations(range(1, V + 1), K)] * copies
+    if draw(st.booleans()) and len(set().union(*sets[:-1])) == V:
+        sets.pop()
+    B = len(sets)
     return build_scheme([{b for b, s in enumerate(sets, 1) if v in s} for v in range(1, V + 1)], B=B)
 
 
@@ -264,6 +281,21 @@ class TestDesigns:
                 if want == 0:
                     want = None
                 assert got == want, (t, got, want)
+
+    def test_two_design_lambda_from_overlaps_on_constructions(self, pp2, cyclic73):
+        for scheme, want in ((pp2, 1), (projective_plane(3), 1), (affine_plane(3), 1),
+                             (cyclic73, None)):
+            got = two_design_lambda(scheme, overlap_profile(scheme))
+            assert got == verify_t_design(scheme_to_design(scheme), 2) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(scheme=st.one_of(overlap_schemes(), complete_designs()))
+    def test_two_design_lambda_matches_block_walk(self, scheme):
+        got = two_design_lambda(scheme, overlap_profile(scheme))
+        if not all(scheme.fragment_sets):
+            assert got is None  # an empty server is no block of any design
+        else:
+            assert got == verify_t_design(scheme_to_design(scheme), 2)
 
     def test_conservation_pp2(self, pp2):
         design = scheme_to_design(pp2)

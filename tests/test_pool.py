@@ -65,12 +65,39 @@ def test_new_worker_count_replaces_the_pool(fresh_pool):
     assert three <= set(engine._pool._processes) and not two & three
 
 
-def test_each_worker_gets_four_chunks():
+# ``_run_tasks``'s chunks of range(n) per worker count: one worker runs one
+# chunk; w workers share k = min(4w, max(w, ceil(n / BATCH_RUNS))) chunks of
+# ceil(n / k), so a chunk holds a full batch where n allows it
+SPLITS = {
+    (1, 1): [(0, 1)], (2, 1): [(0, 1)], (3, 1): [(0, 1)],
+    (1, 2): [(0, 2)], (2, 2): [(0, 1), (1, 2)], (3, 2): [(0, 1), (1, 2)],
+    (1, 9): [(0, 9)], (2, 9): [(0, 5), (5, 9)], (3, 9): [(0, 3), (3, 6), (6, 9)],
+    (1, 255): [(0, 255)], (2, 255): [(0, 128), (128, 255)],
+    (3, 255): [(0, 85), (85, 170), (170, 255)],
+    (1, 256): [(0, 256)], (2, 256): [(0, 128), (128, 256)],
+    (3, 256): [(0, 86), (86, 172), (172, 256)],
+    (1, 257): [(0, 257)], (2, 257): [(0, 129), (129, 257)],
+    (3, 257): [(0, 86), (86, 172), (172, 257)],
+    (1, 400): [(0, 400)], (2, 400): [(0, 200), (200, 400)],
+    (3, 400): [(0, 134), (134, 268), (268, 400)],
+    (1, 1000): [(0, 1000)],
+    (2, 1000): [(lo, lo + 250) for lo in range(0, 1000, 250)],
+    (3, 1000): [(lo, lo + 250) for lo in range(0, 1000, 250)],
+    (1, 2000): [(0, 2000)],
+    (2, 2000): [(lo, lo + 250) for lo in range(0, 2000, 250)],
+    (3, 2000): [(lo, lo + 250) for lo in range(0, 2000, 250)],
+    (1, 4000): [(0, 4000)],
+    (2, 4000): [(lo, lo + 500) for lo in range(0, 4000, 500)],
+    (3, 4000): [(lo, lo + 334) for lo in range(0, 3674, 334)] + [(3674, 4000)],
+}
+
+
+def test_chunks_hold_a_full_batch_and_at_most_four_per_worker():
     # a worker that finishes early takes the next chunk
-    assert engine._run_tasks(bounds, (), 9, 1) == [(0, 9)]
-    assert engine._run_tasks(bounds, (), 9, 2) == [(0, 2), (2, 4), (4, 6), (6, 8), (8, 9)]
-    assert engine._run_tasks(bounds, ("x",), 24, 3) == [("x", lo, lo + 2) for lo in range(0, 24, 2)]
-    assert engine._run_tasks(bounds, (), 1, 2) == [(0, 1)]
+    assert engine.BATCH_RUNS == 256
+    for (threads, n), chunks in SPLITS.items():
+        assert engine._run_tasks(bounds, (), n, threads) == chunks, (threads, n)
+    assert engine._run_tasks(bounds, ("x",), 9, 2) == [("x", 0, 5), ("x", 5, 9)]
 
 
 def test_dead_worker_fails_one_call_only(fresh_pool):

@@ -10,7 +10,10 @@ workload and end-to-end metric, the rounds in which it beat the first
 checkout, by the metric's ``better`` direction in ``BENCHMARK.json``; ties
 count for neither side. It also counts, per workload, the rounds in which its
 result digest equalled the first checkout's, so whether two checkouts compute
-the same results is read from the file.
+the same results is read from the file. After writing the files, the tool
+prints on stderr one line per later checkout, workload and end-to-end metric:
+the first checkout's median and IQR, the later one's median, the change in
+percent, and the wins and losses.
 
     python3 tools/bench_record.py before=../parent after=. --runs 10 --seed 1 --seconds 30
 
@@ -144,6 +147,30 @@ def bench_doc(label: str, version: str | None, command: list[str], paired_with: 
     return doc
 
 
+def comparison_lines(first: dict, later: dict) -> list[str]:
+    """One line per workload (in ``WORKLOADS`` order) and end-to-end metric
+    that both ``BENCH_*.json`` documents report: ``first``'s median and IQR,
+    ``later``'s median, the change in percent of ``first``'s median, and
+    ``later``'s wins and losses from its ``pair_wins``."""
+    lines = []
+    by_workload = later["pair_wins"]["workloads"]
+    for workload in [w for w in WORKLOADS if w in by_workload]:
+        wins = by_workload[workload]
+        before = first["workloads"][workload]["metrics"]
+        after = later["workloads"][workload]["metrics"]
+        for name, count in wins.items():
+            if name not in before or name not in after:
+                continue
+            a, b = before[name], after[name]
+            change = (f"{100 * (b['median'] - a['median']) / a['median']:+.1f}%"
+                      if a["median"] else "n/a")
+            lines.append(
+                f"{workload} {name} ({a['unit']}): {first['label']} {a['median']:.4g} "
+                f"(IQR {a['iqr']:.3g}) -> {later['label']} {b['median']:.4g} ({change}); "
+                f"wins {count['wins']}, losses {count['losses']} of {count['pairs']} pairs")
+    return lines
+
+
 def bench_command(workload: str, seed: int, seconds: float) -> list[str]:
     """The command that measures ``workload`` in a checkout."""
     return [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -206,6 +233,7 @@ def main(argv=None) -> int:
     command = bench_command("W", args.seed, args.seconds)
     better = directions()
     first = labels[0]
+    docs = {}
     for label, checkout in args.targets:
         against_first = None
         if label != first:
@@ -220,6 +248,10 @@ def main(argv=None) -> int:
                         against_first)
         outs[label].write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"wrote {outs[label]}", file=sys.stderr)
+        docs[label] = doc
+    for label in labels[1:]:
+        for line in comparison_lines(docs[first], docs[label]):
+            print(line, file=sys.stderr)
     return 0
 
 
