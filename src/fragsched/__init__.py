@@ -26,7 +26,6 @@ from .constructions import (
 from .engine import (
     SimulationConfig,
     ensemble_monte_carlo,
-    exact_mean_download,
     mean_download_lower_bound,
     monte_carlo,
     run_stream,
@@ -35,7 +34,7 @@ from .engine import (
     simulate_run_clocks,
 )
 from .errors import FragschedError
-from .mdp import mdp_solve, policy_evaluate_exact
+from .mdp import exact_mean_download, mdp_solve, policy_evaluate_exact
 from .model import (
     Design,
     StorageScheme,

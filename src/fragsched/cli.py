@@ -30,14 +30,8 @@ from .constructions import (
     projective_plane,
 )
 from .errors import FragschedError, InvalidParams
-from .mdp import mdp_solve, policy_evaluate_exact
-from .model import (
-    build_scheme,
-    conservation_check,
-    overlap_profile,
-    scheme_to_design,
-    two_design_lambda,
-)
+from .mdp import DEFAULT_MDP_CAP, exact_mean_download, mdp_solve, policy_evaluate_exact
+from .model import build_scheme, conservation_laws, overlap_profile, two_design_lambda
 from .scheduling import (
     MdpPolicy,
     NonadaptivePolicy,
@@ -174,8 +168,8 @@ def cmd_inspect(args) -> int:
     scheme = read_scheme(args.scheme)
     ov = _timed_pairs(overlap_profile, scheme, "inspect")
     lam2 = two_design_lambda(scheme, ov)
-    laws = conservation_check(scheme_to_design(scheme), 2, lam2)
     p = scheme.params
+    laws = conservation_laws(p.B, p.K, p.V, p.R, 2, lam2)
     doc = {
         "config": _config_header(args, scheme),
         "B": p.B, "V": p.V, "R": p.R, "K": p.K, "mu": p.mu,
@@ -274,7 +268,7 @@ def cmd_exact(args) -> int:
     scheme = read_scheme(args.scheme)
     policy = resolve_policy(scheme, args.scheduler, args.pushback, args.rank, args.tie, args.init)
     start = time.perf_counter()
-    result = engine.exact_mean_download(scheme, policy, args.mu)
+    result = exact_mean_download(scheme, policy, args.mu)
     _report_rate("exact", 1 << scheme.V, "states", start)  # the 2^V subsets the DP is sized for
     header = _config_header(args, scheme, policy=policy.describe())
     doc = {
@@ -291,10 +285,10 @@ def cmd_exact(args) -> int:
 def cmd_mdp(args) -> int:
     scheme = read_scheme(args.scheme)
     start = time.perf_counter()
-    solution = mdp_solve(scheme, cap=args.cap)
+    solution = mdp_solve(scheme)
     _report_rate("mdp", len(solution.values), "states", start)
     doc = {
-        "config": _config_header(args, scheme),
+        "config": _config_header(args, scheme, cap=DEFAULT_MDP_CAP),  # the cap it ran under
         "optimal_value": float(solution.optimal_value),
         "optimal_value_exact": str(solution.optimal_value),
         "states": len(solution.values),
@@ -344,7 +338,7 @@ def _reproduce_appendix_means(args) -> int:
     paired = build_scheme([{1, 3}, {2, 4}, {1, 3}, {2, 4}], mu=1.0)
     ok = True
     for name, scheme, want in (("ring", ring, Fraction(21, 16)), ("paired", paired, Fraction(11, 8))):
-        got = engine.exact_mean_download(scheme, RandomWorkConserving(), 1.0, exact=True).mean
+        got = exact_mean_download(scheme, RandomWorkConserving(), 1.0, exact=True).mean
         status = "ok" if got == want else "MISMATCH"
         ok &= got == want
         print(f"{name}: mean download time = {got} (expected {want}) {status}")
@@ -470,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mdp", help="exact optimal scheduler by backward induction")
     p.add_argument("--scheme", required=True)
-    p.add_argument("--cap", type=int, default=20)
     p.add_argument("--compare-rank", choices=["greedy", "harmonic"])
     p.add_argument("--out")
     p.set_defaults(func=cmd_mdp)
@@ -509,7 +502,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FragschedError as exc:
+    except (FragschedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

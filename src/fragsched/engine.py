@@ -1,4 +1,4 @@
-"""Download-process simulation and exact expectations.
+"""Download-process simulation.
 
 The continuous-time download is simulated as its jump chain: while the
 downloaded set is I, the next fetch completes after an Exponential(N(I)*mu)
@@ -7,9 +7,9 @@ download times are i.i.d. memoryless), and the fetched fragment is whatever
 the policy has scheduled there. A per-server-clock mode that races explicit
 exponential timers is kept as a validation path: after each download it
 re-decides every useful server, and a server whose fragment changes restarts
-its timer. The two agree in distribution. Both, and the exact DP, read the
-policy's decision rule from ``scheduling.compile_policy``: the clock mode its
-scalar ``choices``, the jump chain its padded batched tables.
+its timer. The two agree in distribution. Both, and ``mdp``'s exact DP, read
+the policy's decision rule from ``scheduling.compile_policy``: the clock mode
+its scalar ``choices``, the jump chain its padded batched tables.
 
 Monte Carlo runs draw from per-run derived streams, so results are
 reproducible and independent of worker count. With more than one worker,
@@ -19,8 +19,8 @@ are enough of them, at least one chunk and at most four per worker, and a
 worker takes one chunk at a time.
 One numpy kernel moves a batch of runs through the chain in lockstep, one
 step per iteration; per run it does the arithmetic of a one-run loop, so
-results are also independent of the batch size. Exact expectations come
-from propagating subset probabilities through the chain (2^V states).
+results are also independent of the batch size. Exact expectations are
+``mdp``'s: ``exact_mean_download`` is re-exported here.
 
 Random-ensemble samples run on their drawn server arrays, without building a
 placement object, a batch at a time. A batch's placements come from one read
@@ -40,24 +40,22 @@ from __future__ import annotations
 
 import atexit
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isfinite, sqrt
+from math import sqrt
 
 import numpy as np
 
 from . import rng as _rng
 from .constructions import (MdsPlacement, ReplicationPlacement, check_ensemble_params,
                             placement_servers)
-from .errors import EmptyProfile, InvalidParams, InvalidRate
-from .mdp import DEFAULT_EVAL_CAP, _forward_dp, check_size
-from .model import StorageScheme
+from .errors import EmptyProfile, InvalidParams
+from .mdp import exact_mean_download
+from .model import StorageScheme, check_rate
 from .scheduling import DecisionRule, compile_policy
 
 __all__ = [
     "SimulationConfig",
     "TrajectoryRecord",
     "SimulationSummary",
-    "ExactDownload",
     "EnsembleSummary",
     "simulate_run",
     "simulate_run_clocks",
@@ -97,12 +95,7 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.runs < 1:
             raise InvalidParams("runs must be >= 1")
-        _check_mu(self.mu)
-
-
-def _check_mu(mu) -> None:
-    if not (isfinite(mu) and mu > 0):
-        raise InvalidRate(f"mu must be positive and finite, got {mu}")
+        check_rate(self.mu)
 
 
 @dataclass(frozen=True)
@@ -551,40 +544,9 @@ def monte_carlo(config: SimulationConfig, threads: int = 1) -> SimulationSummary
     )
 
 
-@dataclass(frozen=True)
-class ExactDownload:
-    """Exact mean download time and per-step expected useful counts."""
-
-    mean: Fraction | float
-    per_ell_useful: tuple
-    mu: float
-    exact: bool
-
-
-def exact_mean_download(
-    scheme: StorageScheme, policy, mu: float, exact: bool | None = None,
-    cap: int = DEFAULT_EVAL_CAP,
-) -> ExactDownload:
-    """E[D_V] = sum over stages of E[1/(N(I_l)*mu)], by exact subset DP.
-
-    Rational arithmetic is used for V <= 16 unless overridden; the float mode
-    exists for larger V, still capped (2^V states).
-    """
-    _check_mu(mu)
-    if exact is None:
-        exact = scheme.V <= 16
-    check_size(scheme, cap, "rational" if exact else "float")
-    per_ell, per_ell_inv, _ = _forward_dp(compile_policy(scheme, policy), rational=exact)
-    if exact:
-        mean = sum(per_ell_inv, start=Fraction(0)) / Fraction(mu)
-    else:
-        mean = sum(per_ell_inv) / mu
-    return ExactDownload(mean=mean, per_ell_useful=tuple(per_ell), mu=mu, exact=exact)
-
-
 def mean_download_lower_bound(per_ell_useful, mu: float) -> float:
     """Jensen bound on the mean download time: E[D_V] >= V^2/(mu*sum E[N])."""
-    _check_mu(mu)
+    check_rate(mu)
     profile = list(per_ell_useful)
     if not profile:
         raise EmptyProfile("need at least one expected useful count")

@@ -1,4 +1,8 @@
-"""Exact dynamic programming over download subsets.
+"""Exact dynamic programming over download subsets, the home of every exact
+evaluation. Three entry points, with fixed caps on V: ``mdp_solve``, the
+optimal scheduler (V <= 20); ``exact_mean_download``, a policy's expectations
+in rationals or floats (V <= 24); and ``policy_evaluate_exact``, the same in
+rationals at mu = 1. Both evaluators return a ``PolicyEvaluation``.
 
 The downloaded set evolves as a Markov chain: from state I the next fragment
 is v with probability (1/N(I)) * #{useful servers scheduled on v}. Treating
@@ -16,10 +20,10 @@ decision rule, the forward DP and the jump chain read that array as is.
 Both solvers walk the 2^V downloaded sets one popcount level at a time, as
 numpy arrays indexed by mask, and read a whole batch of states' choices at
 once from ``DecisionRule.choice_slots``. ``mdp_solve`` runs the levels from
-the full set down over every set; the forward DP (``policy_evaluate_exact``,
-``engine.exact_mean_download``) runs them up from the empty set over the
-reachable sets only, each level in first-insertion order: the order in which
-a loop over parents, then servers, then fragments first meets them.
+the full set down over every set; the forward DP (``exact_mean_download``)
+runs them up from the empty set over the reachable sets only, each level in
+first-insertion order: the order in which a loop over parents, then servers,
+then fragments first meets them.
 ``_first_seen`` numbers a batch's new sets in that order with one
 ``np.minimum.at`` of position markers into the mask-to-position array it
 already keeps, so it needs no sort and no further array of size 2^V.
@@ -46,7 +50,7 @@ float is bit-identical to it: each contribution is p*q/n; a child sums its
 contributions in order of parent, server, then fragment (``np.add.at`` adds
 in index order); level totals add up in state order (``np.add.accumulate``).
 
-The state space is 2^V, so both entry points refuse V above a cap, stating
+The state space is 2^V, so each entry point refuses V above its cap, stating
 the state count and the estimated peak memory before anything is allocated.
 """
 
@@ -59,13 +63,14 @@ from math import comb, lcm
 import numpy as np
 
 from .errors import InvalidParams, TooManyFragments
-from .model import StorageScheme, physical_memory
+from .model import StorageScheme, check_rate, physical_memory
 from .scheduling import DecisionRule, RandomWorkConserving, compile_policy, slot_counts
 
-__all__ = ["MdpSolution", "PolicyEvaluation", "mdp_solve", "policy_evaluate_exact"]
+__all__ = ["MdpSolution", "PolicyEvaluation", "mdp_solve", "exact_mean_download",
+           "policy_evaluate_exact"]
 
-DEFAULT_MDP_CAP = 20
-DEFAULT_EVAL_CAP = 24
+DEFAULT_MDP_CAP = 20  # largest V ``mdp_solve`` accepts
+DEFAULT_EVAL_CAP = 24  # largest V the forward DP accepts
 
 _SLOTS = 1 << 13  # order slots per batch of states: bounds the per-batch arrays
 
@@ -97,14 +102,14 @@ def _peak_bytes(scheme: StorageScheme, solver: str) -> int:
     return per_state << V
 
 
-def check_size(scheme: StorageScheme, cap: int, solver: str) -> None:
-    """Refuse V > cap, or an estimated peak memory above this machine's
-    physical memory, before anything is allocated, stating the state count
-    and the estimated peak memory (and the physical memory it exceeds)."""
+def check_size(scheme: StorageScheme, solver: str) -> None:
+    """Refuse V above the ``solver``'s cap, or an estimated peak memory above
+    this machine's physical memory, before anything is allocated, stating the
+    state count and the estimated peak memory (and any memory it exceeds)."""
     V = scheme.V
     peak = _peak_bytes(scheme, solver)
+    cap, what = (DEFAULT_MDP_CAP, "solver") if solver == "mdp" else (DEFAULT_EVAL_CAP, "evaluation")
     if V > cap:
-        what = "solver" if solver == "mdp" else "evaluation"
         raise TooManyFragments(f"V={V} exceeds the {what} cap {cap}: {1 << V:,} states, "
                                f"estimated peak memory {peak / 2**30:,.1f} GiB")
     physical = physical_memory()  # None off POSIX, where only the cap applies
@@ -160,16 +165,16 @@ class MdpSolution:
         return self.reward_to_go(0)
 
 
-def mdp_solve(scheme: StorageScheme, cap: int = DEFAULT_MDP_CAP) -> MdpSolution:
+def mdp_solve(scheme: StorageScheme) -> MdpSolution:
     """Backward induction over all downloaded subsets, one popcount level at
     a time from the full set down.
 
-    Refuses V > cap, stating the state count and the estimated peak memory.
+    Refuses V > ``DEFAULT_MDP_CAP``, stating the states and estimated memory.
     At sets of size V-1 the single remaining fragment forces the decision; at
     size V-2 any decision is optimal (the value is R/V for completely
     utilizing schemes).
     """
-    check_size(scheme, cap, "mdp")
+    check_size(scheme, "mdp")
     V = scheme.V
     # the random baseline may serve any residual fragment, so its choices are
     # the action sets, each in ascending fragment order
@@ -218,18 +223,23 @@ def mdp_solve(scheme: StorageScheme, cap: int = DEFAULT_MDP_CAP) -> MdpSolution:
 
 @dataclass(frozen=True)
 class PolicyEvaluation:
-    """Exact distributional quantities of a policy's download chain.
+    """Expectations of a policy's download chain at rate ``mu``, in rationals
+    if ``exact``, else in floats.
 
-    ``per_ell_useful[l]`` is E[N(I_l)] and ``per_ell_inverse_useful[l]`` is
-    E[1/N(I_l)] for l = 0..V-1. ``aggregate_reward`` sums N(I_l)/V over the
-    decision-dependent stages l = 1..V-1, matching the convention of
-    :class:`MdpSolution.optimal_value` (stage 0 is constant and excluded).
+    ``mean`` is E[D_V] = sum over l of E[1/N(I_l)] / mu. ``per_ell_useful[l]``
+    is E[N(I_l)] and ``per_ell_inverse_useful[l]`` is E[1/N(I_l)], l < V.
+    ``aggregate_reward`` sums N(I_l)/V over the decision-dependent stages
+    l = 1..V-1, matching the convention of :class:`MdpSolution.optimal_value`
+    (stage 0 is constant and excluded).
     """
 
     V: int
-    per_ell_useful: tuple[Fraction, ...]
-    per_ell_inverse_useful: tuple[Fraction, ...]
-    aggregate_reward: Fraction
+    mu: float
+    exact: bool
+    mean: Fraction | float
+    per_ell_useful: tuple
+    per_ell_inverse_useful: tuple
+    aggregate_reward: Fraction | float
 
 
 def _forward_dp(rule: DecisionRule, rational: bool = True):
@@ -328,15 +338,26 @@ def _chunks(masks: np.ndarray, rule: DecisionRule):
         yield masks[lo:lo + step]
 
 
-def policy_evaluate_exact(
-    scheme: StorageScheme, policy, cap: int = DEFAULT_EVAL_CAP
+def exact_mean_download(
+    scheme: StorageScheme, policy, mu: float, exact: bool | None = None
 ) -> PolicyEvaluation:
-    """Exact rational evaluation of a policy's download chain."""
-    check_size(scheme, cap, "rational")
-    per_ell, per_ell_inv, aggregate = _forward_dp(compile_policy(scheme, policy), rational=True)
-    return PolicyEvaluation(
-        V=scheme.V,
-        per_ell_useful=tuple(per_ell),
-        per_ell_inverse_useful=tuple(per_ell_inv),
-        aggregate_reward=aggregate,
-    )
+    """E[D_V] = sum over stages of E[1/(N(I_l)*mu)], by the forward DP.
+
+    Rational arithmetic is used for V <= 16 unless overridden; the float mode
+    exists for larger V, up to ``DEFAULT_EVAL_CAP`` (2^V states).
+    """
+    check_rate(mu)
+    if exact is None:
+        exact = scheme.V <= 16
+    check_size(scheme, "rational" if exact else "float")
+    per_ell, per_ell_inv, aggregate = _forward_dp(compile_policy(scheme, policy), rational=exact)
+    mean = sum(per_ell_inv) / (Fraction(mu) if exact else mu)
+    return PolicyEvaluation(V=scheme.V, mu=mu, exact=exact, mean=mean,
+                            per_ell_useful=tuple(per_ell),
+                            per_ell_inverse_useful=tuple(per_ell_inv),
+                            aggregate_reward=aggregate)
+
+
+def policy_evaluate_exact(scheme: StorageScheme, policy) -> PolicyEvaluation:
+    """Exact rational evaluation of a policy's download chain at mu = 1."""
+    return exact_mean_download(scheme, policy, 1.0, exact=True)

@@ -39,6 +39,7 @@ from .errors import (
 __all__ = [
     "SystemParams",
     "StorageScheme",
+    "check_rate",
     "OverlapProfile",
     "Design",
     "build_scheme",
@@ -72,9 +73,14 @@ class SystemParams:
     def __post_init__(self) -> None:
         if min(self.B, self.V, self.R, self.K) < 1:
             raise IdOutOfRange("B, V, R, K must all be positive")
-        if not (isfinite(self.mu) and self.mu > 0):
-            raise InvalidRate(f"download rate mu must be positive and finite, got {self.mu}")
+        check_rate(self.mu)
         object.__setattr__(self, "alpha", Fraction(self.K, self.V))
+
+
+def check_rate(mu) -> None:
+    """Refuse a download rate that is not positive and finite."""
+    if not (isfinite(mu) and mu > 0):
+        raise InvalidRate(f"download rate mu must be positive and finite, got {mu}")
 
 
 @dataclass(frozen=True)

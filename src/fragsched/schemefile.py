@@ -2,8 +2,10 @@
 
 A scheme document carries exactly the fields
 ``{format, B, V, R, K, mu, occupancy}`` where ``occupancy`` lists, for each
-fragment 1..V in order, the servers holding a replica. Validation enforces
-the declared uniform R and K, naming the offending fragment or server.
+fragment 1..V in order, the servers holding a replica. A field of the wrong
+JSON type (B, V, R, K and server ids are integers, not booleans) is a
+``ParseError`` naming it. Validation enforces the declared uniform R and K,
+naming the offending fragment or server.
 ``scheme_hash`` digests the canonical serialization, so equal schemes yield
 equal hashes and any emitted artifact can cite the scheme it used.
 """
@@ -49,11 +51,19 @@ def doc_to_scheme(doc: dict) -> StorageScheme:
     missing = {"B", "V", "R", "K", "mu", "occupancy"} - doc.keys()
     if missing:
         raise ParseError(f"scheme document missing fields: {sorted(missing)}")
-    B, V, R, K = (doc[k] for k in ("B", "V", "R", "K"))
+    B, V, R, K = (_integer(doc[k], k) for k in ("B", "V", "R", "K"))
+    mu = doc["mu"]
+    if isinstance(mu, bool) or not isinstance(mu, (int, float)):
+        raise ParseError(f"mu must be a number, got {mu!r}")
     occupancy = doc["occupancy"]
+    if not (isinstance(occupancy, list) and all(isinstance(s, list) for s in occupancy)):
+        raise ParseError("occupancy must be a list of lists of server ids")
+    for v, servers in enumerate(occupancy, start=1):
+        for b in servers:
+            _integer(b, f"occupancy of fragment {v}: server id")
     if len(occupancy) != V:
         raise ValidationFailed(f"occupancy lists {len(occupancy)} fragments, V={V}")
-    scheme = build_scheme(occupancy, mu=float(doc["mu"]), B=B)
+    scheme = build_scheme(occupancy, mu=float(mu), B=B)
     for v, servers in enumerate(scheme.occupancy, start=1):
         if len(servers) != R:
             raise ValidationFailed(
@@ -67,14 +77,20 @@ def doc_to_scheme(doc: dict) -> StorageScheme:
     return scheme
 
 
+def _integer(value, what: str) -> int:
+    if type(value) is not int:  # a JSON true or false would pass as 1 or 0
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def write_scheme(scheme: StorageScheme, path: str | Path) -> None:
     Path(path).write_text(canonical_json(scheme_to_doc(scheme)) + "\n")
 
 
 def read_scheme(path: str | Path) -> StorageScheme:
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_bytes())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return doc_to_scheme(doc)
 

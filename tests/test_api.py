@@ -42,3 +42,21 @@ def test_star_import():
     namespace = {}
     exec("from fragsched import *", namespace)
     assert {name for _, name in reexports()} <= namespace.keys()
+
+
+def test_no_private_name_crosses_modules():
+    """No module imports an underscore-prefixed name from a sibling: what
+    one module needs of another is public there."""
+    package = Path(fragsched.__file__).parent
+    crossings = [(path.name, node.module, alias.name)
+                 for path in sorted(package.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ImportFrom) and node.level
+                 for alias in node.names if alias.name.startswith("_")]
+    assert not crossings
+
+
+def test_engine_reexports_the_exact_evaluator():
+    from fragsched import engine, mdp
+
+    assert engine.exact_mean_download is mdp.exact_mean_download is fragsched.exact_mean_download

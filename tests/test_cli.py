@@ -56,6 +56,43 @@ class TestSchemeFile:
         with pytest.raises(ParseError):
             read_scheme(path)
 
+    @staticmethod
+    def doc(**fields):
+        """A valid one-replica document for two servers, with ``fields`` changed."""
+        return {"format": 1, "B": 2, "V": 2, "R": 1, "K": 1, "mu": 1.0,
+                "occupancy": [[1], [2]], **fields}
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"occupancy": "a"}, "occupancy must be a list of lists"),
+        ({"occupancy": [1, 2]}, "occupancy must be a list of lists"),
+        ({"mu": "x"}, "mu must be a number, got 'x'"),
+        ({"mu": True}, "mu must be a number, got True"),
+        ({"occupancy": [[1.5], [1]]}, "occupancy of fragment 1: server id must be an integer"),
+        ({"occupancy": [[True], [2]]}, "occupancy of fragment 1: server id must be an integer"),
+        ({"B": True}, "B must be an integer, got True"),
+        ({"V": 2.0}, "V must be an integer, got 2.0"),
+        ({"R": None}, "R must be an integer, got None"),
+        ({"K": "1"}, "K must be an integer, got '1'"),
+    ], ids=["occupancy-str", "occupancy-flat", "mu-str", "mu-bool", "id-float", "id-bool",
+            "B-bool", "V-float", "R-null", "K-str"])
+    def test_wrong_field_type_names_the_field(self, fields, match):
+        assert doc_to_scheme(self.doc())  # the unchanged document is valid
+        with pytest.raises(ParseError, match=match):
+            doc_to_scheme(self.doc(**fields))
+
+    def test_boolean_id_is_not_server_one(self):
+        # a JSON true would otherwise build the scheme of [[1]] under another hash
+        one = {"format": 1, "B": 1, "V": 1, "R": 1, "K": 1, "mu": 1.0, "occupancy": [[1]]}
+        assert scheme_hash(doc_to_scheme(one)) == scheme_hash(build_scheme([{1}], mu=1.0))
+        with pytest.raises(ParseError, match="server id must be an integer, got True"):
+            doc_to_scheme({**one, "occupancy": [[True]]})
+
+    def test_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b'{"format": 1\xff}')
+        with pytest.raises(ParseError, match="bytes.json"):
+            read_scheme(path)
+
 
 class TestConstruct:
     def test_pp(self, tmp_path, capsys):
@@ -218,10 +255,81 @@ class TestSimulateExactMdp:
         assert doc["compare"]["relative_gap"] >= 0.0
         assert doc["optimal_value"] > 0
 
+    # SHA-256 of the exact commands' artifacts, pinned from the code in which
+    # `exact_mean_download` and `policy_evaluate_exact` had separate result
+    # types, so merging them cannot move a byte unnoticed
+    SCHEMES = {
+        "pp2": lambda: projective_plane(2),
+        "affine3": lambda: affine_plane(3),
+        "cyclic173": lambda: cyclic_shift(17, 3),  # V > 16: the float forward DP
+    }
+    GOLDEN = {
+        ("pp2", "exact", "random"):
+            "66edc99597194674fb0708cdfe9c164205ab76cb470d7aea562f358002c5f074",
+        ("pp2", "exact", "harmonic"):
+            "e41b008703231c99ff1bbb05e82cbd8308bb5a15cfb9eea73a2569498652cba7",
+        ("pp2", "exact", "mdp"):
+            "4e9953f3ce0255bb939143e27610fa6a4ecba61838ab19f98fa6262e32320bf2",
+        ("cyclic173", "exact", "random"):
+            "59bf7b9ecce388193fc44f5d3eb4bf7e879d8215ff5192ec0b62c64b0df35146",
+        ("pp2", "mdp", "harmonic"):
+            "d07a9a835cdd9b26d017c479bc9b664677fc79beddb19055d290e54386e54099",
+        ("affine3", "mdp", "harmonic"):
+            "a3fc108994becb795e157bde0d07c1ad13674ab6d459af1444503fa8ad8bb931",
+    }
+    FLAGS = {
+        ("exact", "random"): ["--scheduler", "random"],
+        ("exact", "harmonic"): ["--scheduler", "ranked", "--rank", "harmonic"],
+        ("exact", "mdp"): ["--scheduler", "mdp"],
+        ("mdp", "harmonic"): ["--compare-rank", "harmonic"],
+    }
+
+    @pytest.mark.parametrize("name, command, policy", sorted(GOLDEN),
+                             ids=["-".join(key) for key in sorted(GOLDEN)])
+    def test_artifact_bytes(self, tmp_path, name, command, policy):
+        scheme = tmp_path / f"{name}.json"
+        write_scheme(self.SCHEMES[name](), scheme)
+        out = tmp_path / f"{name}.{command}.json"
+        argv = [command, "--scheme", str(scheme), *self.FLAGS[command, policy], "--out", str(out)]
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN[name, command, policy]
+
+    def test_mdp_cap_is_fixed(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["mdp", "--help"])
+        assert "--cap" not in capsys.readouterr().out
+
     def test_mdp_cap_exits_one(self, tmp_path, capsys):
         path = tmp_path / "big.json"
         write_scheme(cyclic_shift(25, 3), path)
         assert main(["mdp", "--scheme", str(path)]) == 1
+
+
+class TestFileErrors:
+    """A file that cannot be read or written ends the command in one line on
+    stderr and exit status 1, not a traceback."""
+
+    @staticmethod
+    def last_error(capsys) -> str:
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err.splitlines()[-1]
+
+    def test_missing_scheme(self, tmp_path, capsys):
+        assert main(["inspect", "--scheme", str(tmp_path / "missing.json")]) == 1
+        assert self.last_error(capsys).startswith("error: [Errno 2] No such file or directory")
+
+    def test_scheme_is_a_directory(self, tmp_path, capsys):
+        assert main(["bounds", "--scheme", str(tmp_path)]) == 1
+        assert self.last_error(capsys).startswith("error: [Errno 21] Is a directory")
+
+    def test_out_in_missing_directory(self, tmp_path, capsys, pp2):
+        path = tmp_path / "pp2.json"
+        write_scheme(pp2, path)
+        out = tmp_path / "missing" / "run.json"
+        assert main(["simulate", "--scheme", str(path), "--runs", "10", "--out", str(out)]) == 1
+        assert self.last_error(capsys).startswith("error: [Errno 2] No such file or directory")
+        assert not out.parent.exists()
 
 
 class TestEnsembleCli:
@@ -271,7 +379,7 @@ class TestBadRateAndThreads:
         if command == "simulate":
             argv += ["--runs", "10"]
         assert main(argv) == 1
-        assert "error: mu must be positive and finite" in capsys.readouterr().err
+        assert "error: download rate mu must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("mu", ["nan", "inf", "-inf"])
@@ -308,6 +416,9 @@ class TestReproduce:
         assert main(["reproduce", "appendix-means"]) == 0
         out = capsys.readouterr().out
         assert "21/16" in out and "11/8" in out
+        # pinned from the code in which `exact_mean_download` lived in `engine`
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "631b014d8d90ff65150a67bfa059a00aeb0bb931caaa1a9c5daccb8a541030c9")
 
     def test_table_smoke(self, tmp_path, capsys):
         # structural smoke run at a tiny run count; tolerance enforcement is

@@ -132,7 +132,7 @@ class TestMdpSolve:
 
     def test_cap_enforced(self):
         with pytest.raises(TooManyFragments):
-            mdp_solve(cyclic_shift(25, 3), cap=20)
+            mdp_solve(cyclic_shift(25, 3))
 
     def test_cap_refusal_states_the_cost(self, monkeypatch):
         # the refusal comes before any table is built
@@ -250,7 +250,7 @@ class TestPolicyEvaluateExact:
 
     def test_cap_enforced(self):
         with pytest.raises(TooManyFragments):
-            policy_evaluate_exact(cyclic_shift(30, 2), RandomWorkConserving(), cap=24)
+            policy_evaluate_exact(cyclic_shift(30, 2), RandomWorkConserving())
 
 
 def oracle_decisions(kind: str, policy, blocks):
