@@ -15,7 +15,9 @@ experiment gives identical bytes. Timings go to stderr.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -497,10 +499,20 @@ def _int_or_none(text: str):
     return int(text)
 
 
+def _check_out_dir(out: str | None) -> None:
+    """Refuse an ``--out`` whose directory is missing or is a file before the
+    command does any work, with the error its write would raise there.
+    ``simulate``'s ``.profile.csv`` sidecar goes in the same directory."""
+    if out and not Path(out).parent.is_dir():
+        code = errno.ENOTDIR if Path(out).parent.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), out)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out_dir(getattr(args, "out", None))
         return args.func(args)
     except (FragschedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -293,14 +293,23 @@ class DecisionRule:
     fragment V. That order is ascending unless the policy fixes one (a
     nonadaptive placement order or a ranked init order). ``hosts[v]`` lists
     the hosts of fragment v, ascending, padded with the dummy server B; row V,
-    the dummy fragment's, holds B only. The rest is lazy, built on first use: ``cand_hosts`` (the hosts of every
-    slot's fragment), ``slot_bits``, ``rank_values`` and ``key_none`` serve
+    the dummy fragment's, holds B only. The rest is lazy, built on first
+    use: ``peers`` (the hosts of every slot's fragment other than the slot's
+    own server), ``slot_bits``, ``rank_values`` and ``key_none`` serve
     :meth:`choice_slots` and the jump chain; the Python lists ``orders[b]``
     (row b of ``slot_frags`` without padding), ``occ[v]`` (the hosts of
     fragment v) and ``bits[b]`` (the fragment mask of server b, so its
     residual size under ``mask`` is ``(bits[b] & ~mask).bit_count()``) serve
     only the scalar :meth:`choices`. :meth:`choice_slots` needs masks that fit
     in int64 (V <= 62).
+
+    A ranked slot's score leaves out the slot's own server. Every real slot
+    of server b holds a fragment that b stores, so b's rank value would add
+    the same amount to each of b's slots and change no minimum and no tie;
+    a fragment's full rank score, which the scalar :meth:`choices` keeps as
+    the reference, is that of its slot plus b's rank value. Slot k of server
+    b scores ``sum_r rank_values[residual[peers[r, b, k]]]``, over the R - 1
+    peer rows (none at R = 1); padding slots are always downloaded.
 
     A placement ``order`` that is not, server by server, a permutation of the
     scheme's fragments is refused with ``InvalidParams``.
@@ -360,9 +369,15 @@ class DecisionRule:
                         dtype=np.int64)
 
     @cached_property
-    def cand_hosts(self) -> np.ndarray:
-        """(R, B, K): host r of the fragment in slot k of server b."""
-        return self.hosts.T.take(self.slot_frags, axis=1)
+    def peers(self) -> np.ndarray:
+        """(R - 1, B, K): the hosts of the fragment in slot k of server b
+        other than b, ascending, padded with the dummy server B; all B in a
+        padding slot. Own entries are set above B, so a sort along the host
+        axis moves each to the last row, which is dropped."""
+        hosts = self.hosts.T.take(self.slot_frags, axis=1)
+        hosts[hosts == np.arange(self.B)[:, None]] = self.B + 1
+        hosts.sort(axis=0)
+        return hosts[:-1]
 
     @cached_property
     def key_none(self) -> int:
@@ -384,15 +399,15 @@ class DecisionRule:
 
         Server b is useful in state i where row [i, b] has a marked slot; its
         choices are the fragments of the marked slots, in slot order. A slot's
-        rank score is ``sum_r rank_values[residual[cand_hosts[r, b, k]]]``,
-        as in the jump chain."""
+        rank score is ``sum_r rank_values[residual[peers[r, b, k]]]``, as in
+        the jump chain."""
         free = (self.slot_bits & ~masks[:, None, None]) != 0
         if self.table is not None:
             return free & (self.slot_frags == self.table[masks][:, :, None])
         if self.values is not None:
             residual = np.full((len(masks), self.B + 1), self.K + 1)
             residual[:, :-1] = slot_counts(free)
-            scores = self.rank_values[residual][:, self.cand_hosts].sum(axis=1)
+            scores = self.rank_values[residual][:, self.peers].sum(axis=1)
             scores[~free] = self.key_none
             free &= scores == scores.min(axis=2, keepdims=True)
         return free if self.uniform else free & (free.cumsum(axis=2) == 1)

@@ -2,7 +2,9 @@
 
 A scheme document carries exactly the fields
 ``{format, B, V, R, K, mu, occupancy}`` where ``occupancy`` lists, for each
-fragment 1..V in order, the servers holding a replica. A field of the wrong
+fragment 1..V in order, the servers holding a replica. ``format`` is the
+JSON integer 1; any other value, ``true`` and ``1.0`` included, is
+``SchemaVersionUnsupported``. A field of the wrong
 JSON type (B, V, R, K and server ids are integers, not booleans) is a
 ``ParseError`` naming it. Validation enforces the declared uniform R and K,
 naming the offending fragment or server.
@@ -46,7 +48,7 @@ def doc_to_scheme(doc: dict) -> StorageScheme:
     if not isinstance(doc, dict):
         raise ParseError("scheme document must be a JSON object")
     version = doc.get("format")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # true and 1.0 equal 1
         raise SchemaVersionUnsupported(f"unsupported scheme format {version!r}")
     missing = {"B", "V", "R", "K", "mu", "occupancy"} - doc.keys()
     if missing:

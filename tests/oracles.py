@@ -422,7 +422,7 @@ def order_matches(fragment_sets, orders) -> bool:
 
 
 def rule_tables(fragment_sets, orders=None) -> dict:
-    """``slot_frags``, ``hosts``, ``cand_hosts``, ``orders``, ``bits`` and
+    """``slot_frags``, ``hosts``, ``peers``, ``orders``, ``bits`` and
     ``occ`` of the decision rule of a scheme's 1-based ``fragment_sets`` and
     an optional 1-based placement order, 0-based and padded as
     ``DecisionRule`` documents them."""
@@ -440,10 +440,15 @@ def rule_tables(fragment_sets, orders=None) -> dict:
     slot_frags = np.array([list(o) + [V] * (K - len(o)) for o in rows], dtype=np.intp)
     R = max(len(s) for s in occ)
     hosts = np.array([s + [B] * (R - len(s)) for s in occ + [[]]], dtype=np.intp)
+    # per server and slot, the other hosts of the slot's fragment, ascending
+    others = [[sorted(set(occ[v]) - {b}) if v < V else [] for v in row]
+              for b, row in enumerate(slot_frags.tolist())]
+    peers = np.array([[[hs[r] if r < len(hs) else B for hs in row] for row in others]
+                      for r in range(R - 1)], dtype=np.intp).reshape(R - 1, B, K)
     return {
         "slot_frags": slot_frags,
         "hosts": hosts,
-        "cand_hosts": np.ascontiguousarray(hosts[slot_frags].transpose(2, 0, 1)),
+        "peers": peers,
         "orders": rows,
         "bits": [sum(1 << v for v in s) for s in frag_sets],
         "occ": occ,

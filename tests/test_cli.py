@@ -40,6 +40,15 @@ class TestSchemeFile:
         with pytest.raises(SchemaVersionUnsupported):
             doc_to_scheme(doc)
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["true", "float", "str"])
+    def test_format_version_is_the_integer_one(self, version):
+        # true and 1.0 compare equal to 1, and would load and hash like it
+        doc = scheme_to_doc(projective_plane(2))
+        assert doc_to_scheme(doc)
+        doc["format"] = version
+        with pytest.raises(SchemaVersionUnsupported, match=f"unsupported scheme format {version!r}"):
+            doc_to_scheme(doc)
+
     def test_missing_fields(self):
         with pytest.raises(ParseError):
             doc_to_scheme({"format": 1, "B": 3})
@@ -323,13 +332,39 @@ class TestFileErrors:
         assert main(["bounds", "--scheme", str(tmp_path)]) == 1
         assert self.last_error(capsys).startswith("error: [Errno 21] Is a directory")
 
+    @staticmethod
+    def assert_refused_before_work(argv, tmp_path, capsys, parent="missing",
+                                   error="[Errno 2] No such file or directory"):
+        """``--out`` in a missing directory ends the command before it runs
+        anything: no rows on stdout, no timing line, only the error."""
+        out = tmp_path / parent / "run.json"
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}: {str(out)!r}\n"
+        assert not out.exists()
+
     def test_out_in_missing_directory(self, tmp_path, capsys, pp2):
         path = tmp_path / "pp2.json"
         write_scheme(pp2, path)
-        out = tmp_path / "missing" / "run.json"
-        assert main(["simulate", "--scheme", str(path), "--runs", "10", "--out", str(out)]) == 1
-        assert self.last_error(capsys).startswith("error: [Errno 2] No such file or directory")
-        assert not out.parent.exists()
+        self.assert_refused_before_work(["simulate", "--scheme", str(path), "--runs", "10"],
+                                        tmp_path, capsys)
+
+    def test_out_under_a_file(self, tmp_path, capsys, pp2):
+        path = tmp_path / "pp2.json"
+        write_scheme(pp2, path)
+        self.assert_refused_before_work(["simulate", "--scheme", str(path), "--runs", "10"],
+                                        tmp_path, capsys, parent="pp2.json",
+                                        error="[Errno 20] Not a directory")
+
+    def test_ensemble_out_in_missing_directory(self, tmp_path, capsys):
+        self.assert_refused_before_work(
+            ["ensemble", "--kind", "rep", "--mode", "fragment", "--B", "5", "--V", "8",
+             "--R", "2", "--samples", "30", "--seed", "4"], tmp_path, capsys)
+
+    def test_reproduce_out_in_missing_directory(self, tmp_path, capsys):
+        self.assert_refused_before_work(["reproduce", "table-download-times", "--runs", "10"],
+                                        tmp_path, capsys)
 
 
 class TestEnsembleCli:

@@ -200,6 +200,20 @@ def test_summary_matches_oracle(kind, mode, monkeypatch):
         assert np.array_equal(summary.se_profile, want.se_profile, equal_nan=True)
 
 
+@settings(max_examples=100, deadline=None)
+@given(B=st.integers(1, 6), R=st.integers(1, 6), data=st.data())
+def test_drop_repeats_keeps_each_first_replica(B, R, data):
+    """Every replica that repeats an earlier replica's server becomes the
+    dummy server B and is marked; the first of each stays where it was."""
+    rows = data.draw(st.lists(st.lists(st.integers(0, B - 1), min_size=R, max_size=R),
+                              min_size=1, max_size=6))
+    servers = np.array(rows, dtype=np.int16)[None]
+    turned = engine._drop_repeats(servers, B)
+    want = [[b if b not in row[:j] else B for j, b in enumerate(row)] for row in rows]
+    assert servers[0].tolist() == want
+    assert turned[0].tolist() == [[b in row[:j] for j, b in enumerate(row)][1:] for row in rows]
+
+
 def test_streams_equal_fresh_generators():
     domain = rng.DOMAIN_TRAJECTORY
     for index, gen in zip(range(200), rng.streams(8, domain, range(200))):

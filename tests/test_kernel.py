@@ -149,6 +149,26 @@ def test_monte_carlo_threads_match_oracle(kind):
     assert_summary_matches(monte_carlo(cfg, threads=2), expected)
 
 
+# every fragment on one server (R = 1), so ranked slots have no peers;
+# server sizes 2, 2, 3 and 0
+SINGLE_HOST = [{1}, {1}, {2}, {3}, {3}, {3}, {2}]
+
+
+@pytest.mark.parametrize("kind", [k for k in POLICY_KINDS if k.startswith(("greedy", "harmonic"))])
+def test_ranked_kernel_without_peers_matches_oracle(kind):
+    scheme = build_scheme(SINGLE_HOST, mu=1.0, B=4)
+    policy = make_policy(scheme, kind)
+    rule = compile_policy(scheme, policy)
+    assert rule.peers.shape == (0, 4, 3)
+    runs = 40
+    words = rng.stream_words(23, rng.DOMAIN_RUN, range(runs), rule.draws * scheme.V)
+    instants, order, profile = engine._jump_chain(rule, 1.0, words)
+    for r, (d, o, p) in enumerate(oracle_runs(scheme, policy, 1.0, 23, runs)):
+        assert [0.0, *instants[:, r].tolist()] == d
+        assert (order[:, r] + 1).tolist() == o
+        assert profile[:, r].tolist() == p
+
+
 @pytest.mark.parametrize("k", [20, 23, 43])
 @pytest.mark.parametrize("tie", ["low", "seeded"])
 def test_wide_servers_keep_exact_harmonic_keys(k, tie):

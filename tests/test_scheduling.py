@@ -430,7 +430,7 @@ def test_rule_tables_match_list_oracle(data, scheme, ordered, rank, tie):
             blocks, I, rank, tie)
     rule = compile_policy(scheme, policy)
     want = rule_tables(scheme.fragment_sets, None if order is None else order.orders)
-    for name in ("slot_frags", "hosts", "cand_hosts"):
+    for name in ("slot_frags", "hosts", "peers"):
         got = getattr(rule, name)
         assert got.dtype == np.intp and np.array_equal(got, want[name]), name
     for name in ("orders", "bits", "occ"):
@@ -442,6 +442,35 @@ def test_rule_tables_match_list_oracle(data, scheme, ordered, rank, tie):
         assert got == oracle({v + 1 for v in range(scheme.V) if mask >> v & 1})
         assert {b: rule.slot_frags[b][row[b]].tolist() for b in range(rule.B) if row[b].any()} \
             == choices
+
+
+@st.composite
+def ranked_schemes(draw):
+    """Up to 7 fragments on up to 6 servers, each fragment on one server
+    (R = 1: no peer rows) or on up to B; server sizes and replica counts
+    vary, and a server may hold nothing."""
+    B = draw(st.integers(1, 6))
+    V = draw(st.integers(1, 7))
+    most = draw(st.sampled_from([1, B]))
+    occupancy = [draw(st.sets(st.integers(1, B), min_size=1, max_size=most)) for _ in range(V)]
+    return build_scheme(occupancy, mu=1.0, B=B)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), scheme=ranked_schemes(), rank=st.sampled_from(["greedy", "harmonic"]),
+       tie=st.sampled_from(["low", "seeded"]), ordered=st.booleans())
+def test_choice_slots_over_peers_match_choices(data, scheme, rank, tie, ordered):
+    """Slot scores summed over the peer table, which leaves out the slot's
+    own server, give the scalar ``choices`` (full per-fragment scores) in
+    every state, with and without an init order."""
+    order = draw_order(data, scheme) if ordered and tie == "low" else None
+    rule = compile_policy(scheme, RankedPolicy(rank=rank, tie=tie, init_order=order))
+    R = max(len(s) for s in scheme.occupancy)
+    assert rule.peers.shape == (R - 1, rule.B, rule.K)
+    masks = np.arange(1 << scheme.V, dtype=np.int64)
+    for mask, row in zip(masks.tolist(), rule.choice_slots(masks)):
+        assert {b: rule.slot_frags[b][row[b]].tolist() for b in range(rule.B) if row[b].any()} \
+            == rule.choices(mask)
 
 
 ORDER_EDITS = ["none", "drop server", "add server", "replace", "repeat", "drop", "append"]
