@@ -24,6 +24,11 @@ from fractions import Fraction
 from math import comb
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # not on every platform: the peak RSS is then left out
+    resource = None
+
 from . import analytics, engine, rng
 from .constructions import (
     affine_plane,
@@ -200,12 +205,23 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _report_rate(label: str, count: int, unit: str, start: float) -> None:
+def _report_rate(label: str, count: int, unit: str, start: float, extra: str = "") -> None:
     """Print on stderr the time since ``start`` and the rate of ``count``
-    ``unit`` done in it."""
+    ``unit`` done in it, then ``extra``."""
     elapsed = time.perf_counter() - start
     print(f"{label}: {count} {unit} in {elapsed:.3f} s "
-          f"({count / max(elapsed, 1e-9):,.0f} {unit}/s)", file=sys.stderr)
+          f"({count / max(elapsed, 1e-9):,.0f} {unit}/s){extra}", file=sys.stderr)
+
+
+def _peak_rss() -> str:
+    """``, peak RSS <x> MiB``: this process's largest resident set so far, or
+    "" where ``resource`` is missing."""
+    if resource is None:
+        return ""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB; bytes on macOS
+    if sys.platform == "darwin":
+        peak /= 1024
+    return f", peak RSS {peak / 1024:.1f} MiB"
 
 
 def _timed_monte_carlo(config, threads: int, label: str):
@@ -271,7 +287,8 @@ def cmd_exact(args) -> int:
     policy = resolve_policy(scheme, args.scheduler, args.pushback, args.rank, args.tie, args.init)
     start = time.perf_counter()
     result = exact_mean_download(scheme, policy, args.mu)
-    _report_rate("exact", 1 << scheme.V, "states", start)  # the 2^V subsets the DP is sized for
+    # the 2^V subsets the DP is sized for
+    _report_rate("exact", 1 << scheme.V, "states", start, _peak_rss())
     header = _config_header(args, scheme, policy=policy.describe())
     doc = {
         "config": header,
@@ -288,7 +305,7 @@ def cmd_mdp(args) -> int:
     scheme = read_scheme(args.scheme)
     start = time.perf_counter()
     solution = mdp_solve(scheme)
-    _report_rate("mdp", len(solution.values), "states", start)
+    _report_rate("mdp", len(solution.values), "states", start, _peak_rss())
     doc = {
         "config": _config_header(args, scheme, cap=DEFAULT_MDP_CAP),  # the cap it ran under
         "optimal_value": float(solution.optimal_value),

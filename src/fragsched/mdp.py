@@ -18,21 +18,25 @@ the successor state. ``mdp_solve`` returns those decisions in the dense
 decision rule, the forward DP and the jump chain read that array as is.
 
 Both solvers walk the 2^V downloaded sets one popcount level at a time, as
-numpy arrays indexed by mask, and read a whole batch of states' choices at
-once from ``DecisionRule.choice_slots``. ``mdp_solve`` runs the levels from
-the full set down over every set; the forward DP (``exact_mean_download``)
-runs them up from the empty set over the reachable sets only, each level in
-first-insertion order: the order in which a loop over parents, then servers,
-then fragments first meets them.
+numpy arrays indexed by mask, a batch of states at a time. ``mdp_solve``
+runs the levels from the full set down over every set; the forward DP
+(``exact_mean_download``) reads each batch's choices from
+``DecisionRule.choice_slots`` and runs the levels up from the empty set over
+the reachable sets only, each level in first-insertion order: the order in
+which a loop over parents, then servers, then fragments first meets them.
 ``_first_seen`` numbers a batch's new sets in that order with one
 ``np.minimum.at`` of position markers into the mask-to-position array it
 already keeps, so it needs no sort and no further array of size 2^V.
-Before ``mdp_solve`` solves a level, it adds each child's reward term to the
-child's numerator once per child, not once per edge into it, so a parent
-reads the combined numerator by a plain gather; it subtracts the term again
-after the level, and being exact ints the numerators are restored as they
-were. Both passes go a batch at a time, so they allocate only per-batch
-arrays.
+``mdp_solve`` keeps each state's reward-plus-value numerator, not its value,
+through the whole solve. Before it solves a level, it ranks the children
+level's numerators once: equal numerators share a code, counted from 1 and
+kept in an int32 array indexed by mask. A parent reads its children's codes
+over the order slots, so a server's choice is the first arg-max over
+integers, and the chosen totals are gathered from the level's sorted distinct
+numerators with a 0 in front. A downloaded or padding slot leads back to the
+parent itself, whose code is still 0, so it never wins and a server that is
+not useful adds 0. One pass at the end, a batch at a time, takes each
+state's reward term out and leaves its value.
 
 Rational mode keeps Python-int numerators over one common denominator per
 level. The forward DP builds a Fraction only for a level's totals;
@@ -41,9 +45,10 @@ level denominators, and ``reward_to_go`` builds the one Fraction asked for.
 - Forward DP: D**l at level l, with D = lcm(1..B) * lcm(1..K). Every step
   has probability 1/(n*c) for n <= B useful servers and c <= K choices.
 - ``mdp_solve``: V * L**d at depth d (d fragments missing), with
-  L = lcm(1..B). All children of one level share it, so comparing their
-  numerators compares their values exactly, and the first argmax over a
-  server's ascending fragment columns keeps the lowest optimal fragment.
+  L = lcm(1..B). All children of one level share it, so ranking their
+  reward-plus-value numerators ranks their values exactly; equal ones share
+  a code, so the first arg-max over a server's ascending fragment slots keeps
+  the lowest optimal fragment.
 
 Float mode replays the arithmetic of that one-state-at-a-time loop, so every
 float is bit-identical to it: each contribution is p*q/n; a child sums its
@@ -56,6 +61,7 @@ the state count and the estimated peak memory before anything is allocated.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
@@ -82,10 +88,12 @@ def _peak_bytes(scheme: StorageScheme, solver: str) -> int:
 
     ``mdp_solve`` holds a Python-int numerator per state in ``values`` (an
     8-byte pointer and the int, of about d * log2(L) bits at depth d), a
-    B-byte row of the int8 decision array, and a few 8-byte arrays per mask
-    while it runs: 84-110 bytes a state at B = V, 159-211 at B = 3V and
-    194-261 at B = 4V, measured as ``ru_maxrss`` growth at V = 15..18, which
-    3 * B + 170 covers (below V = 15 the per-batch buffers weigh more).
+    B-byte row of the int8 decision array, and per mask while it runs an
+    8-byte level index, a 4-byte child code and a 1-byte useful count:
+    73-109 bytes a state at B = V, 151-212 at B = 3V and 186-262 at B = 4V,
+    measured as ``ru_maxrss`` growth at V = 15..18 by
+    ``tools/exact_scaling.py``, which 3 * B + 170 covers (below V = 15 the
+    per-batch buffers weigh more).
     log2(L) is about 1.4 B, so the numerators average about 0.09 * V * B
     bytes, under the 3 * B slope up to the cap V = 20. The forward DP holds
     two levels of reachable states and a position per mask: about 20-30
@@ -120,15 +128,23 @@ def check_size(scheme: StorageScheme, solver: str) -> None:
 
 
 def _as_mask(subset, V: int) -> int:
-    if isinstance(subset, int):
-        if not 0 <= subset < 1 << V:
-            raise InvalidParams(f"mask {subset} outside [0, 2**{V})")
-        return subset
-    mask = 0
-    for v in subset:
-        if not 1 <= v <= V:
-            raise InvalidParams(f"fragment {v} outside [1, {V}]")
-        mask |= 1 << (v - 1)
+    """``subset`` as a mask: an integer (a Python or numpy int, not a bool)
+    is a mask in [0, 2^V), anything else an iterable of 1-based fragments. A
+    bool or a float is refused, where numpy would read it as a boolean index
+    or it would fail as not iterable."""
+    if isinstance(subset, (bool, np.bool_, float, np.floating)):
+        raise InvalidParams(f"subset {subset!r} is neither an int mask nor 1-based fragments")
+    try:
+        mask = operator.index(subset)
+    except TypeError:
+        mask = 0
+        for v in subset:
+            if not 1 <= v <= V:
+                raise InvalidParams(f"fragment {v} outside [1, {V}]")
+            mask |= 1 << (v - 1)
+        return mask
+    if not 0 <= mask < 1 << V:
+        raise InvalidParams(f"mask {mask} outside [0, 2**{V})")
     return mask
 
 
@@ -155,8 +171,8 @@ class MdpSolution:
     decisions: np.ndarray
 
     def reward_to_go(self, subset) -> Fraction:
-        """u*(I) for a subset of 1-based fragments or an int mask in
-        [0, 2^V)."""
+        """u*(I) for a subset of 1-based fragments or an integer mask in
+        [0, 2^V), a numpy integer included."""
         mask = _as_mask(subset, self.V)
         return Fraction(self.values[mask], self.denominators[mask.bit_count()])
 
@@ -169,6 +185,13 @@ def mdp_solve(scheme: StorageScheme) -> MdpSolution:
     """Backward induction over all downloaded subsets, one popcount level at
     a time from the full set down.
 
+    Each level first ranks its children's reward-plus-value numerators
+    (``_rank``); a batch of parents then takes, per server, the first
+    maximum of its slots' child codes, and sums the chosen numerators by a
+    gather from the ranked values. The numerators stay reward-plus-value
+    until one final pass takes the reward terms out; the values and
+    decisions are those of a one-state-at-a-time loop, exactly.
+
     Refuses V > ``DEFAULT_MDP_CAP``, stating the states and estimated memory.
     At sets of size V-1 the single remaining fragment forces the decision; at
     size V-2 any decision is optimal (the value is R/V for completely
@@ -176,42 +199,45 @@ def mdp_solve(scheme: StorageScheme) -> MdpSolution:
     """
     check_size(scheme, "mdp")
     V = scheme.V
-    # the random baseline may serve any residual fragment, so its choices are
+    # the random baseline may serve any residual fragment, so its slots are
     # the action sets, each in ascending fragment order
     rule = compile_policy(scheme, RandomWorkConserving())
-    B = rule.B
+    B, K = rule.B, rule.K
     L = lcm(*range(1, B + 1))
     share = np.array([0] + [L // n for n in range(1, B + 1)], dtype=object)  # L/n
     full = (1 << V) - 1
-    # u*(I) * V * L**d for d = V - |I|; the full set's value and count are 0
+    # (u*(I) + N(I)/V) * V * L**d for d = V - |I|, reward-plus-value until the
+    # last pass takes the reward term out; the full set's is 0
     num = np.zeros(full + 1, dtype=object)
-    n_use = np.zeros(full + 1, dtype=np.intp)
+    n_use = np.zeros(full + 1, dtype=np.min_scalar_type(B))
+    code = np.zeros(full + 1, dtype=np.int32)  # a child's rank in its level
     best = np.full((full + 1, B), -1, dtype=np.int8)
+    # slots on axis 0: a state's children read as (K, states, B) codes,
+    # scaled by K and marked K - 1 - k, so one max over the slots also names
+    # the first slot that reaches it (codes <= C(20, 10) + 1 and K <= V under
+    # the cap, so the key fits int32)
+    bits = rule.slot_bits.T[:, None, :]
+    tail = np.arange(K - 1, -1, -1, dtype=np.int32)[:, None, None]
+    frags = rule.slot_frags.T[::-1]  # by K - 1 - k
     columns = np.arange(B)
-    holds = np.bitwise_or.reduce(rule.slot_bits, axis=1)  # each server's fragment mask
     levels = _levels(np.bitwise_count(np.arange(full + 1, dtype=np.int64)))
     for size in range(V - 1, -1, -1):
-        scale = L ** (V - size - 1)  # the children's denominator over V
         kids = levels[size + 1]
-        # each child's reward-plus-value numerator, once per child rather than
-        # once per edge into it; exact ints, so subtracting restores num below
-        for piece in _chunks(kids, rule):
-            num[piece] += n_use[piece].astype(object) * scale
+        # a downloaded or padding slot's child is the parent itself, not yet
+        # ranked: it reads code 0, below every child, and ranked[0] is 0
+        ranked, code[kids] = _rank(num[kids])
+        reward = _reward_terms(L, V - size, B)
         for masks in _chunks(levels[size], rule):
-            free = rule.choice_slots(masks)
-            child = (masks[:, None, None] | rule.slot_bits)[free]
-            val = np.full(free.shape, -1, dtype=object)
-            val[free] = num[child]
-            col = val.argmax(axis=2)  # the first maximum: the lowest optimal fragment
-            top = np.take_along_axis(val, col[:, :, None], axis=2)[:, :, 0]
-            useful = (holds & ~masks[:, None]) != 0  # a server with a residual fragment
-            top[~useful] = 0
-            n = np.count_nonzero(useful, axis=1)
+            key = code[masks[:, None] | bits] * K + tail
+            top, col = np.divmod(np.maximum.reduce(key, axis=0), K)  # the lowest optimal slot
+            n = np.count_nonzero(top, axis=1)
             n_use[masks] = n
-            num[masks] = top.sum(axis=1) * share[n]
-            best[masks] = np.where(useful, rule.slot_frags[columns, col], -1)
-        for piece in _chunks(kids, rule):
-            num[piece] -= n_use[piece].astype(object) * scale
+            num[masks] = ranked[top].sum(axis=1) * share[n] + reward[n]
+            best[masks] = np.where(top != 0, frags[col, columns], -1)
+    for size in range(V):  # one pass takes each state's reward term out again
+        reward = _reward_terms(L, V - size, B)
+        for piece in _chunks(levels[size], rule):
+            num[piece] -= reward[n_use[piece]]
     # read-only: a write would change optimal_value and every MdpPolicy built
     # from this solution
     num.flags.writeable = False
@@ -323,6 +349,25 @@ def _first_seen(child: np.ndarray, index_of: np.ndarray, count: int):
     fresh = new[index_of[new] == marks]
     index_of[fresh] = np.arange(count, count + len(fresh))
     return index_of[child], fresh
+
+
+def _rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct Python ints of ``values``, ascending after a 0, and each
+    entry's index in that array: its rank from 1, equal values sharing one.
+    One sort of the distinct values and a dict look-up per entry; an
+    ``np.unique`` sorts every entry through object compares, about 3x the
+    time on the wide levels of cyclic schemes."""
+    items = values.tolist()
+    distinct = sorted(set(items))
+    index = {x: i for i, x in enumerate(distinct, 1)}
+    codes = np.fromiter(map(index.__getitem__, items), dtype=np.int32, count=len(items))
+    return np.array([0] + distinct, dtype=object), codes
+
+
+def _reward_terms(L: int, depth: int, B: int) -> np.ndarray:
+    """N/V over the denominator V * L**depth, by N = 0..B: N * L**depth."""
+    scale = L ** depth
+    return np.array([n * scale for n in range(B + 1)], dtype=object)
 
 
 def _levels(pop: np.ndarray) -> list[np.ndarray]:

@@ -573,7 +573,8 @@ class TestTimingsOnStderr:
         scheme = tmp_path / "pp2.json"
         write_scheme(pp2, scheme)
         argv = argv[:1] + ["--scheme", str(scheme)] + argv[1:]
-        rate = rf"{argv[0]}: 128 states in \d+\.\d{{3}} s \([\d,]+ states/s\)"
+        rate = (rf"{argv[0]}: 128 states in \d+\.\d{{3}} s \([\d,]+ states/s\), "
+                r"peak RSS \d+\.\d MiB")
         assert main(argv) == 0
         captured = capsys.readouterr()
         assert re.fullmatch(rf"{rate}\n", captured.err)

@@ -19,7 +19,7 @@ from fragsched.mdp import _first_seen, _forward_dp
 from fragsched.scheduling import compile_policy
 from oracles import (decision_items, optimal_reward_to_go, scalar_forward_dp, scalar_mdp_solve,
                      sorted_first_seen, useful_count, value_items)
-from conftest import FANO_OCCUPANCY
+from conftest import FANO_OCCUPANCY, PAIRED_OCCUPANCY
 from test_kernel import IRREGULAR, POLICY_KINDS, make_policy, small_schemes
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -89,6 +89,23 @@ def test_first_seen_matches_sorted_numbering(case):
 
 def test_mdp_solve_matches_scalar_loop_on_affine_plane():
     scheme = affine_plane(3)
+    sol = mdp_solve(scheme)
+    assert (value_items(sol), decision_items(sol.decisions)) == scalar_mdp_solve(scheme)
+
+
+# children that tie exactly: servers that repeat (paired), a design's
+# symmetries (fano, cyclic 10/3), and uneven K and R with an empty server
+TIED_SCHEMES = {
+    "paired4": lambda: build_scheme(PAIRED_OCCUPANCY, mu=1.0),
+    "fano": FIXED_SCHEMES["fano"],
+    "cyclic103": lambda: cyclic_shift(10, 3),
+    "irregular": FIXED_SCHEMES["irregular"],
+}
+
+
+@pytest.mark.parametrize("name", TIED_SCHEMES)
+def test_mdp_solve_matches_scalar_loop_where_siblings_tie(name):
+    scheme = TIED_SCHEMES[name]()
     sol = mdp_solve(scheme)
     assert (value_items(sol), decision_items(sol.decisions)) == scalar_mdp_solve(scheme)
 

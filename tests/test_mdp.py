@@ -4,6 +4,7 @@ import itertools
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -103,6 +104,24 @@ class TestMdpSolve:
         for mask in (-1, 1 << fano.V):
             with pytest.raises(InvalidParams, match=rf"mask {mask} outside \[0, 2\*\*7\)"):
                 sol.reward_to_go(mask)
+
+    def test_numpy_integer_mask_reads_like_an_int(self, pp2):
+        sol = mdp_solve(pp2)
+        assert sol.reward_to_go(np.int64(5)) == sol.reward_to_go(5) == sol.reward_to_go({1, 3})
+        assert sol.reward_to_go(np.uint8(0)) == sol.optimal_value
+        with pytest.raises(InvalidParams, match=r"mask 128 outside \[0, 2\*\*7\)"):
+            sol.reward_to_go(np.int64(128))
+
+    @pytest.mark.parametrize("subset", [True, False, np.True_], ids=repr)
+    def test_bool_mask_refused(self, pp2, subset):
+        # numpy would read a bool as a boolean index into the numerators
+        with pytest.raises(InvalidParams, match="neither an int mask nor 1-based fragments"):
+            mdp_solve(pp2).reward_to_go(subset)
+
+    @pytest.mark.parametrize("subset", [5.0, np.float64(5.0), np.float32(0.0)], ids=repr)
+    def test_float_mask_refused(self, pp2, subset):
+        with pytest.raises(InvalidParams, match="neither an int mask nor 1-based fragments"):
+            mdp_solve(pp2).reward_to_go(subset)
 
     def test_solution_arrays_are_read_only(self, fano):
         # a write would change optimal_value, or every MdpPolicy built from it

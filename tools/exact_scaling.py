@@ -1,0 +1,161 @@
+"""Wall time and memory of the exact solvers, one solve per fresh process.
+
+For each scheme of a fixed list, cyclic V/3 for V = 15..18 and the same
+schemes with every server repeated 3 and 4 times (B = V, 3V, 4V), and each
+solver, ``mdp_solve`` and the float forward DP (``exact_mean_download`` of
+the random scheduler), a child process first runs the solver on the V = 8
+scheme of the same kind, so that the code pages and numpy's buffers it
+touches are already counted, then times one solve. Each prints one table
+row: the wall time, the growth of ``ru_maxrss`` over that solve, the growth
+per state (bytes per 2^V subsets), the process's ``ru_maxrss`` after it and a
+SHA-256 of the result, so two checkouts' tables can be compared line by line.
+
+    python3 tools/exact_scaling.py                       # this checkout's package
+    python3 tools/exact_scaling.py --src ../parent/src   # another checkout's
+    python3 tools/exact_scaling.py --V 15 16 --repeat 1 --solver mdp
+
+The ``mdp`` digest covers every numerator (hex, in mask order), the level
+denominators and the decision bytes; the ``float`` digest covers the repr of
+the mean and of both per-level expectation tuples.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOLVERS = ("mdp", "float")
+WARM_V = 8
+COLUMNS = ("solver", "V", "B", "wall_s", "rss_mib", "bytes_per_state", "peak_mib", "sha256")
+
+
+def build(V: int, repeat: int):
+    """Cyclic V/3 with every server repeated ``repeat`` times: B = repeat * V."""
+    from fragsched import build_scheme, cyclic_shift
+
+    base = cyclic_shift(V, 3)
+    B = base.B
+    return build_scheme([{b + r * B for b in hosts for r in range(repeat)}
+                         for hosts in base.occupancy])
+
+
+def solve(solver: str, scheme):
+    from fragsched import RandomWorkConserving, exact_mean_download, mdp_solve
+
+    if solver == "mdp":
+        return mdp_solve(scheme)
+    return exact_mean_download(scheme, RandomWorkConserving(), 1.0, exact=False)
+
+
+def digest(solver: str, result) -> str:
+    h = hashlib.sha256()
+    if solver == "mdp":
+        values = result.values
+        for lo in range(0, len(values), 4096):
+            h.update(",".join(format(x, "x") for x in values[lo:lo + 4096].tolist()).encode())
+            h.update(b",")
+        h.update(repr(result.denominators).encode())
+        h.update(result.decisions.tobytes())
+    else:
+        h.update(repr((result.mean, result.per_ell_useful,
+                       result.per_ell_inverse_useful)).encode())
+    return h.hexdigest()
+
+
+def measure(solver: str, V: int, repeat: int) -> dict:
+    """One timed solve in this process, after a V = 8 warm-up of the same
+    kind; ``ru_maxrss`` is in KiB (Linux)."""
+    import gc
+    import resource
+    import time
+
+    solve(solver, build(WARM_V, repeat))
+    scheme = build(V, repeat)
+    gc.collect()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    start = time.perf_counter()
+    result = solve(solver, scheme)
+    wall = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return {"solver": solver, "V": V, "B": scheme.B, "wall_s": wall,
+            "rss_kib": after - before, "peak_kib": after, "sha256": digest(solver, result)}
+
+
+def parse_child(stdout: str, returncode: int = 0) -> dict | None:
+    """The child's record from its last stdout line, or None if the child
+    failed or printed no JSON object."""
+    lines = stdout.strip().splitlines()
+    if returncode != 0 or not lines:
+        return None
+    try:
+        doc = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        return None
+    return doc if isinstance(doc, dict) and "rss_kib" in doc else None
+
+
+def row(record: dict) -> dict:
+    """A table row: the growth in MiB and in bytes per state (2^V), and the
+    process's peak after the solve in MiB."""
+    growth = record["rss_kib"] * 1024
+    return {"solver": record["solver"], "V": record["V"], "B": record["B"],
+            "wall_s": f"{record['wall_s']:.3f}", "rss_mib": f"{growth / 2**20:.2f}",
+            "bytes_per_state": f"{growth / 2 ** record['V']:.0f}",
+            "peak_mib": f"{record['peak_kib'] / 1024:.2f}",
+            "sha256": record["sha256"][:16]}
+
+
+def format_table(rows: list[dict]) -> str:
+    """``rows`` under a header, each column left-aligned to its widest cell."""
+    cells = [list(COLUMNS)] + [[str(r[c]) for c in COLUMNS] for r in rows]
+    widths = [max(len(line[i]) for line in cells) for i in range(len(COLUMNS))]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip()
+                     for line in cells) + "\n"
+
+
+def run_child(src: Path, solver: str, V: int, repeat: int) -> dict | None:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, __file__, "--child", solver, str(V), str(repeat)],
+                          env=env, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+    return parse_child(proc.stdout, proc.returncode)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the directory holding the fragsched package to measure")
+    parser.add_argument("--V", type=int, nargs="+", default=[15, 16, 17, 18])
+    parser.add_argument("--repeat", type=int, nargs="+", default=[1, 3, 4],
+                        help="times each server of cyclic V/3 appears")
+    parser.add_argument("--solver", choices=SOLVERS, nargs="+", default=list(SOLVERS))
+    parser.add_argument("--child", nargs=3, metavar=("SOLVER", "V", "REPEAT"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        solver, V, repeat = args.child
+        print(json.dumps(measure(solver, int(V), int(repeat))))
+        return 0
+    rows, failed = [], 0
+    for solver in args.solver:
+        for repeat in args.repeat:
+            for V in args.V:
+                record = run_child(args.src.resolve(), solver, V, repeat)
+                if record is None:
+                    failed += 1
+                    print(f"{solver} V={V} repeat={repeat}: failed", file=sys.stderr)
+                else:
+                    rows.append(row(record))
+    sys.stdout.write(format_table(rows))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
