@@ -188,7 +188,7 @@ def _chain_steps(rule: DecisionRule, words: np.ndarray, order: np.ndarray,
     fragment R hosts, filled up with the dummy server B (never useful, rank
     value 0). A ranked slot of the winner b scores ``sum_r
     rank_values[residual[peers[r, b, k]]]`` over its fragment's hosts other
-    than b, as in ``DecisionRule.choice_slots``, and the first minimum
+    than b, as in ``DecisionRule.decide``, and the first minimum
     (``argmin``) is the lowest slot. An MDP policy's decisions are read from
     the rule's dense (2^V, B) table with one gather per step.
 

@@ -20,10 +20,18 @@ decision rule, the forward DP and the jump chain read that array as is.
 Both solvers walk the 2^V downloaded sets one popcount level at a time, as
 numpy arrays indexed by mask, a batch of states at a time. ``mdp_solve``
 runs the levels from the full set down over every set; the forward DP
-(``exact_mean_download``) reads each batch's choices from
-``DecisionRule.choice_slots`` and runs the levels up from the empty set over
-the reachable sets only, each level in first-insertion order: the order in
+(``exact_mean_download``) runs the levels up from the empty set over the
+reachable sets only, each level in first-insertion order: the order in
 which a loop over parents, then servers, then fragments first meets them.
+Under a deterministic rule (a nonadaptive order, a ranked rule with
+lowest-index or init-order ties, an MDP table) every useful server makes
+one choice, so a batch reads one fragment per (state, server) from
+``DecisionRule.decide``, finds the useful servers from each server's
+fragment mask, and weights every contribution of a parent alike, with one
+weight per parent state. Only the uniform rules (random, seeded ranked
+ties), whose servers choose among several fragments, read the batch's
+boolean slot masks from ``DecisionRule.choice_slots`` and count each
+server's marked slots.
 ``_first_seen`` numbers a batch's new sets in that order with one
 ``np.minimum.at`` of position markers into the mask-to-position array it
 already keeps, so it needs no sort and no further array of size 2^V.
@@ -51,7 +59,8 @@ level denominators, and ``reward_to_go`` builds the one Fraction asked for.
   the lowest optimal fragment.
 
 Float mode replays the arithmetic of that one-state-at-a-time loop, so every
-float is bit-identical to it: each contribution is p*q/n; a child sums its
+float is bit-identical to it: each contribution is p*q/n, under a
+deterministic rule p/n, which equals p*1.0/n to the bit; a child sums its
 contributions in order of parent, server, then fragment (``np.add.at`` adds
 in index order); level totals add up in state order (``np.add.accumulate``).
 
@@ -70,7 +79,7 @@ import numpy as np
 
 from .errors import InvalidParams, TooManyFragments
 from .model import StorageScheme, check_rate, physical_memory
-from .scheduling import DecisionRule, RandomWorkConserving, compile_policy, slot_counts
+from .scheduling import DecisionRule, RandomWorkConserving, compile_policy
 
 __all__ = ["MdpSolution", "PolicyEvaluation", "mdp_solve", "exact_mean_download",
            "policy_evaluate_exact"]
@@ -96,9 +105,11 @@ def _peak_bytes(scheme: StorageScheme, solver: str) -> int:
     per-batch buffers weigh more).
     log2(L) is about 1.4 B, so the numerators average about 0.09 * V * B
     bytes, under the 3 * B slope up to the cap V = 20. The forward DP holds
-    two levels of reachable states and a position per mask: about 20-30
-    bytes a state in floats, plus the numerators' bytes in rationals
-    (V * log2(D) bits at the widest level, D as in ``_forward_dp``).
+    two levels of reachable states and a position per mask: 32 bytes a
+    state in floats, where ``tools/exact_scaling.py`` measured 0-23 bytes
+    of ``ru_maxrss`` growth at V = 15..18 for the random and the harmonic
+    rule, B = V..4V; plus the numerators' bytes in rationals (V * log2(D)
+    bits at the widest level, D as in ``_forward_dp``).
     """
     V, B, K = scheme.V, scheme.B, scheme.params.K
     if solver == "mdp":
@@ -129,23 +140,39 @@ def check_size(scheme: StorageScheme, solver: str) -> None:
 
 def _as_mask(subset, V: int) -> int:
     """``subset`` as a mask: an integer (a Python or numpy int, not a bool)
-    is a mask in [0, 2^V), anything else an iterable of 1-based fragments. A
-    bool or a float is refused, where numpy would read it as a boolean index
-    or it would fail as not iterable."""
+    is a mask in [0, 2^V), anything else an iterable of 1-based fragments,
+    each an integer by the same rule. A bool or a float is refused, as the
+    subset or as a fragment, where numpy would read it as a boolean index,
+    Python as the fragment 1, or it would fail as not iterable or not
+    shiftable. A numpy integer is read as a Python int, so a uint8 fragment
+    9 does not wrap to the empty mask in ``1 << 8``."""
+    mask = _index(subset)
+    if mask is not None:
+        if not 0 <= mask < 1 << V:
+            raise InvalidParams(f"mask {mask} outside [0, 2**{V})")
+        return mask
     if isinstance(subset, (bool, np.bool_, float, np.floating)):
         raise InvalidParams(f"subset {subset!r} is neither an int mask nor 1-based fragments")
-    try:
-        mask = operator.index(subset)
-    except TypeError:
-        mask = 0
-        for v in subset:
-            if not 1 <= v <= V:
-                raise InvalidParams(f"fragment {v} outside [1, {V}]")
-            mask |= 1 << (v - 1)
-        return mask
-    if not 0 <= mask < 1 << V:
-        raise InvalidParams(f"mask {mask} outside [0, 2**{V})")
+    mask = 0
+    for v in subset:
+        fragment = _index(v)
+        if fragment is None:
+            raise InvalidParams(f"fragment {v!r} is not an integer")
+        if not 1 <= fragment <= V:
+            raise InvalidParams(f"fragment {v} outside [1, {V}]")
+        mask |= 1 << (fragment - 1)
     return mask
+
+
+def _index(x) -> int | None:
+    """``x`` as a Python int through ``operator.index``, or None where it is
+    not an integer; a bool, Python's or numpy's, counts as none."""
+    if isinstance(x, (bool, np.bool_)):
+        return None
+    try:
+        return operator.index(x)
+    except TypeError:
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,23 +324,32 @@ def _forward_dp(rule: DecisionRule, rational: bool = True):
         found = []
         lo = seen = 0
         for chunk in _chunks(masks, rule):
-            slots = rule.choice_slots(chunk)
-            count = slot_counts(slots)  # choices per server
-            n = np.count_nonzero(count, axis=1)
-            n_use[lo:lo + len(chunk)] = n
+            hi = lo + len(chunk)
+            if rule.uniform:  # each of a server's c marked slots with probability 1/c
+                slots = rule.choice_slots(chunk)
+                count = _slot_counts(slots)  # choices per server
+                n = np.count_nonzero(count, axis=1)
+                if not last:  # contributions in order of parent, server, then slot
+                    i, b, k = np.nonzero(slots)
+                    child = chunk[i] | rule.slot_bits[b, k]
+                    if rational:
+                        w = p[lo + i] * step[n[i], count[i, b]]
+                    else:
+                        w = p[lo + i] * (1.0 / count[i, b]) / n[i]
+            else:  # one choice per useful server, so one weight per parent
+                useful = (rule.server_bits & ~chunk[:, None]) != 0
+                n = np.count_nonzero(useful, axis=1)
+                if not last:  # contributions in order of parent, then server
+                    i, b = np.nonzero(useful)
+                    child = chunk[i] | np.left_shift(1, rule.decide(chunk)[i, b], dtype=np.int64)
+                    w = (p[lo:hi] * step[n, 1] if rational else p[lo:hi] / n)[i]
+            n_use[lo:hi] = n
             if not last:
-                # contributions in order of parent, server, then slot
-                i, b, k = np.nonzero(slots)
-                child = chunk[i] | rule.slot_bits[b, k]
-                if rational:
-                    w = p[lo + i] * step[n[i], count[i, b]]
-                else:
-                    w = p[lo + i] * (1.0 / count[i, b]) / n[i]
                 ids, fresh = _first_seen(child, index_of, seen)
                 found.append(fresh)
                 seen += len(fresh)
                 np.add.at(nxt, ids, w)  # sequential: each child sums in contribution order
-            lo += len(chunk)
+            lo = hi
         if rational:
             den = D ** level
             per_ell.append(Fraction((p * n_use).sum(), den))
@@ -349,6 +385,16 @@ def _first_seen(child: np.ndarray, index_of: np.ndarray, count: int):
     fresh = new[index_of[new] == marks]
     index_of[fresh] = np.arange(count, count + len(fresh))
     return index_of[child], fresh
+
+
+def _slot_counts(slots: np.ndarray) -> np.ndarray:
+    """The marked slots of each (state, server) row of a boolean (n, B, K)
+    slot array, as an (n, B) intp array: K slice adds beat a sum over the
+    short last axis."""
+    count = slots[:, :, 0].astype(np.intp)
+    for k in range(1, slots.shape[2]):
+        count += slots[:, :, k]
+    return count
 
 
 def _rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,10 +19,13 @@ random baseline gives the whole residual and seeded ranked ties the tied set.
 Rank scores are exact integers (harmonic ranks scaled by lcm(1..K)). The jump
 chain, the clock validator, the exact forward DP and the MDP solver all read
 this one rule: the clock validator through ``choices``, one state at a time,
-which stays the scalar reference; the exact solvers through its batched form
-``choice_slots``, one array of states at a time; and the jump chain through
-the same padded tables and slot-score formula, with residual sizes it keeps
-up to date itself.
+which stays the scalar reference; the forward DP through its batched forms,
+one array of states at a time: ``decide``, the one fragment of every
+(state, server) under a deterministic rule, and ``choice_slots``, boolean
+slot masks, which a deterministic rule builds from ``decide`` and a uniform
+rule from its free or tied slots; the MDP solver through the padded slot
+tables; and the jump chain through the same padded tables and slot-score
+formula, with residual sizes it keeps up to date itself.
 """
 
 from __future__ import annotations
@@ -295,13 +298,14 @@ class DecisionRule:
     the hosts of fragment v, ascending, padded with the dummy server B; row V,
     the dummy fragment's, holds B only. The rest is lazy, built on first
     use: ``peers`` (the hosts of every slot's fragment other than the slot's
-    own server), ``slot_bits``, ``rank_values`` and ``key_none`` serve
-    :meth:`choice_slots` and the jump chain; the Python lists ``orders[b]``
+    own server), ``slot_bits``, ``server_bits`` (each server's fragment
+    mask), ``rank_values`` and ``key_none`` serve the batched :meth:`decide`
+    and :meth:`choice_slots` and the jump chain; the Python lists ``orders[b]``
     (row b of ``slot_frags`` without padding), ``occ[v]`` (the hosts of
     fragment v) and ``bits[b]`` (the fragment mask of server b, so its
     residual size under ``mask`` is ``(bits[b] & ~mask).bit_count()``) serve
-    only the scalar :meth:`choices`. :meth:`choice_slots` needs masks that fit
-    in int64 (V <= 62).
+    only the scalar :meth:`choices`. :meth:`decide` and :meth:`choice_slots`
+    need masks that fit in int64 (V <= 62).
 
     A ranked slot's score leaves out the slot's own server. Every real slot
     of server b holds a fragment that b stores, so b's rank value would add
@@ -380,6 +384,12 @@ class DecisionRule:
         return hosts[:-1]
 
     @cached_property
+    def server_bits(self) -> np.ndarray:
+        """The fragment mask of each server, int64: server b's residual
+        fragments in state ``mask`` are ``server_bits[b] & ~mask``."""
+        return np.bitwise_or.reduce(self.slot_bits, axis=1)
+
+    @cached_property
     def key_none(self) -> int:
         """A score above every slot score: that of a downloaded slot."""
         return self.hosts.shape[1] * max(self.values) + 1
@@ -393,24 +403,51 @@ class DecisionRule:
         dtype = next((d for d in (np.int32, np.int64) if self.key_none <= np.iinfo(d).max), object)
         return np.array(self.values + [0], dtype=dtype)
 
+    def _free(self, masks: np.ndarray) -> np.ndarray:
+        """The (len(masks), B, K) slots whose fragment is not in the state."""
+        return (self.slot_bits & ~masks[:, None, None]) != 0
+
+    def _slot_scores(self, masks: np.ndarray, free: np.ndarray) -> np.ndarray:
+        """The rank score of every slot, ``key_none`` where it is not
+        ``free``: ``sum_r rank_values[residual[peers[r, b, k]]]``, as in the
+        jump chain, with the dummy server's residual at K + 1."""
+        residual = np.full((len(masks), self.B + 1), self.K + 1)
+        residual[:, :-1] = np.bitwise_count(self.server_bits & ~masks[:, None])
+        scores = self.rank_values[residual][:, self.peers].sum(axis=1)
+        np.putmask(scores, ~free, self.key_none)
+        return scores
+
+    def decide(self, masks: np.ndarray) -> np.ndarray:
+        """The one fragment each server serves in every state of the int64
+        array ``masks`` under a deterministic rule (not ``uniform``), as a
+        (len(masks), B) array; an entry is meaningful only where its server
+        is useful. The table's row (MDP), the first slot of least rank score
+        (ranked) or the first free slot (nonadaptive)."""
+        if self.table is not None:
+            return self.table[masks]
+        free = self._free(masks)
+        if self.values is None:
+            slot = free.argmax(axis=2)
+        else:
+            slot = self._slot_scores(masks, free).argmin(axis=2)
+        return self.slot_frags[np.arange(self.B), slot]
+
     def choice_slots(self, masks: np.ndarray) -> np.ndarray:
         """:meth:`choices` of every state in the int64 array ``masks``, as a
         boolean (len(masks), B, K) array over the order slots ``slot_frags``.
 
         Server b is useful in state i where row [i, b] has a marked slot; its
-        choices are the fragments of the marked slots, in slot order. A slot's
-        rank score is ``sum_r rank_values[residual[peers[r, b, k]]]``, as in
-        the jump chain."""
-        free = (self.slot_bits & ~masks[:, None, None]) != 0
-        if self.table is not None:
-            return free & (self.slot_frags == self.table[masks][:, :, None])
+        choices are the fragments of the marked slots, in slot order. A
+        deterministic rule marks the free slot of its :meth:`decide`
+        fragment; a uniform one every free slot, or, ranked, every free slot
+        of least rank score."""
+        free = self._free(masks)
+        if not self.uniform:
+            return free & (self.slot_frags == self.decide(masks)[:, :, None])
         if self.values is not None:
-            residual = np.full((len(masks), self.B + 1), self.K + 1)
-            residual[:, :-1] = slot_counts(free)
-            scores = self.rank_values[residual][:, self.peers].sum(axis=1)
-            scores[~free] = self.key_none
+            scores = self._slot_scores(masks, free)
             free &= scores == scores.min(axis=2, keepdims=True)
-        return free if self.uniform else free & (free.cumsum(axis=2) == 1)
+        return free
 
     def choices(self, mask: int) -> dict[int, list[int]]:
         """Per useful server (ascending), the fragments it may serve next in
@@ -431,16 +468,6 @@ class DecisionRule:
                 free = [v for v in free if scores[v] == best]
             out[b] = free if self.uniform else free[:1]
         return out
-
-
-def slot_counts(slots: np.ndarray) -> np.ndarray:
-    """The marked slots of each (state, server) row of a boolean (n, B, K)
-    slot array, as an (n, B) intp array: K slice adds beat a sum over the
-    short last axis."""
-    count = slots[:, :, 0].astype(np.intp)
-    for k in range(1, slots.shape[2]):
-        count += slots[:, :, k]
-    return count
 
 
 def compile_policy(scheme: StorageScheme, policy) -> DecisionRule:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fragsched import affine_plane, build_scheme, cyclic_shift, mdp_solve
+from fragsched import affine_plane, build_scheme, cyclic_shift, mdp, mdp_solve
 from fragsched.mdp import _first_seen, _forward_dp
 from fragsched.scheduling import compile_policy
 from oracles import (decision_items, optimal_reward_to_go, scalar_forward_dp, scalar_mdp_solve,
@@ -54,6 +54,19 @@ def test_forward_dp_matches_scalar_loop_on_fixed_schemes(name):
     for kind in POLICY_KINDS:
         for rational in (True, False):
             check_forward_dp(scheme, kind, rational)
+
+
+@pytest.mark.parametrize("states", [1, 3], ids=["one-state", "three-states"])
+@pytest.mark.parametrize("name", FIXED_SCHEMES)
+def test_forward_dp_matches_scalar_loop_across_batch_edges(monkeypatch, name, states):
+    # batches of one or three states split every level past the first, so a
+    # parent's weight read at another batch's offset shows in the result
+    scheme = FIXED_SCHEMES[name]()
+    rules = [compile_policy(scheme, make_policy(scheme, kind)) for kind in POLICY_KINDS]
+    monkeypatch.setattr(mdp, "_SLOTS", states * rules[0].B * rules[0].K)
+    for rule in rules:
+        for rational in (True, False):
+            assert repr(_forward_dp(rule, rational)) == repr(scalar_forward_dp(rule, rational))
 
 
 @st.composite

@@ -99,4 +99,7 @@ def test_measure_times_one_solve_and_digests_it(solver):
     assert record["sha256"] == exact_scaling.digest(solver, result)
     if solver == "mdp":
         other = mdp_solve(exact_scaling.build(6, 1))
-        assert exact_scaling.digest(solver, other) != record["sha256"]
+    else:  # the two forward-DP solvers evaluate different policies
+        other = exact_scaling.solve({"float": "harmonic", "harmonic": "float"}[solver],
+                                    exact_scaling.build(6, 2))
+    assert exact_scaling.digest(solver, other) != record["sha256"]

@@ -123,6 +123,27 @@ class TestMdpSolve:
         with pytest.raises(InvalidParams, match="neither an int mask nor 1-based fragments"):
             mdp_solve(pp2).reward_to_go(subset)
 
+    @pytest.mark.parametrize("fragment", [True, np.True_], ids=repr)
+    def test_bool_fragment_refused(self, pp2, fragment):
+        # Python would read True as the fragment 1
+        with pytest.raises(InvalidParams, match="is not an integer"):
+            mdp_solve(pp2).reward_to_go([fragment])
+
+    @pytest.mark.parametrize("fragment", [2.0, np.float64(2.0)], ids=repr)
+    def test_float_fragment_refused(self, pp2, fragment):
+        with pytest.raises(InvalidParams, match="is not an integer"):
+            mdp_solve(pp2).reward_to_go([fragment])
+
+    def test_string_fragment_refused(self, pp2):
+        with pytest.raises(InvalidParams, match="fragment '1' is not an integer"):
+            mdp_solve(pp2).reward_to_go(["1"])
+
+    def test_numpy_integer_fragments_read_like_ints(self):
+        sol = mdp_solve(affine_plane(3))
+        # at V = 9 a uint8 fragment 9 would shift to 1 << 8, which wraps to 0
+        assert sol.reward_to_go([np.uint8(9)]) == sol.reward_to_go([9])
+        assert sol.reward_to_go(np.array([1, 9])) == sol.reward_to_go({1, 9})
+
     def test_solution_arrays_are_read_only(self, fano):
         # a write would change optimal_value, or every MdpPolicy built from it
         sol = mdp_solve(fano)

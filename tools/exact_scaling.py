@@ -2,8 +2,9 @@
 
 For each scheme of a fixed list, cyclic V/3 for V = 15..18 and the same
 schemes with every server repeated 3 and 4 times (B = V, 3V, 4V), and each
-solver, ``mdp_solve`` and the float forward DP (``exact_mean_download`` of
-the random scheduler), a child process first runs the solver on the V = 8
+solver, ``mdp_solve`` and the float forward DP (``exact_mean_download``) of
+the random scheduler (``float``) and of the harmonic rank with lowest-index
+ties (``harmonic``), a child process first runs the solver on the V = 8
 scheme of the same kind, so that the code pages and numpy's buffers it
 touches are already counted, then times one solve. Each prints one table
 row: the wall time, the growth of ``ru_maxrss`` over that solve, the growth
@@ -15,8 +16,8 @@ SHA-256 of the result, so two checkouts' tables can be compared line by line.
     python3 tools/exact_scaling.py --V 15 16 --repeat 1 --solver mdp
 
 The ``mdp`` digest covers every numerator (hex, in mask order), the level
-denominators and the decision bytes; the ``float`` digest covers the repr of
-the mean and of both per-level expectation tuples.
+denominators and the decision bytes; the ``float`` and ``harmonic`` digests
+cover the repr of the mean and of both per-level expectation tuples.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOLVERS = ("mdp", "float")
+SOLVERS = ("mdp", "float", "harmonic")
 WARM_V = 8
 COLUMNS = ("solver", "V", "B", "wall_s", "rss_mib", "bytes_per_state", "peak_mib", "sha256")
 
@@ -46,11 +47,12 @@ def build(V: int, repeat: int):
 
 
 def solve(solver: str, scheme):
-    from fragsched import RandomWorkConserving, exact_mean_download, mdp_solve
+    from fragsched import RandomWorkConserving, RankedPolicy, exact_mean_download, mdp_solve
 
     if solver == "mdp":
         return mdp_solve(scheme)
-    return exact_mean_download(scheme, RandomWorkConserving(), 1.0, exact=False)
+    policy = RandomWorkConserving() if solver == "float" else RankedPolicy("harmonic", tie="low")
+    return exact_mean_download(scheme, policy, 1.0, exact=False)
 
 
 def digest(solver: str, result) -> str:
