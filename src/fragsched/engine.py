@@ -280,18 +280,12 @@ def _chain_steps(rule: DecisionRule, words: np.ndarray, order: np.ndarray,
                 values.take(peer_idx, out=peer_val, mode="wrap")
                 np.add.reduce(peer_val, axis=0, out=score)
                 np.putmask(score, taken, rule.key_none)
-                if rule.uniform:
-                    tied = score == score.min(axis=1)[:, None]
-                    count = tied.sum(axis=1)
-                    col = _nth_true(tied, _rng.picks(words[2 * V + ell], count.view(np.uint64)))
-                else:
-                    col = score.argmin(axis=1)
-            elif rule.uniform:  # uniform over the candidates not downloaded
-                free = ~taken
-                count = free.sum(axis=1)
-                col = _nth_true(free, _rng.picks(words[2 * V + ell], count.view(np.uint64)))
-            else:  # first candidate not downloaded
-                col = taken.argmin(axis=1)
+            if rule.uniform:  # uniform over the tied (ranked) or the free candidates
+                pool = score == score.min(axis=1)[:, None] if ranked else ~taken
+                count = pool.sum(axis=1)
+                col = _nth_true(pool, _rng.picks(words[2 * V + ell], count.view(np.uint64)))
+            else:  # the first candidate of least score, or the first not downloaded
+                col = (score if ranked else taken).argmin(axis=1)
             flat = cand_flat.take(off_k + col, mode="wrap")  # the chosen fragment's downloaded row
             downloaded[flat] = True
             v = np.subtract(flat, off_v, out=order[ell])

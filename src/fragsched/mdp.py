@@ -35,21 +35,21 @@ server's marked slots.
 ``_first_seen`` numbers a batch's new sets in that order with one
 ``np.minimum.at`` of position markers into the mask-to-position array it
 already keeps, so it needs no sort and no further array of size 2^V.
-``mdp_solve`` keeps each state's reward-plus-value numerator, not its value,
-through the whole solve. Before it solves a level, it ranks the children
-level's numerators once: equal numerators share a code, counted from 1 and
-kept in an int32 array indexed by mask. A parent reads its children's codes
-over the order slots, so a server's choice is the first arg-max over
-integers, and the chosen totals are gathered from the level's sorted distinct
-numerators with a 0 in front. A downloaded or padding slot leads back to the
-parent itself, whose code is still 0, so it never wins and a server that is
-not useful adds 0. One pass at the end, a batch at a time, takes each
-state's reward term out and leaves its value.
+``mdp_solve`` keeps each state's reward-plus-value numerator, not its value:
+W(I) = N(I)/V + u*(I) is what the recursion ranks, and the solution keeps it.
+Before it solves a level, it ranks the children level's numerators once:
+equal numerators share a code, counted from 1 and kept in an int32 array
+indexed by mask. A parent reads its children's codes over the order slots,
+so a server's choice is the first arg-max over integers, and the chosen
+totals are gathered from the level's sorted distinct numerators with a 0 in
+front. A downloaded or padding slot leads back to the parent itself, whose
+code is still 0, so it never wins and a server that is not useful adds 0.
 
 Rational mode keeps Python-int numerators over one common denominator per
 level. The forward DP builds a Fraction only for a level's totals;
 ``mdp_solve`` builds none: its solution keeps the numerator array and the
-level denominators, and ``reward_to_go`` builds the one Fraction asked for.
+level denominators, and ``reward_to_go`` takes the reward term out of the
+one numerator asked for and builds its Fraction.
 - Forward DP: D**l at level l, with D = lcm(1..B) * lcm(1..K). Every step
   has probability 1/(n*c) for n <= B useful servers and c <= K choices.
 - ``mdp_solve``: V * L**d at depth d (d fragments missing), with
@@ -98,7 +98,7 @@ def _peak_bytes(scheme: StorageScheme, solver: str) -> int:
     ``mdp_solve`` holds a Python-int numerator per state in ``values`` (an
     8-byte pointer and the int, of about d * log2(L) bits at depth d), a
     B-byte row of the int8 decision array, and per mask while it runs an
-    8-byte level index, a 4-byte child code and a 1-byte useful count:
+    8-byte level index and a 4-byte child code:
     73-109 bytes a state at B = V, 151-212 at B = 3V and 186-262 at B = 4V,
     measured as ``ru_maxrss`` growth at V = 15..18 by
     ``tools/exact_scaling.py``, which 3 * B + 170 covers (below V = 15 the
@@ -178,13 +178,14 @@ def _index(x) -> int | None:
 @dataclass(frozen=True, eq=False)
 class MdpSolution:
     """Output of backward induction on the scheme with ``fragment_sets``:
-    exact reward-to-go per downloaded subset and the optimal decisions.
+    exact reward-plus-value per downloaded subset and the optimal decisions.
 
     ``values`` is the solver's object array of 2^V Python-int numerators,
-    indexed by mask. The numerator of u*(I) is over ``denominators[|I|]``,
-    V * L**(V - |I|) with L = lcm(1..B). ``reward_to_go`` builds the one
-    Fraction it is asked for, and ``optimal_value`` is u*(empty), read from
-    ``values[0]``.
+    indexed by mask: that of W(I) = N(I)/V + u*(I), the quantity the
+    recursion ranks, over ``denominators[|I|]``, V * L**d with d = V - |I|
+    and L = lcm(1..B). ``reward_to_go`` takes the reward term N(I) * L**d
+    out of the one numerator it is asked for and builds its Fraction, and
+    ``optimal_value`` is u*(empty).
 
     ``decisions`` is a dense (2^V, B) int8 array: its entry at (mask, b) is
     the 0-based fragment that 0-based server b serves in state mask, or -1
@@ -193,7 +194,7 @@ class MdpSolution:
 
     V: int
     fragment_sets: tuple[frozenset[int], ...]
-    values: np.ndarray  # mask -> numerator of u*(I)
+    values: np.ndarray  # mask -> numerator of W(I)
     denominators: tuple[int, ...]  # popcount -> the level's denominator
     decisions: np.ndarray
 
@@ -201,7 +202,9 @@ class MdpSolution:
         """u*(I) for a subset of 1-based fragments or an integer mask in
         [0, 2^V), a numpy integer included."""
         mask = _as_mask(subset, self.V)
-        return Fraction(self.values[mask], self.denominators[mask.bit_count()])
+        den = self.denominators[mask.bit_count()]
+        useful = sum(any(not mask >> (v - 1) & 1 for v in s) for s in self.fragment_sets)
+        return Fraction(self.values[mask] - useful * (den // self.V), den)
 
     @property
     def optimal_value(self) -> Fraction:
@@ -214,10 +217,10 @@ def mdp_solve(scheme: StorageScheme) -> MdpSolution:
 
     Each level first ranks its children's reward-plus-value numerators
     (``_rank``); a batch of parents then takes, per server, the first
-    maximum of its slots' child codes, and sums the chosen numerators by a
-    gather from the ranked values. The numerators stay reward-plus-value
-    until one final pass takes the reward terms out; the values and
-    decisions are those of a one-state-at-a-time loop, exactly.
+    maximum of its slots' child codes, sums the chosen numerators by a
+    gather from the ranked values and adds its own reward term, which gives
+    its reward-plus-value. The values and decisions are those of a
+    one-state-at-a-time loop, exactly.
 
     Refuses V > ``DEFAULT_MDP_CAP``, stating the states and estimated memory.
     At sets of size V-1 the single remaining fragment forces the decision; at
@@ -233,10 +236,8 @@ def mdp_solve(scheme: StorageScheme) -> MdpSolution:
     L = lcm(*range(1, B + 1))
     share = np.array([0] + [L // n for n in range(1, B + 1)], dtype=object)  # L/n
     full = (1 << V) - 1
-    # (u*(I) + N(I)/V) * V * L**d for d = V - |I|, reward-plus-value until the
-    # last pass takes the reward term out; the full set's is 0
+    # W(I) = N(I)/V + u*(I) over V * L**d for d = V - |I|; the full set's is 0
     num = np.zeros(full + 1, dtype=object)
-    n_use = np.zeros(full + 1, dtype=np.min_scalar_type(B))
     code = np.zeros(full + 1, dtype=np.int32)  # a child's rank in its level
     best = np.full((full + 1, B), -1, dtype=np.int8)
     # slots on axis 0: a state's children read as (K, states, B) codes,
@@ -258,13 +259,8 @@ def mdp_solve(scheme: StorageScheme) -> MdpSolution:
             key = code[masks[:, None] | bits] * K + tail
             top, col = np.divmod(np.maximum.reduce(key, axis=0), K)  # the lowest optimal slot
             n = np.count_nonzero(top, axis=1)
-            n_use[masks] = n
             num[masks] = ranked[top].sum(axis=1) * share[n] + reward[n]
             best[masks] = np.where(top != 0, frags[col, columns], -1)
-    for size in range(V):  # one pass takes each state's reward term out again
-        reward = _reward_terms(L, V - size, B)
-        for piece in _chunks(levels[size], rule):
-            num[piece] -= reward[n_use[piece]]
     # read-only: a write would change optimal_value and every MdpPolicy built
     # from this solution
     num.flags.writeable = False
@@ -318,9 +314,8 @@ def _forward_dp(rule: DecisionRule, rational: bool = True):
     per_ell = []
     per_ell_inv = []
     for level in range(V):
-        last = level == V - 1
         n_use = np.empty(len(masks), dtype=np.intp)
-        nxt = np.zeros(0 if last else comb(V, level + 1), dtype=p.dtype)
+        nxt = np.zeros(comb(V, level + 1), dtype=p.dtype)
         found = []
         lo = seen = 0
         for chunk in _chunks(masks, rule):
@@ -329,26 +324,24 @@ def _forward_dp(rule: DecisionRule, rational: bool = True):
                 slots = rule.choice_slots(chunk)
                 count = _slot_counts(slots)  # choices per server
                 n = np.count_nonzero(count, axis=1)
-                if not last:  # contributions in order of parent, server, then slot
-                    i, b, k = np.nonzero(slots)
-                    child = chunk[i] | rule.slot_bits[b, k]
-                    if rational:
-                        w = p[lo + i] * step[n[i], count[i, b]]
-                    else:
-                        w = p[lo + i] * (1.0 / count[i, b]) / n[i]
+                # contributions in order of parent, server, then slot
+                i, b, k = np.nonzero(slots)
+                child = chunk[i] | rule.slot_bits[b, k]
+                if rational:
+                    w = p[lo + i] * step[n[i], count[i, b]]
+                else:
+                    w = p[lo + i] * (1.0 / count[i, b]) / n[i]
             else:  # one choice per useful server, so one weight per parent
                 useful = (rule.server_bits & ~chunk[:, None]) != 0
                 n = np.count_nonzero(useful, axis=1)
-                if not last:  # contributions in order of parent, then server
-                    i, b = np.nonzero(useful)
-                    child = chunk[i] | np.left_shift(1, rule.decide(chunk)[i, b], dtype=np.int64)
-                    w = (p[lo:hi] * step[n, 1] if rational else p[lo:hi] / n)[i]
+                i, b = np.nonzero(useful)  # contributions in order of parent, then server
+                child = chunk[i] | np.left_shift(1, rule.decide(chunk)[i, b], dtype=np.int64)
+                w = (p[lo:hi] * step[n, 1] if rational else p[lo:hi] / n)[i]
             n_use[lo:hi] = n
-            if not last:
-                ids, fresh = _first_seen(child, index_of, seen)
-                found.append(fresh)
-                seen += len(fresh)
-                np.add.at(nxt, ids, w)  # sequential: each child sums in contribution order
+            ids, fresh = _first_seen(child, index_of, seen)
+            found.append(fresh)
+            seen += len(fresh)
+            np.add.at(nxt, ids, w)  # sequential: each child sums in contribution order
             lo = hi
         if rational:
             den = D ** level
@@ -357,10 +350,9 @@ def _forward_dp(rule: DecisionRule, rational: bool = True):
         else:
             per_ell.append(float(np.add.accumulate(p * n_use)[-1]))
             per_ell_inv.append(float(np.add.accumulate(p * (1.0 / n_use))[-1]))
-        if not last:
-            masks = np.concatenate(found)
-            index_of[masks] = -1
-            p = nxt[:len(masks)]
+        masks = np.concatenate(found)
+        index_of[masks] = -1
+        p = nxt[:len(masks)]
     zero = Fraction(0) if rational else 0.0
     aggregate = sum(per_ell[1:], start=zero) / V
     return per_ell, per_ell_inv, aggregate

@@ -21,11 +21,10 @@ chain, the clock validator, the exact forward DP and the MDP solver all read
 this one rule: the clock validator through ``choices``, one state at a time,
 which stays the scalar reference; the forward DP through its batched forms,
 one array of states at a time: ``decide``, the one fragment of every
-(state, server) under a deterministic rule, and ``choice_slots``, boolean
-slot masks, which a deterministic rule builds from ``decide`` and a uniform
-rule from its free or tied slots; the MDP solver through the padded slot
-tables; and the jump chain through the same padded tables and slot-score
-formula, with residual sizes it keeps up to date itself.
+(state, server) under a deterministic rule, and ``choice_slots``, the
+boolean masks of a uniform rule's free or tied slots; the MDP solver through
+the padded slot tables; and the jump chain through the same padded tables
+and slot-score formula, with residual sizes it keeps up to date itself.
 """
 
 from __future__ import annotations
@@ -433,17 +432,16 @@ class DecisionRule:
         return self.slot_frags[np.arange(self.B), slot]
 
     def choice_slots(self, masks: np.ndarray) -> np.ndarray:
-        """:meth:`choices` of every state in the int64 array ``masks``, as a
-        boolean (len(masks), B, K) array over the order slots ``slot_frags``.
+        """:meth:`choices` of every state in the int64 array ``masks`` under
+        a uniform rule, as a boolean (len(masks), B, K) array over the order
+        slots ``slot_frags``; a deterministic rule's one choice per server is
+        :meth:`decide`'s.
 
         Server b is useful in state i where row [i, b] has a marked slot; its
-        choices are the fragments of the marked slots, in slot order. A
-        deterministic rule marks the free slot of its :meth:`decide`
-        fragment; a uniform one every free slot, or, ranked, every free slot
-        of least rank score."""
+        choices are the fragments of the marked slots, in slot order: every
+        free slot (random), or every free slot of least rank score (ranked,
+        seeded ties)."""
         free = self._free(masks)
-        if not self.uniform:
-            return free & (self.slot_frags == self.decide(masks)[:, :, None])
         if self.values is not None:
             scores = self._slot_scores(masks, free)
             free &= scores == scores.min(axis=2, keepdims=True)

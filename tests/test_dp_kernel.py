@@ -1,10 +1,10 @@
 """The level-synchronous subset DPs of ``fragsched.mdp`` against their
 one-state-at-a-time loops (``oracles.scalar_forward_dp`` and
-``oracles.scalar_mdp_solve``), the batched ``DecisionRule.choice_slots``
-against the scalar ``choices``, ``mdp_solve`` against a brute-force
-backward induction over frozensets that shares no solver code, and the
-forward DP's sort-free numbering of first-seen states against the sorted
-one it replaced.
+``oracles.scalar_mdp_solve``), the batched ``DecisionRule.decide`` and
+``choice_slots`` against the scalar ``choices``, ``mdp_solve`` against a
+brute-force backward induction over frozensets that shares no solver code,
+and the forward DP's sort-free numbering of first-seen states against the
+sorted one it replaced.
 """
 
 from fractions import Fraction
@@ -20,7 +20,7 @@ from fragsched.scheduling import compile_policy
 from oracles import (decision_items, optimal_reward_to_go, scalar_forward_dp, scalar_mdp_solve,
                      sorted_first_seen, useful_count, value_items)
 from conftest import FANO_OCCUPANCY, PAIRED_OCCUPANCY
-from test_kernel import IRREGULAR, POLICY_KINDS, make_policy, small_schemes
+from test_kernel import IRREGULAR, POLICY_KINDS, batched_choices, make_policy, small_schemes
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -138,11 +138,7 @@ def test_mdp_solve_matches_scalar_loop(scheme):
 def test_choice_slots_match_choices(scheme, kind):
     rule = compile_policy(scheme, make_policy(scheme, kind))
     masks = np.arange(1 << scheme.V, dtype=np.int64)
-    slots = rule.choice_slots(masks)
-    assert slots.shape == (len(masks), rule.B, rule.K)
-    for mask, row in zip(masks.tolist(), slots):
-        got = {b: rule.slot_frags[b][row[b]].tolist() for b in range(rule.B) if row[b].any()}
-        assert got == rule.choices(mask)
+    assert batched_choices(rule, masks) == list(map(rule.choices, masks.tolist()))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -21,9 +21,23 @@ def child_line(solver="mdp", V=10, B=10, wall=0.0123, rss_kib=2048, peak_kib=409
                        "peak_kib": peak_kib, "sha256": "ab" * 32})
 
 
+def traced_line(traced_bytes=3 * 2**19):
+    return json.dumps({"traced_bytes": traced_bytes})
+
+
+def full_record(traced_bytes=3 * 2**19, **kwargs):
+    """A timed child's record with a traced child's peak added."""
+    return dict(json.loads(child_line(**kwargs)), traced_bytes=traced_bytes)
+
+
 def test_parse_child_reads_the_last_line():
     record = exact_scaling.parse_child("warming up\n" + child_line() + "\n")
     assert record == json.loads(child_line())
+    assert exact_scaling.parse_child(traced_line() + "\n", 0, "traced_bytes") == \
+        json.loads(traced_line())
+    # each child's record must hold its own key
+    assert exact_scaling.parse_child(traced_line() + "\n") is None
+    assert exact_scaling.parse_child(child_line() + "\n", 0, "traced_bytes") is None
 
 
 @pytest.mark.parametrize("stdout, returncode", [
@@ -38,22 +52,24 @@ def test_parse_child_of_a_failed_child_is_none(stdout, returncode):
 
 
 def test_row_reports_growth_per_state_and_peak():
-    row = exact_scaling.row(json.loads(child_line(V=10, rss_kib=2048, peak_kib=40960)))
-    # 2 MiB over 2^10 states
+    row = exact_scaling.row(full_record(V=10, rss_kib=2048, peak_kib=40960))
+    # 2 MiB over 2^10 states, and 1.5 MiB traced
     assert row == {"solver": "mdp", "V": 10, "B": 10, "wall_s": "0.012", "rss_mib": "2.00",
-                   "bytes_per_state": "2048", "peak_mib": "40.00", "sha256": "ab" * 8}
+                   "bytes_per_state": "2048", "peak_mib": "40.00", "traced_mib": "1.500",
+                   "sha256": "ab" * 8}
 
 
 def test_format_table_aligns_every_column():
-    rows = [exact_scaling.row(json.loads(line)) for line in (
-        child_line(V=9, B=27, wall=0.5, rss_kib=100),
-        child_line(solver="float", V=18, B=72, wall=12.25, rss_kib=66000, peak_kib=103000),
+    rows = [exact_scaling.row(r) for r in (
+        full_record(V=9, B=27, wall=0.5, rss_kib=100),
+        full_record(12_181_000, solver="float", V=18, B=72, wall=12.25, rss_kib=66000,
+                    peak_kib=103000),
     )]
     lines = exact_scaling.format_table(rows).splitlines()
     assert lines[0].split() == list(exact_scaling.COLUMNS)
     assert [line.split() for line in lines[1:]] == [
-        ["mdp", "9", "27", "0.500", "0.10", "200", "40.00", "ab" * 8],
-        ["float", "18", "72", "12.250", "64.45", "258", "100.59", "ab" * 8],
+        ["mdp", "9", "27", "0.500", "0.10", "200", "40.00", "1.500", "ab" * 8],
+        ["float", "18", "72", "12.250", "64.45", "258", "100.59", "11.617", "ab" * 8],
     ]
     # every cell starts where its header does
     starts = [lines[0].index(name) for name in exact_scaling.COLUMNS]
@@ -62,23 +78,26 @@ def test_format_table_aligns_every_column():
 
 
 def test_main_runs_one_child_per_case_and_reports_failures(monkeypatch, capsys, tmp_path):
+    # one timed and one traced child per case
     calls = []
 
     def fake_run(cmd, env, **kwargs):
-        calls.append((cmd[-4:], env["PYTHONPATH"]))
-        solver, V, repeat = cmd[-3], int(cmd[-2]), int(cmd[-1])
-        if V == 16 and repeat == 3:
+        calls.append((cmd[-5:], env["PYTHONPATH"]))
+        solver, V, repeat, mode = cmd[-4], int(cmd[-3]), int(cmd[-2]), cmd[-1]
+        if V == 16 and repeat == 3 and mode == "trace":
             return subprocess.CompletedProcess(cmd, 1, "", "MemoryError\n")
-        return subprocess.CompletedProcess(cmd, 0, child_line(solver, V, repeat * V) + "\n", "")
+        line = child_line(solver, V, repeat * V) if mode == "time" else traced_line(V * 2**20)
+        return subprocess.CompletedProcess(cmd, 0, line + "\n", "")
 
     monkeypatch.setattr(exact_scaling.subprocess, "run", fake_run)
     assert exact_scaling.main(["--src", str(tmp_path), "--V", "15", "16",
                                "--repeat", "1", "3", "--solver", "mdp"]) == 1
-    assert calls == [(["--child", "mdp", str(V), str(r)], str(tmp_path))
-                     for r in (1, 3) for V in (15, 16)]
+    assert calls == [(["--child", "mdp", str(V), str(r), mode], str(tmp_path))
+                     for r in (1, 3) for V in (15, 16) for mode in ("time", "trace")]
     out, err = capsys.readouterr()
-    assert [line.split()[:3] for line in out.splitlines()[1:]] == [
-        ["mdp", "15", "15"], ["mdp", "16", "16"], ["mdp", "15", "45"]]
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert [r[:3] + r[-2:-1] for r in rows] == [
+        ["mdp", "15", "15", "15.000"], ["mdp", "16", "16", "16.000"], ["mdp", "15", "45", "15.000"]]
     assert err == "MemoryError\nmdp V=16 repeat=3: failed\n"
 
 
@@ -97,6 +116,8 @@ def test_measure_times_one_solve_and_digests_it(solver):
     # the digest is the result's: the same solve gives it again
     result = exact_scaling.solve(solver, exact_scaling.build(6, 2))
     assert record["sha256"] == exact_scaling.digest(solver, result)
+    traced = exact_scaling.measure(solver, 6, 2, traced=True)
+    assert list(traced) == ["traced_bytes"] and traced["traced_bytes"] > 0
     if solver == "mdp":
         other = mdp_solve(exact_scaling.build(6, 1))
     else:  # the two forward-DP solvers evaluate different policies

@@ -57,6 +57,23 @@ def make_policy(scheme, kind: str):
     return NonadaptivePolicy(order)
 
 
+def batched_choices(rule, masks):
+    """Per state of the int64 array ``masks``, the batched decision map the
+    forward DP reads, in the form of the scalar ``choices``: ``decide`` on
+    the useful servers under a deterministic rule, the marked slots of
+    ``choice_slots`` under a uniform one."""
+    if rule.uniform:
+        slots = rule.choice_slots(masks)
+        assert slots.shape == (len(masks), rule.B, rule.K)
+        return [{b: rule.slot_frags[b][row[b]].tolist() for b in range(rule.B) if row[b].any()}
+                for row in slots]
+    chosen = rule.decide(masks)
+    assert chosen.shape == (len(masks), rule.B)
+    useful = (rule.server_bits & ~masks[:, None]) != 0
+    return [{b: [v] for b, v in enumerate(row) if use[b]}
+            for row, use in zip(chosen.tolist(), useful.tolist())]
+
+
 @st.composite
 def small_schemes(draw):
     """Up to 7 fragments on up to 6 servers; replica counts and server sizes
@@ -187,10 +204,7 @@ def test_wide_servers_keep_exact_harmonic_keys(k, tie):
         assert (order[:, r] + 1).tolist() == o
         assert profile[:, r].tolist() == p
     masks = [0, 1, (1 << k) - 2, sum(1 << v for v in range(0, k, 2)), 0b101101 << (k - 9)]
-    slots = rule.choice_slots(np.array(masks, dtype=np.int64))
-    for mask, row in zip(masks, slots):
-        got = {b: rule.slot_frags[b][row[b]].tolist() for b in range(rule.B) if row[b].any()}
-        assert got == rule.choices(mask)
+    assert batched_choices(rule, np.array(masks, dtype=np.int64)) == list(map(rule.choices, masks))
 
 
 # Schemes on which up to 12 servers run dry in one step before the last, so a

@@ -35,6 +35,7 @@ from oracles import (
     random_decisions,
     ranked_decisions,
     table_decisions,
+    useful_count,
 )
 from test_kernel import POLICY_KINDS, make_policy
 from test_kernel import small_schemes as drawn_schemes
@@ -143,6 +144,18 @@ class TestMdpSolve:
         # at V = 9 a uint8 fragment 9 would shift to 1 << 8, which wraps to 0
         assert sol.reward_to_go([np.uint8(9)]) == sol.reward_to_go([9])
         assert sol.reward_to_go(np.array([1, 9])) == sol.reward_to_go({1, 9})
+
+    @pytest.mark.parametrize("name", ["fano", "pp2"])
+    def test_values_hold_reward_plus_value(self, name, request):
+        # values[I] is the numerator of W(I) = N(I)/V + u*(I), the quantity
+        # the recursion ranks, over the level's denominator
+        scheme = request.getfixturevalue(name)
+        sol = mdp_solve(scheme)
+        V, blocks = scheme.V, [set(s) for s in scheme.fragment_sets]
+        for mask in range(1 << V):
+            done = {v + 1 for v in range(V) if mask >> v & 1}
+            W = sol.reward_to_go(mask) + Fraction(useful_count(blocks, done), V)
+            assert sol.values[mask] == W * sol.denominators[len(done)]
 
     def test_solution_arrays_are_read_only(self, fano):
         # a write would change optimal_value, or every MdpPolicy built from it

@@ -39,7 +39,7 @@ from oracles import (
     table_decisions,
     useful_count,
 )
-from test_kernel import IRREGULAR, small_schemes
+from test_kernel import IRREGULAR, batched_choices, small_schemes
 
 from conftest import FANO_OCCUPANCY
 
@@ -412,8 +412,9 @@ def draw_order(data, scheme) -> PlacementOrder:
 def test_rule_tables_match_list_oracle(data, scheme, ordered, rank, tie):
     """The numpy-built tables of a rule equal ``oracles.rule_tables``, built
     from lists, on schemes whose servers and fragments pad, with and without
-    a placement order; and its ``choices`` and ``choice_slots`` still give the
-    oracles' decision maps in every state."""
+    a placement order; and its ``choices`` and batched decisions (``decide``
+    or ``choice_slots``) still give the oracles' decision maps in every
+    state."""
     blocks = [set(s) for s in scheme.fragment_sets]
     order = draw_order(data, scheme) if ordered else None
     if order is not None:
@@ -436,12 +437,11 @@ def test_rule_tables_match_list_oracle(data, scheme, ordered, rank, tie):
     for name in ("orders", "bits", "occ"):
         assert getattr(rule, name) == want[name], name
     masks = np.arange(1 << scheme.V, dtype=np.int64)
-    for mask, row in zip(masks.tolist(), rule.choice_slots(masks)):
+    for mask, batched in zip(masks.tolist(), batched_choices(rule, masks)):
         choices = rule.choices(mask)
         got = {b + 1: {v + 1: Fraction(1, len(vs)) for v in vs} for b, vs in choices.items()}
         assert got == oracle({v + 1 for v in range(scheme.V) if mask >> v & 1})
-        assert {b: rule.slot_frags[b][row[b]].tolist() for b in range(rule.B) if row[b].any()} \
-            == choices
+        assert batched == choices
 
 
 @st.composite
@@ -462,15 +462,14 @@ def ranked_schemes(draw):
 def test_choice_slots_over_peers_match_choices(data, scheme, rank, tie, ordered):
     """Slot scores summed over the peer table, which leaves out the slot's
     own server, give the scalar ``choices`` (full per-fragment scores) in
-    every state, with and without an init order."""
+    every state, through ``decide`` (lowest-index ties) or ``choice_slots``
+    (seeded ties), with and without an init order."""
     order = draw_order(data, scheme) if ordered and tie == "low" else None
     rule = compile_policy(scheme, RankedPolicy(rank=rank, tie=tie, init_order=order))
     R = max(len(s) for s in scheme.occupancy)
     assert rule.peers.shape == (R - 1, rule.B, rule.K)
     masks = np.arange(1 << scheme.V, dtype=np.int64)
-    for mask, row in zip(masks.tolist(), rule.choice_slots(masks)):
-        assert {b: rule.slot_frags[b][row[b]].tolist() for b in range(rule.B) if row[b].any()} \
-            == rule.choices(mask)
+    assert batched_choices(rule, masks) == list(map(rule.choices, masks.tolist()))
 
 
 ORDER_EDITS = ["none", "drop server", "add server", "replace", "repeat", "drop", "append"]

@@ -4,20 +4,29 @@ For each scheme of a fixed list, cyclic V/3 for V = 15..18 and the same
 schemes with every server repeated 3 and 4 times (B = V, 3V, 4V), and each
 solver, ``mdp_solve`` and the float forward DP (``exact_mean_download``) of
 the random scheduler (``float``) and of the harmonic rank with lowest-index
-ties (``harmonic``), a child process first runs the solver on the V = 8
-scheme of the same kind, so that the code pages and numpy's buffers it
-touches are already counted, then times one solve. Each prints one table
-row: the wall time, the growth of ``ru_maxrss`` over that solve, the growth
-per state (bytes per 2^V subsets), the process's ``ru_maxrss`` after it and a
-SHA-256 of the result, so two checkouts' tables can be compared line by line.
+ties (``harmonic``), two child processes each first run the solver on the
+V = 8 scheme of the same kind, so that the code pages and numpy's buffers it
+touches are already counted, then run one solve: the first times it, the
+second traces it with ``tracemalloc``, so the wall time is untraced. Each
+case prints one table row: the wall time, the growth of ``ru_maxrss`` over
+that solve, the growth per state (bytes per 2^V subsets), the process's
+``ru_maxrss`` after it, the ``tracemalloc`` peak of the solve and a SHA-256
+of the result, so two checkouts' tables can be compared line by line.
 
     python3 tools/exact_scaling.py                       # this checkout's package
     python3 tools/exact_scaling.py --src ../parent/src   # another checkout's
     python3 tools/exact_scaling.py --V 15 16 --repeat 1 --solver mdp
 
-The ``mdp`` digest covers every numerator (hex, in mask order), the level
-denominators and the decision bytes; the ``float`` and ``harmonic`` digests
-cover the repr of the mean and of both per-level expectation tuples.
+The ``ru_maxrss`` growth of one and the same package moves by up to about
+1 MiB with how its child is started (the ``--src`` path, the environment),
+and between two packages with the heap layout their warm-ups leave; the
+traced peak counts the solve's own allocations and moves with neither, so
+compare two checkouts' memory by it.
+
+The ``mdp`` digest covers, through the public API, the optimal value, the
+reward-to-go of every ``MDP_STRIDE``-th mask and the decision bytes; the
+``float`` and ``harmonic`` digests cover the repr of the mean and of both
+per-level expectation tuples.
 """
 
 from __future__ import annotations
@@ -33,7 +42,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SOLVERS = ("mdp", "float", "harmonic")
 WARM_V = 8
-COLUMNS = ("solver", "V", "B", "wall_s", "rss_mib", "bytes_per_state", "peak_mib", "sha256")
+MDP_STRIDE = 61  # masks apart whose reward-to-go the mdp digest reads: every level, 2^V/61 reads
+COLUMNS = ("solver", "V", "B", "wall_s", "rss_mib", "bytes_per_state", "peak_mib", "traced_mib",
+           "sha256")
 
 
 def build(V: int, repeat: int):
@@ -58,11 +69,9 @@ def solve(solver: str, scheme):
 def digest(solver: str, result) -> str:
     h = hashlib.sha256()
     if solver == "mdp":
-        values = result.values
-        for lo in range(0, len(values), 4096):
-            h.update(",".join(format(x, "x") for x in values[lo:lo + 4096].tolist()).encode())
-            h.update(b",")
-        h.update(repr(result.denominators).encode())
+        h.update(f"{result.optimal_value};".encode())
+        for mask in range(0, 1 << result.V, MDP_STRIDE):
+            h.update(f"{result.reward_to_go(mask)},".encode())
         h.update(result.decisions.tobytes())
     else:
         h.update(repr((result.mean, result.per_ell_useful,
@@ -70,16 +79,24 @@ def digest(solver: str, result) -> str:
     return h.hexdigest()
 
 
-def measure(solver: str, V: int, repeat: int) -> dict:
-    """One timed solve in this process, after a V = 8 warm-up of the same
-    kind; ``ru_maxrss`` is in KiB (Linux)."""
+def measure(solver: str, V: int, repeat: int, traced: bool = False) -> dict:
+    """One solve in this process, after a V = 8 warm-up of the same kind:
+    timed, with its ``ru_maxrss`` growth in KiB (Linux) and its digest, or,
+    ``traced``, only its ``tracemalloc`` peak in bytes."""
     import gc
     import resource
     import time
+    import tracemalloc
 
     solve(solver, build(WARM_V, repeat))
     scheme = build(V, repeat)
     gc.collect()
+    if traced:
+        tracemalloc.start()
+        solve(solver, scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return {"traced_bytes": peak}
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     start = time.perf_counter()
     result = solve(solver, scheme)
@@ -89,9 +106,9 @@ def measure(solver: str, V: int, repeat: int) -> dict:
             "rss_kib": after - before, "peak_kib": after, "sha256": digest(solver, result)}
 
 
-def parse_child(stdout: str, returncode: int = 0) -> dict | None:
+def parse_child(stdout: str, returncode: int = 0, key: str = "rss_kib") -> dict | None:
     """The child's record from its last stdout line, or None if the child
-    failed or printed no JSON object."""
+    failed or printed no JSON object holding ``key``."""
     lines = stdout.strip().splitlines()
     if returncode != 0 or not lines:
         return None
@@ -99,17 +116,18 @@ def parse_child(stdout: str, returncode: int = 0) -> dict | None:
         doc = json.loads(lines[-1])
     except json.JSONDecodeError:
         return None
-    return doc if isinstance(doc, dict) and "rss_kib" in doc else None
+    return doc if isinstance(doc, dict) and key in doc else None
 
 
 def row(record: dict) -> dict:
-    """A table row: the growth in MiB and in bytes per state (2^V), and the
-    process's peak after the solve in MiB."""
+    """A table row: the growth in MiB and in bytes per state (2^V), the
+    process's peak after the solve and the traced peak, both in MiB."""
     growth = record["rss_kib"] * 1024
     return {"solver": record["solver"], "V": record["V"], "B": record["B"],
             "wall_s": f"{record['wall_s']:.3f}", "rss_mib": f"{growth / 2**20:.2f}",
             "bytes_per_state": f"{growth / 2 ** record['V']:.0f}",
             "peak_mib": f"{record['peak_kib'] / 1024:.2f}",
+            "traced_mib": f"{record['traced_bytes'] / 2**20:.3f}",
             "sha256": record["sha256"][:16]}
 
 
@@ -122,12 +140,20 @@ def format_table(rows: list[dict]) -> str:
 
 
 def run_child(src: Path, solver: str, V: int, repeat: int) -> dict | None:
+    """The timed child's record with the traced child's peak added, or None
+    if either child failed."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, __file__, "--child", solver, str(V), str(repeat)],
-                          env=env, capture_output=True, text=True, check=False)
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
-    return parse_child(proc.stdout, proc.returncode)
+    record = {}
+    for mode, key in (("time", "rss_kib"), ("trace", "traced_bytes")):
+        proc = subprocess.run([sys.executable, __file__, "--child", solver, str(V), str(repeat),
+                               mode], env=env, capture_output=True, text=True, check=False)
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stderr)
+        part = parse_child(proc.stdout, proc.returncode, key)
+        if part is None:
+            return None
+        record.update(part)
+    return record
 
 
 def main(argv=None) -> int:
@@ -138,12 +164,12 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, nargs="+", default=[1, 3, 4],
                         help="times each server of cyclic V/3 appears")
     parser.add_argument("--solver", choices=SOLVERS, nargs="+", default=list(SOLVERS))
-    parser.add_argument("--child", nargs=3, metavar=("SOLVER", "V", "REPEAT"),
+    parser.add_argument("--child", nargs=4, metavar=("SOLVER", "V", "REPEAT", "MODE"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        solver, V, repeat = args.child
-        print(json.dumps(measure(solver, int(V), int(repeat))))
+        solver, V, repeat, mode = args.child
+        print(json.dumps(measure(solver, int(V), int(repeat), traced=mode == "trace")))
         return 0
     rows, failed = [], 0
     for solver in args.solver:
