@@ -203,6 +203,8 @@ def large_storage_scheme(V: int, B: int, K: int) -> ReplicationPlacement:
     (R-B)*V replicas fill the B*(K-V) leftover slots row-major: slot s lands
     on server s // (K-V) + 1 and carries fragment s % V + 1.
     """
+    if min(V, B, K) < 1:
+        raise InvalidParams(f"V, B and K must be positive, got V={V}, B={B}, K={K}")
     if K < V:
         raise CapacityMismatch(f"need K >= V, got K={K} < V={V}")
     if (B * K) % V != 0:

@@ -9,7 +9,8 @@ exponential timers is kept as a validation path: after each download it
 re-decides every useful server, and a server whose fragment changes restarts
 its timer. The two agree in distribution. Both, and ``mdp``'s exact DP, read
 the policy's decision rule from ``scheduling.compile_policy``: the clock mode
-its scalar ``choices``, the jump chain its padded batched tables.
+its ``choices``, the batched slot-pick code run on one state at any V, the
+jump chain its padded tables.
 
 Monte Carlo runs draw from per-run derived streams, so results are
 reproducible and independent of worker count. With more than one worker,
@@ -342,8 +343,10 @@ def simulate_run(
 
     Inter-download times are Exponential(N(I_l)*mu) and the finishing server
     is uniform over the useful set; this matches i.i.d. exponential fragment
-    clocks with instant cancellation exactly, by memorylessness.
+    clocks with instant cancellation exactly, by memorylessness. A rate
+    that is not positive and finite is refused with ``InvalidRate``.
     """
+    check_rate(mu)
     rule = compile_policy(scheme, policy)
     words = _rng.words(run_rng, rule.draws * rule.V)
     instants, order, profile = _jump_chain(rule, mu, words[:, None])
@@ -370,8 +373,10 @@ def simulate_run_clocks(
     fetched elsewhere, or an adaptive rule now prefers another) restarts on
     the new one with a fresh timer, which by memorylessness costs nothing.
     Slower than the jump chain but structurally faithful to the modeled
-    system.
+    system. A rate that is not positive and finite is refused with
+    ``InvalidRate``.
     """
+    check_rate(mu)
     rule = compile_policy(scheme, policy)
     mask = 0
     current: dict[int, int] = {}

@@ -12,11 +12,11 @@ and draws 64-bit words in three blocks of V:
 
 1. V words for the holding times: step l waits ``-log((u + 0.5) / 2**64)``
    divided by ``N(I_l) * mu``;
-2. V winner words: step l picks position ``pick(u, N(I_l))`` of the useful
-   list;
+2. V winner words: step l picks position ``(u * N(I_l)) >> 64`` of the
+   useful list;
 3. V extra words, drawn only by the uniform-random policy and by ranked
-   policies with seeded ties: step l picks the ``pick(u, m)``-th of the m
-   remaining fragments (random) or of the m tied fragments (seeded ties).
+   policies with seeded ties: step l picks the ``((u * m) >> 64)``-th of the
+   m remaining fragments (random) or of the m tied fragments (seeded ties).
 
 A single draw of 2V or 3V words yields the same words as these separate
 draws, so a run may take its words in one call.
@@ -166,14 +166,9 @@ def bounded_picks(gen: np.random.Generator, n: int) -> list[int]:
     return [int(u) for u in words(gen, n)]
 
 
-def pick(word: int, m: int) -> int:
-    """Map a 64-bit word onto [0, m) by multiply-shift."""
-    return (word * m) >> 64
-
-
 def picks(u: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Elementwise ``pick(u, m)`` for uint64 words u and uint64 ranges
-    m < 2**32 (see ``split_picks``)."""
+    """Uint64 words u mapped onto [0, m) by multiply-shift, ``(u * m) >> 64``
+    elementwise, for uint64 ranges m < 2**32 (see ``split_picks``)."""
     return split_picks(u >> _SHIFT32, u & _LOW32, m)
 
 

@@ -18,13 +18,14 @@ ranked rules with lowest-index or init-order ties, and the MDP table. The
 random baseline gives the whole residual and seeded ranked ties the tied set.
 Rank scores are exact integers (harmonic ranks scaled by lcm(1..K)). The jump
 chain, the clock validator, the exact forward DP and the MDP solver all read
-this one rule: the clock validator through ``choices``, one state at a time,
-which stays the scalar reference; the forward DP through its batched forms,
-one array of states at a time: ``decide``, the one fragment of every
-(state, server) under a deterministic rule, and ``choice_slots``, the
-boolean masks of a uniform rule's free or tied slots; the MDP solver through
-the padded slot tables; and the jump chain through the same padded tables
-and slot-score formula, with residual sizes it keeps up to date itself.
+this one rule, through one set of padded slot tables and one slot-pick code:
+the forward DP one array of states at a time, through ``decide``, the one
+fragment of every (state, server) under a deterministic rule, and
+``choice_slots``, the boolean masks of a uniform rule's free or tied slots;
+the clock validator one state at a time through ``choices``, the same code
+on a one-state batch, at any V; the MDP solver through the padded slot
+tables; and the jump chain through the same tables and slot-score formula,
+with residual sizes it keeps up to date itself.
 """
 
 from __future__ import annotations
@@ -298,21 +299,20 @@ class DecisionRule:
     the dummy fragment's, holds B only. The rest is lazy, built on first
     use: ``peers`` (the hosts of every slot's fragment other than the slot's
     own server), ``slot_bits``, ``server_bits`` (each server's fragment
-    mask), ``rank_values`` and ``key_none`` serve the batched :meth:`decide`
-    and :meth:`choice_slots` and the jump chain; the Python lists ``orders[b]``
-    (row b of ``slot_frags`` without padding), ``occ[v]`` (the hosts of
-    fragment v) and ``bits[b]`` (the fragment mask of server b, so its
-    residual size under ``mask`` is ``(bits[b] & ~mask).bit_count()``) serve
-    only the scalar :meth:`choices`. :meth:`decide` and :meth:`choice_slots`
-    need masks that fit in int64 (V <= 62).
+    mask), ``rank_values`` and ``key_none``. These are the rule's one set of
+    tables: the batched :meth:`decide` and :meth:`choice_slots`, the
+    one-state :meth:`choices` and the jump chain all read them.
+    :meth:`decide` and :meth:`choice_slots` take int64 masks (V <= 62);
+    :meth:`choices` takes a Python int of any width and runs its one state
+    through the same slot-pick code.
 
     A ranked slot's score leaves out the slot's own server. Every real slot
     of server b holds a fragment that b stores, so b's rank value would add
     the same amount to each of b's slots and change no minimum and no tie;
-    a fragment's full rank score, which the scalar :meth:`choices` keeps as
-    the reference, is that of its slot plus b's rank value. Slot k of server
-    b scores ``sum_r rank_values[residual[peers[r, b, k]]]``, over the R - 1
-    peer rows (none at R = 1); padding slots are always downloaded.
+    a fragment's full rank score is that of any of its slots plus the rank
+    value of the slot's server. Slot k of server b scores
+    ``sum_r rank_values[residual[peers[r, b, k]]]``, over the R - 1 peer
+    rows (none at R = 1); padding slots are always downloaded.
 
     A placement ``order`` that is not, server by server, a permutation of the
     scheme's fragments is refused with ``InvalidParams``.
@@ -344,25 +344,6 @@ class DecisionRule:
         self.uniform = uniform
         self.table = table
         self.draws = 3 if uniform else 2  # holding time, winner, uniform pick
-
-    @cached_property
-    def orders(self) -> list[list[int]]:
-        return [row[:k] for row, k in zip(self.slot_frags.tolist(), self.sizes.tolist())]
-
-    @cached_property
-    def occ(self) -> list[list[int]]:
-        B = self.B
-        return [[b for b in row if b != B] for row in self.hosts[:-1].tolist()]
-
-    @cached_property
-    def bits(self) -> list[int]:
-        return [sum([1 << v for v in o]) for o in self.orders]
-
-    def _scores(self, mask: int) -> list[int]:
-        """Rank score of every fragment (meaningful for those not in ``mask``)."""
-        values = self.values
-        sizes = [(x & ~mask).bit_count() for x in self.bits]
-        return [sum([values[sizes[b]] for b in hosts]) for hosts in self.occ]
 
     @cached_property
     def slot_bits(self) -> np.ndarray:
@@ -402,19 +383,43 @@ class DecisionRule:
         dtype = next((d for d in (np.int32, np.int64) if self.key_none <= np.iinfo(d).max), object)
         return np.array(self.values + [0], dtype=dtype)
 
-    def _free(self, masks: np.ndarray) -> np.ndarray:
-        """The (len(masks), B, K) slots whose fragment is not in the state."""
-        return (self.slot_bits & ~masks[:, None, None]) != 0
+    def _state(self, masks: np.ndarray):
+        """The (len(masks), B, K) slots whose fragment is not in the state,
+        and, for a ranked rule only, the (len(masks), B) residual sizes of
+        the servers, for states given as int64 masks."""
+        free = (self.slot_bits & ~masks[:, None, None]) != 0
+        if self.values is None:
+            return free, None
+        return free, np.bitwise_count(self.server_bits & ~masks[:, None])
 
-    def _slot_scores(self, masks: np.ndarray, free: np.ndarray) -> np.ndarray:
+    def _slot_scores(self, free: np.ndarray, residual: np.ndarray) -> np.ndarray:
         """The rank score of every slot, ``key_none`` where it is not
         ``free``: ``sum_r rank_values[residual[peers[r, b, k]]]``, as in the
         jump chain, with the dummy server's residual at K + 1."""
-        residual = np.full((len(masks), self.B + 1), self.K + 1)
-        residual[:, :-1] = np.bitwise_count(self.server_bits & ~masks[:, None])
-        scores = self.rank_values[residual][:, self.peers].sum(axis=1)
+        sizes = np.full((len(free), self.B + 1), self.K + 1)
+        sizes[:, :-1] = residual
+        scores = self.rank_values[sizes][:, self.peers].sum(axis=1)
         np.putmask(scores, ~free, self.key_none)
         return scores
+
+    def _first(self, free: np.ndarray, residual: np.ndarray | None) -> np.ndarray:
+        """The fragment each server serves in every state under a
+        deterministic rule other than a table: the first free slot's
+        (nonadaptive) or the first of least rank score's (ranked)."""
+        if self.values is None:
+            slot = free.argmax(axis=2)
+        else:
+            slot = self._slot_scores(free, residual).argmin(axis=2)
+        return self.slot_frags[np.arange(self.B), slot]
+
+    def _marked(self, free: np.ndarray, residual: np.ndarray | None) -> np.ndarray:
+        """The slots a uniform rule draws from in every state: every free
+        slot (random), or every free slot of least rank score (ranked,
+        seeded ties). Marks them in ``free``."""
+        if self.values is not None:
+            scores = self._slot_scores(free, residual)
+            free &= scores == scores.min(axis=2, keepdims=True)
+        return free
 
     def decide(self, masks: np.ndarray) -> np.ndarray:
         """The one fragment each server serves in every state of the int64
@@ -424,12 +429,7 @@ class DecisionRule:
         (ranked) or the first free slot (nonadaptive)."""
         if self.table is not None:
             return self.table[masks]
-        free = self._free(masks)
-        if self.values is None:
-            slot = free.argmax(axis=2)
-        else:
-            slot = self._slot_scores(masks, free).argmin(axis=2)
-        return self.slot_frags[np.arange(self.B), slot]
+        return self._first(*self._state(masks))
 
     def choice_slots(self, masks: np.ndarray) -> np.ndarray:
         """:meth:`choices` of every state in the int64 array ``masks`` under
@@ -441,31 +441,30 @@ class DecisionRule:
         choices are the fragments of the marked slots, in slot order: every
         free slot (random), or every free slot of least rank score (ranked,
         seeded ties)."""
-        free = self._free(masks)
-        if self.values is not None:
-            scores = self._slot_scores(masks, free)
-            free &= scores == scores.min(axis=2, keepdims=True)
-        return free
+        return self._marked(*self._state(masks))
 
     def choices(self, mask: int) -> dict[int, list[int]]:
         """Per useful server (ascending), the fragments it may serve next in
-        state ``mask``, ascending; each is served with probability one over
-        their number."""
-        table = self.table
-        scores = None if self.values is None else self._scores(mask)
-        out = {}
-        for b, order in enumerate(self.orders):
-            if not self.bits[b] & ~mask:
-                continue
-            if table is not None:
-                out[b] = [int(table[mask, b])]
-                continue
-            free = [v for v in order if not mask >> v & 1]
-            if scores is not None:
-                best = min([scores[v] for v in free])
-                free = [v for v in free if scores[v] == best]
-            out[b] = free if self.uniform else free[:1]
-        return out
+        state ``mask``, a bitmask of any width; each is served with
+        probability one over their number. Several only under a uniform
+        rule, in slot order, which is ascending there.
+
+        One state through the code of :meth:`decide` and
+        :meth:`choice_slots`, with its free slots read from a 0/1 downloaded
+        row (the dummy fragment V downloaded) and its residual sizes counted
+        from them, so no int64 mask limits V."""
+        V = self.V
+        downloaded = np.unpackbits(np.frombuffer((mask | 1 << V).to_bytes(V // 8 + 1, "little"),
+                                                 np.uint8), count=V + 1, bitorder="little")
+        free = downloaded[self.slot_frags][None] == 0
+        residual = free.sum(axis=2)
+        if self.uniform:
+            marked = self._marked(free, residual)[0]
+            frags, counts = self.slot_frags[marked].tolist(), marked.sum(axis=1).tolist()
+            ends = np.cumsum(counts).tolist()
+            return {b: frags[end - n:end] for b, (n, end) in enumerate(zip(counts, ends)) if n}
+        chosen = self.table[mask] if self.table is not None else self._first(free, residual)[0]
+        return {b: [v] for b, (v, n) in enumerate(zip(chosen.tolist(), residual[0].tolist())) if n}
 
 
 def compile_policy(scheme: StorageScheme, policy) -> DecisionRule:

@@ -1,8 +1,8 @@
 """Independent brute-force reference implementations used to check the
 package. Everything here works from first principles on plain sets and exact
 rationals, deliberately sharing no code with the library paths it validates;
-the scalar subset DPs read only the scalar decision rule,
-``DecisionRule.choices``, which the batched kernels do not use.
+the scalar subset DPs read the decision maps below, not the package's
+``DecisionRule``.
 """
 
 from __future__ import annotations
@@ -246,6 +246,25 @@ def table_decisions(blocks, downloaded, table) -> dict[int, dict[int, Fraction]]
     return {b: {table[mask, b - 1] + 1: Fraction(1)} for b in _useful(blocks, downloaded)}
 
 
+def policy_decisions(scheme, policy):
+    """The decision map of ``policy`` on ``scheme`` as a function of the
+    downloaded set of 1-based fragments, by the oracle of the policy's kind."""
+    from fragsched import MdpPolicy, NonadaptivePolicy, RandomWorkConserving, RankedPolicy
+
+    blocks = [set(s) for s in scheme.fragment_sets]
+    if isinstance(policy, NonadaptivePolicy):
+        return lambda done: nonadaptive_decisions(blocks, done, policy.order.orders)
+    if isinstance(policy, RandomWorkConserving):
+        return lambda done: random_decisions(blocks, done)
+    if isinstance(policy, RankedPolicy):
+        orders = None if policy.init_order is None else policy.init_order.orders
+        return lambda done: ranked_decisions(blocks, done, policy.rank, policy.tie, orders)
+    if isinstance(policy, MdpPolicy):
+        table = decision_items(policy.solution.decisions)
+        return lambda done: table_decisions(blocks, done, table)
+    raise ValueError(f"unsupported policy {policy!r}")
+
+
 def chain_expectations(blocks: list[set[int]], V: int, decisions):
     """(E[N(I_l)], E[1/N(I_l)]) for l = 0..V-1 of the chain whose decision
     map at a downloaded set I is ``decisions(I)``, by recursion over
@@ -299,35 +318,38 @@ def optimal_reward_to_go(blocks: list[set[int]], V: int) -> dict[frozenset, Frac
 # ---------------------------------------------------------------------------
 # Scalar subset DPs: the solvers' one-state-at-a-time loops, kept as the
 # reference for the level-synchronous kernels in ``fragsched.mdp``. They read
-# the scalar ``DecisionRule.choices``, not the batched ``choice_slots``.
+# the oracles' decision maps above (``policy_decisions``, and the random
+# baseline's residuals as the MDP's action sets), not the package's
+# ``DecisionRule``, and visit servers and fragments in ascending order, the
+# order in which the kernels add their floats.
 
 
-def scalar_forward_dp(rule, rational: bool = True):
+def scalar_forward_dp(scheme, policy, rational: bool = True):
     """Propagate subset probabilities through a policy's chain.
 
     Returns (per_ell E[N], per_ell E[1/N], aggregate reward over stages
     1..V-1), in exact rationals or floats.
     """
-    V = rule.V
+    V = scheme.V
+    decisions = policy_decisions(scheme, policy)
     zero = Fraction(0) if rational else 0.0
     one = Fraction(1) if rational else 1.0
-    probs = {0: one}
+    probs = {frozenset(): one}
     per_ell = []
     per_ell_inv = []
     for _ in range(V):
         level_n = zero
         level_inv = zero
         nxt: dict = {}
-        for mask, p in probs.items():
-            choices = rule.choices(mask)
+        for done, p in probs.items():
+            choices = decisions(done)
             n = len(choices)
             level_n += p * n
             level_inv += p * (Fraction(1, n) if rational else 1.0 / n)
-            for vs in choices.values():
-                q = Fraction(1, len(vs)) if rational else 1.0 / len(vs)
-                for v in vs:
-                    child = mask | 1 << v
-                    nxt[child] = nxt.get(child, zero) + p * q / n
+            for b in sorted(choices):
+                for v, q in sorted(choices[b].items()):
+                    child = done | {v}
+                    nxt[child] = nxt.get(child, zero) + p * (q if rational else float(q)) / n
         per_ell.append(level_n)
         per_ell_inv.append(level_inv)
         probs = nxt
@@ -353,29 +375,26 @@ def sorted_first_seen(child, index_of, count: int):
 def scalar_mdp_solve(scheme):
     """Backward induction over all downloaded subsets in descending mask
     order; returns (values, decisions) keyed as in ``MdpSolution``."""
-    from fragsched import RandomWorkConserving
-    from fragsched.scheduling import compile_policy
-
     V = scheme.V
-    # the random baseline may serve any residual fragment, so its choices are
-    # the action sets
-    actions = compile_policy(scheme, RandomWorkConserving()).choices
+    blocks = [set(s) for s in scheme.fragment_sets]
     full = (1 << V) - 1
     values: dict[int, Fraction] = {full: Fraction(0)}
     n_use: dict[int, int] = {full: 0}
     decisions: dict[tuple[int, int], int] = {}
     # a successor's mask is larger, so descending masks meet successors first
     for mask in range(full - 1, -1, -1):
-        servers = actions(mask)
+        # the random baseline may serve any residual fragment, so its
+        # choices are the action sets
+        servers = random_decisions(blocks, {v + 1 for v in range(V) if mask >> v & 1})
         total = Fraction(0)
-        for b, residual in servers.items():
+        for b in sorted(servers):
             best = None
-            for v in residual:  # ascending: the lowest optimal fragment is kept
-                child = mask | 1 << v
+            for v in sorted(servers[b]):  # ascending: the lowest optimal fragment is kept
+                child = mask | 1 << (v - 1)
                 val = Fraction(n_use[child], V) + values[child]
                 if best is None or val > best:
-                    best, best_v = val, v
-            decisions[(mask, b)] = best_v
+                    best, best_v = val, v - 1
+            decisions[(mask, b - 1)] = best_v
             total += best
         n_use[mask] = len(servers)
         values[mask] = total / len(servers)
@@ -422,10 +441,9 @@ def order_matches(fragment_sets, orders) -> bool:
 
 
 def rule_tables(fragment_sets, orders=None) -> dict:
-    """``slot_frags``, ``hosts``, ``peers``, ``orders``, ``bits`` and
-    ``occ`` of the decision rule of a scheme's 1-based ``fragment_sets`` and
-    an optional 1-based placement order, 0-based and padded as
-    ``DecisionRule`` documents them."""
+    """``slot_frags``, ``hosts`` and ``peers`` of the decision rule of a
+    scheme's 1-based ``fragment_sets`` and an optional 1-based placement
+    order, 0-based and padded as ``DecisionRule`` documents them."""
     import numpy as np
 
     frag_sets = [sorted(v - 1 for v in s) for s in fragment_sets]
@@ -445,14 +463,7 @@ def rule_tables(fragment_sets, orders=None) -> dict:
               for b, row in enumerate(slot_frags.tolist())]
     peers = np.array([[[hs[r] if r < len(hs) else B for hs in row] for row in others]
                       for r in range(R - 1)], dtype=np.intp).reshape(R - 1, B, K)
-    return {
-        "slot_frags": slot_frags,
-        "hosts": hosts,
-        "peers": peers,
-        "orders": rows,
-        "bits": [sum(1 << v for v in s) for s in frag_sets],
-        "occ": occ,
-    }
+    return {"slot_frags": slot_frags, "hosts": hosts, "peers": peers}
 
 
 class ScalarRuntime:

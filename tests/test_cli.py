@@ -131,6 +131,15 @@ class TestConstruct:
         assert scheme.params.K == 2  # distinct fragments per server
         assert all(s == frozenset({1, 2}) for s in scheme.occupancy)
 
+    @pytest.mark.parametrize("V, B, K", [("0", "2", "3"), ("3", "0", "3"), ("3", "2", "0")])
+    def test_large_rejects_non_positive_sizes(self, V, B, K, tmp_path, capsys):
+        out = tmp_path / "lg.json"
+        assert main(["construct", "--kind", "large", "--V", V, "--B", B, "--K", K,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: V, B and K must be positive, got V={V}, B={B}, K={K}\n"
+        assert not out.exists()
+
     def test_nonprime_exits_one(self, tmp_path, capsys):
         rc = main(["construct", "--kind", "pp", "--q", "4", "--out", str(tmp_path / "x.json")])
         assert rc == 1

@@ -162,6 +162,13 @@ class TestLargeStorage:
                     for r in remaining:
                         r.discard(v)
 
+    @pytest.mark.parametrize("V, B, K", [(0, 2, 3), (3, 0, 3), (3, 2, 0), (-1, 2, 3), (3, -2, 3)])
+    def test_non_positive_sizes_rejected(self, V, B, K):
+        # V = 0 divided by zero in the capacity check, and B = 0 gave a
+        # placement with no servers
+        with pytest.raises(InvalidParams, match="V, B and K must be positive"):
+            large_storage_scheme(V, B, K)
+
     def test_capacity_mismatch(self):
         with pytest.raises(CapacityMismatch):
             large_storage_scheme(3, 2, 2)

@@ -1,10 +1,10 @@
 """The level-synchronous subset DPs of ``fragsched.mdp`` against their
 one-state-at-a-time loops (``oracles.scalar_forward_dp`` and
-``oracles.scalar_mdp_solve``), the batched ``DecisionRule.decide`` and
-``choice_slots`` against the scalar ``choices``, ``mdp_solve`` against a
-brute-force backward induction over frozensets that shares no solver code,
-and the forward DP's sort-free numbering of first-seen states against the
-sorted one it replaced.
+``oracles.scalar_mdp_solve``, which read the oracles' decision maps, not the
+package's ``DecisionRule``), the rule's ``choices`` against those decision
+maps, ``mdp_solve`` against a brute-force backward induction over frozensets
+that shares no solver code, and the forward DP's sort-free numbering of
+first-seen states against the sorted one it replaced.
 """
 
 from fractions import Fraction
@@ -20,7 +20,8 @@ from fragsched.scheduling import compile_policy
 from oracles import (decision_items, optimal_reward_to_go, scalar_forward_dp, scalar_mdp_solve,
                      sorted_first_seen, useful_count, value_items)
 from conftest import FANO_OCCUPANCY, PAIRED_OCCUPANCY
-from test_kernel import IRREGULAR, POLICY_KINDS, batched_choices, make_policy, small_schemes
+from test_kernel import (IRREGULAR, POLICY_KINDS, assert_choices_match_oracle, make_policy,
+                         small_schemes)
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -35,9 +36,9 @@ FIXED_SCHEMES = {
 
 
 def check_forward_dp(scheme, kind, rational):
-    rule = compile_policy(scheme, make_policy(scheme, kind))
-    got = _forward_dp(rule, rational)
-    want = scalar_forward_dp(rule, rational)
+    policy = make_policy(scheme, kind)
+    got = _forward_dp(compile_policy(scheme, policy), rational)
+    want = scalar_forward_dp(scheme, policy, rational)
     assert got == want
     assert repr(got) == repr(want)  # same types, and every float to the last bit
 
@@ -62,11 +63,13 @@ def test_forward_dp_matches_scalar_loop_across_batch_edges(monkeypatch, name, st
     # batches of one or three states split every level past the first, so a
     # parent's weight read at another batch's offset shows in the result
     scheme = FIXED_SCHEMES[name]()
-    rules = [compile_policy(scheme, make_policy(scheme, kind)) for kind in POLICY_KINDS]
+    policies = [make_policy(scheme, kind) for kind in POLICY_KINDS]
+    rules = [compile_policy(scheme, policy) for policy in policies]
     monkeypatch.setattr(mdp, "_SLOTS", states * rules[0].B * rules[0].K)
-    for rule in rules:
+    for policy, rule in zip(policies, rules):
         for rational in (True, False):
-            assert repr(_forward_dp(rule, rational)) == repr(scalar_forward_dp(rule, rational))
+            assert repr(_forward_dp(rule, rational)) == repr(
+                scalar_forward_dp(scheme, policy, rational))
 
 
 @st.composite
@@ -136,9 +139,9 @@ def test_mdp_solve_matches_scalar_loop(scheme):
 @SETTINGS
 @given(scheme=small_schemes(), kind=st.sampled_from(POLICY_KINDS))
 def test_choice_slots_match_choices(scheme, kind):
-    rule = compile_policy(scheme, make_policy(scheme, kind))
-    masks = np.arange(1 << scheme.V, dtype=np.int64)
-    assert batched_choices(rule, masks) == list(map(rule.choices, masks.tolist()))
+    # ``choices`` runs the slot-pick code of ``decide`` and ``choice_slots``
+    # on one state
+    assert_choices_match_oracle(scheme, make_policy(scheme, kind), range(1 << scheme.V))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

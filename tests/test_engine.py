@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
@@ -26,8 +27,9 @@ from fragsched import (
     smallest_index_first,
     uniform_diversity,
 )
-from fragsched import engine
-from fragsched.errors import EmptyProfile, InvalidParams, TooManyFragments
+from fragsched import affine_plane, engine, projective_plane
+from fragsched.errors import EmptyProfile, InvalidParams, InvalidRate, TooManyFragments
+from test_kernel import IRREGULAR, make_policy
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
@@ -42,6 +44,14 @@ class TestSimulateRun:
         assert rec.download_instants[0] == 0.0
         assert sorted(rec.fragment_order) == list(range(1, 8))
         assert rec.useful_profile[0] == fano.params.B
+
+    @pytest.mark.parametrize("simulate", [simulate_run, simulate_run_clocks])
+    @pytest.mark.parametrize("mu", [-1.0, float("nan"), float("inf"), 0.0])
+    def test_bad_rate_rejected(self, fano, simulate, mu):
+        # unchecked, -1 gave negative instants, nan and inf nan and zero
+        # instants, and 0 inf with a warning (clock mode: ZeroDivisionError)
+        with pytest.raises(InvalidRate, match="mu must be positive and finite"):
+            simulate(fano, RandomWorkConserving(), mu, run_stream(1, 0))
 
     def test_instants_strictly_increase(self, fano):
         for r in range(50):
@@ -193,6 +203,24 @@ class TestExactVsMonteCarlo:
         assert np.max(np.abs(got - s.mean_profile)) < 0.02
 
 
+CLOCK_KINDS = ["random", "sif", "ud+pushback", "greedy-low", "greedy-seeded", "greedy-init",
+               "harmonic-low", "harmonic-seeded", "harmonic-init", "mdp"]
+CLOCK_SCHEMES = {
+    "pp2": lambda: (projective_plane(2), CLOCK_KINDS),
+    "cyclic73": lambda: (cyclic_shift(7, 3), CLOCK_KINDS),
+    "affine3": lambda: (affine_plane(3), CLOCK_KINDS),
+    "irregular": lambda: (build_scheme(IRREGULAR, mu=1.0, B=6), CLOCK_KINDS),
+    "pp11": lambda: (projective_plane(11), ["harmonic-init", "greedy-seeded"]),
+}
+CLOCK_PINS = {
+    "pp2": "e24b9f699eda87ec2cb7c6b2d75d801a4396c301f670b6cd16d1dd7eb08ea06f",
+    "cyclic73": "e60b5c3fca70a9efacce05f11b070260e39e5704e650b756166f0e3c3fc7383a",
+    "affine3": "7d6f5c69167e82eeff0c5159c3e0d4d1a0f83bb79ec7f543749ce38832b843dd",
+    "irregular": "09afc3b2adca677b6ff842f753455ac6572098773424a2ae0d733dadbb63bbce",
+    "pp11": "a22bcb10b1e16ca26e3fd6b756a6e214eff3b04227551871a27922532c93ed02",
+}
+
+
 class TestClockModeEquivalence:
     def test_clock_and_jump_chain_agree(self, fano):
         # same physical system, two samplers: means agree within 3 sigma
@@ -221,6 +249,19 @@ class TestClockModeEquivalence:
         exact = np.array([float(x) for x in policy_evaluate_exact(scheme, policy).per_ell_useful])
         se = profiles.std(axis=0, ddof=1) / math.sqrt(runs)
         assert np.all(np.abs(profiles.mean(axis=0) - exact) <= 4 * se)
+
+    @pytest.mark.parametrize("name", CLOCK_PINS)
+    def test_clock_mode_records_pinned(self, name):
+        """Clock-mode trajectories at fixed run streams, pinned as a SHA-256
+        of the ``repr`` of their records, so a change to how the validator
+        reads its decisions cannot move a fragment, a draw or the last bit of
+        an instant unnoticed. Every policy kind runs on the small schemes
+        (the MDP where V <= 12); pp11 (V = 133) runs past the 62 fragments an
+        int64 mask holds."""
+        scheme, kinds = CLOCK_SCHEMES[name]()
+        records = [simulate_run_clocks(scheme, make_policy(scheme, kind), 0.7, run_stream(2026, r))
+                   for kind in kinds for r in range(3 if scheme.V <= 12 else 1)]
+        assert hashlib.sha256(repr(records).encode()).hexdigest() == CLOCK_PINS[name]
 
     def test_clock_mode_trajectory_sanity(self, fano):
         rec = simulate_run_clocks(fano, NonadaptivePolicy(smallest_index_first(fano)),

@@ -6,6 +6,7 @@ engine: it draws its words, exponentials and picks itself.
 """
 
 import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from fragsched import (
 )
 from fragsched import engine, rng
 from fragsched.scheduling import compile_policy
-from oracles import ScalarRuntime, scalar_trajectory
+from oracles import ScalarRuntime, _pick, policy_decisions, scalar_trajectory
 
 BATCH = engine.BATCH_RUNS
 POLICY_KINDS = [
@@ -57,21 +58,21 @@ def make_policy(scheme, kind: str):
     return NonadaptivePolicy(order)
 
 
-def batched_choices(rule, masks):
-    """Per state of the int64 array ``masks``, the batched decision map the
-    forward DP reads, in the form of the scalar ``choices``: ``decide`` on
-    the useful servers under a deterministic rule, the marked slots of
-    ``choice_slots`` under a uniform one."""
-    if rule.uniform:
-        slots = rule.choice_slots(masks)
-        assert slots.shape == (len(masks), rule.B, rule.K)
-        return [{b: rule.slot_frags[b][row[b]].tolist() for b in range(rule.B) if row[b].any()}
-                for row in slots]
-    chosen = rule.decide(masks)
-    assert chosen.shape == (len(masks), rule.B)
-    useful = (rule.server_bits & ~masks[:, None]) != 0
-    return [{b: [v] for b, v in enumerate(row) if use[b]}
-            for row, use in zip(chosen.tolist(), useful.tolist())]
+def assert_choices_match_oracle(scheme, policy, masks):
+    """``choices`` in every state of ``masks`` equals the oracles' decision
+    map (``oracles.policy_decisions``), state by state: servers and
+    fragments ascending, every fragment a Python int (a numpy scalar would
+    leak into trajectory records and their JSON) and each served with
+    probability one over their number."""
+    rule = compile_policy(scheme, policy)
+    decisions = policy_decisions(scheme, policy)
+    for mask in masks:
+        choices = rule.choices(mask)
+        assert list(choices) == sorted(choices)
+        assert all(vs == sorted(vs) and all(type(v) is int for v in vs) for vs in choices.values())
+        got = {b + 1: {v + 1: Fraction(1, len(vs)) for v in vs} for b, vs in choices.items()}
+        assert got == decisions({v + 1 for v in range(scheme.V) if mask >> v & 1}), (
+            policy.describe(), mask)
 
 
 @st.composite
@@ -204,7 +205,7 @@ def test_wide_servers_keep_exact_harmonic_keys(k, tie):
         assert (order[:, r] + 1).tolist() == o
         assert profile[:, r].tolist() == p
     masks = [0, 1, (1 << k) - 2, sum(1 << v for v in range(0, k, 2)), 0b101101 << (k - 9)]
-    assert batched_choices(rule, np.array(masks, dtype=np.int64)) == list(map(rule.choices, masks))
+    assert_choices_match_oracle(scheme, policy, masks)
 
 
 # Schemes on which up to 12 servers run dry in one step before the last, so a
@@ -290,5 +291,5 @@ class TestSeedingContract:
         edges = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
         words = edges + rng.bounded_picks(rng.stream(3, rng.DOMAIN_RUN, m), 50)
         got = rng.picks(np.asarray(words, dtype=np.uint64), np.full(len(words), m, np.uint64))
-        assert got.tolist() == [rng.pick(u, m) for u in words]
+        assert got.tolist() == [_pick(u, m) for u in words]
         assert int(got.max()) < m

@@ -27,19 +27,8 @@ from fragsched import (
 )
 from fragsched.errors import InvalidParams
 from fragsched.scheduling import compile_policy
-from oracles import (
-    all_decision_maps,
-    decision_items,
-    immediate_reward,
-    nonadaptive_decisions,
-    order_matches,
-    random_decisions,
-    ranked_decisions,
-    rule_tables,
-    table_decisions,
-    useful_count,
-)
-from test_kernel import IRREGULAR, batched_choices, small_schemes
+from oracles import all_decision_maps, immediate_reward, order_matches, rule_tables, useful_count
+from test_kernel import IRREGULAR, assert_choices_match_oracle, small_schemes
 
 from conftest import FANO_OCCUPANCY
 
@@ -62,13 +51,18 @@ def decide(scheme, policy, downloads) -> dict[int, int]:
 
 
 def ranks(scheme, rank: str, downloads) -> dict[int, Fraction]:
-    """The exact rank of every fragment not in ``downloads``: the rule's
-    integer score over its scale, the rank value of a residual of size 1."""
+    """The exact rank of every fragment not in ``downloads``: the score of
+    any of its free slots plus the rank value of the slot's own server, over
+    the rule's scale, the rank value of a residual of size 1. Every free slot
+    of a fragment must give the same rank."""
     rule = compile_policy(scheme, RankedPolicy(rank=rank))
-    mask = mask_of(downloads)
-    scores = rule._scores(mask)
-    return {v + 1: Fraction(scores[v], rule.values[1])
-            for v in range(scheme.V) if not mask >> v & 1}
+    free, residual = rule._state(np.array([mask_of(downloads)], dtype=np.int64))
+    scores = rule._slot_scores(free, residual)
+    out: dict[int, Fraction] = {}
+    for b, k in zip(*np.nonzero(free[0])):
+        full = Fraction(int(scores[0, b, k]) + rule.values[residual[0, b]], rule.values[1])
+        assert out.setdefault(int(rule.slot_frags[b, k]) + 1, full) == full
+    return out
 
 
 class TestSmallestIndexFirst:
@@ -367,34 +361,18 @@ def test_choices_match_oracles(name):
     maps, state by state, for every policy kind, and every choice is a Python
     int: a numpy scalar would leak into trajectory records and their JSON."""
     scheme = DIFFERENTIAL_SCHEMES[name]()
-    blocks = [set(s) for s in scheme.fragment_sets]
     orders = {}
     for label, order in (("sif", smallest_index_first(scheme)), ("ud", uniform_diversity(scheme))):
         orders[label] = order
         orders[label + "+pushback"] = pushback(order, scheme, 1)
     solution = mdp_solve(scheme)
-    table = decision_items(solution.decisions)
-    cases = [(RandomWorkConserving(), lambda I: random_decisions(blocks, I)),
-             (MdpPolicy(solution), lambda I: table_decisions(blocks, I, table))]
-    for order in orders.values():
-        cases.append((NonadaptivePolicy(order),
-                      lambda I, o=order.orders: nonadaptive_decisions(blocks, I, o)))
+    policies = [RandomWorkConserving(), MdpPolicy(solution)]
+    policies += [NonadaptivePolicy(order) for order in orders.values()]
     for rank in ("greedy", "harmonic"):
-        for tie in ("low", "seeded"):
-            cases.append((RankedPolicy(rank=rank, tie=tie),
-                          lambda I, r=rank, t=tie: ranked_decisions(blocks, I, r, t)))
-        for label in ("sif", "ud"):
-            cases.append((RankedPolicy(rank=rank, init_order=orders[label]),
-                          lambda I, r=rank, o=orders[label].orders:
-                          ranked_decisions(blocks, I, r, "low", o)))
-    for policy, oracle in cases:
-        rule = compile_policy(scheme, policy)
-        for mask in range(1 << scheme.V):
-            choices = rule.choices(mask)
-            assert all(type(v) is int for vs in choices.values() for v in vs)
-            got = {b + 1: {v + 1: Fraction(1, len(vs)) for v in vs} for b, vs in choices.items()}
-            downloaded = {v + 1 for v in range(scheme.V) if mask >> v & 1}
-            assert got == oracle(downloaded), (policy.describe(), mask)
+        policies += [RankedPolicy(rank=rank, tie=tie) for tie in ("low", "seeded")]
+        policies += [RankedPolicy(rank=rank, init_order=orders[label]) for label in ("sif", "ud")]
+    for policy in policies:
+        assert_choices_match_oracle(scheme, policy, range(1 << scheme.V))
     record = simulate_run_clocks(scheme, MdpPolicy(solution), 1.0, np.random.default_rng(0))
     assert all(type(v) is int for v in record.fragment_order)
     assert sorted(record.fragment_order) == list(range(1, scheme.V + 1))
@@ -412,36 +390,20 @@ def draw_order(data, scheme) -> PlacementOrder:
 def test_rule_tables_match_list_oracle(data, scheme, ordered, rank, tie):
     """The numpy-built tables of a rule equal ``oracles.rule_tables``, built
     from lists, on schemes whose servers and fragments pad, with and without
-    a placement order; and its ``choices`` and batched decisions (``decide``
-    or ``choice_slots``) still give the oracles' decision maps in every
-    state."""
-    blocks = [set(s) for s in scheme.fragment_sets]
+    a placement order; and its ``choices`` still give the oracles' decision
+    maps in every state."""
     order = draw_order(data, scheme) if ordered else None
     if order is not None:
-        if rank is None:
-            policy, oracle = NonadaptivePolicy(order), lambda I: nonadaptive_decisions(
-                blocks, I, order.orders)
-        else:
-            policy, oracle = RankedPolicy(rank=rank, init_order=order), lambda I: ranked_decisions(
-                blocks, I, rank, "low", order.orders)
-    elif rank is None:
-        policy, oracle = RandomWorkConserving(), lambda I: random_decisions(blocks, I)
+        policy = NonadaptivePolicy(order) if rank is None else RankedPolicy(rank=rank,
+                                                                            init_order=order)
     else:
-        policy, oracle = RankedPolicy(rank=rank, tie=tie), lambda I: ranked_decisions(
-            blocks, I, rank, tie)
+        policy = RandomWorkConserving() if rank is None else RankedPolicy(rank=rank, tie=tie)
     rule = compile_policy(scheme, policy)
     want = rule_tables(scheme.fragment_sets, None if order is None else order.orders)
     for name in ("slot_frags", "hosts", "peers"):
         got = getattr(rule, name)
         assert got.dtype == np.intp and np.array_equal(got, want[name]), name
-    for name in ("orders", "bits", "occ"):
-        assert getattr(rule, name) == want[name], name
-    masks = np.arange(1 << scheme.V, dtype=np.int64)
-    for mask, batched in zip(masks.tolist(), batched_choices(rule, masks)):
-        choices = rule.choices(mask)
-        got = {b + 1: {v + 1: Fraction(1, len(vs)) for v in vs} for b, vs in choices.items()}
-        assert got == oracle({v + 1 for v in range(scheme.V) if mask >> v & 1})
-        assert batched == choices
+    assert_choices_match_oracle(scheme, policy, range(1 << scheme.V))
 
 
 @st.composite
@@ -461,15 +423,16 @@ def ranked_schemes(draw):
        tie=st.sampled_from(["low", "seeded"]), ordered=st.booleans())
 def test_choice_slots_over_peers_match_choices(data, scheme, rank, tie, ordered):
     """Slot scores summed over the peer table, which leaves out the slot's
-    own server, give the scalar ``choices`` (full per-fragment scores) in
-    every state, through ``decide`` (lowest-index ties) or ``choice_slots``
-    (seeded ties), with and without an init order."""
+    own server, give the oracles' ranked decisions (full per-fragment ranks
+    in rationals) in every state, through the slot-pick code of ``decide``
+    (lowest-index ties) and ``choice_slots`` (seeded ties) that ``choices``
+    runs, with and without an init order."""
     order = draw_order(data, scheme) if ordered and tie == "low" else None
-    rule = compile_policy(scheme, RankedPolicy(rank=rank, tie=tie, init_order=order))
+    policy = RankedPolicy(rank=rank, tie=tie, init_order=order)
+    rule = compile_policy(scheme, policy)
     R = max(len(s) for s in scheme.occupancy)
     assert rule.peers.shape == (R - 1, rule.B, rule.K)
-    masks = np.arange(1 << scheme.V, dtype=np.int64)
-    assert batched_choices(rule, masks) == list(map(rule.choices, masks.tolist()))
+    assert_choices_match_oracle(scheme, policy, range(1 << scheme.V))
 
 
 ORDER_EDITS = ["none", "drop server", "add server", "replace", "repeat", "drop", "append"]
