@@ -14,14 +14,11 @@ from .analytics import (
     useful_upper_bound,
 )
 from .constructions import (
-    MdsPlacement,
-    ReplicationPlacement,
     affine_plane,
     cyclic_shift,
     large_storage_scheme,
     projective_plane,
     sample_random_mds,
-    sample_random_replication,
 )
 from .engine import (
     SimulationConfig,
@@ -29,7 +26,6 @@ from .engine import (
     mean_download_lower_bound,
     monte_carlo,
     run_stream,
-    simulate_ensemble_profile,
     simulate_run,
     simulate_run_clocks,
 )

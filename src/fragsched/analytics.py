@@ -52,9 +52,15 @@ class BoundProfile:
     :func:`useful_upper_bound` leaves both at zero.
 
     ``normalized_sum_upper`` is the profile-sum ceiling sum(upper)/(B*V),
-    valid for every trajectory. ``normalized_sum_remark`` carries the closed
-    form 1 - (m+1)/(2V); its derivation assumes B/R is an integer and it can
-    undercut the profile sum, so treat it as reported, not guaranteed.
+    valid for every trajectory. Stage 0 always has N = B, so over stages
+    1..V-1 the ceiling is ``normalized_sum_upper - 1/V``.
+    ``normalized_sum_remark`` carries the closed form 1 - (m+1)/(2V); its
+    derivation assumes B/R is an integer. Where R divides B it equals the
+    stage-1..V-1 ceiling, and cyclic 12/3 reaches it (19/24). Where R does
+    not, it can be exceeded: over all download orders, the largest
+    stage-1..V-1 aggregate of pp2 is 36/49, against the remark 35/49 and the
+    ceiling 37/49, and cyclic 7/3 reaches 37/49. So treat the remark as
+    reported, not guaranteed.
     """
 
     B: int

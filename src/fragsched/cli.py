@@ -149,13 +149,11 @@ def cmd_construct(args) -> int:
     elif args.kind == "cyclic":
         scheme = cyclic_shift(_req(args, "V"), _req(args, "R"), mu=mu)
     else:  # large
-        placement = large_storage_scheme(_req(args, "V"), _req(args, "B"), _req(args, "K"))
-        # serialize the distinct-replica reduction: every fragment on every
-        # server once, which has the identical download behavior
-        scheme = build_scheme([set(occ) for occ in placement.occupancy], mu=mu, B=placement.B)
+        V, B, K = _req(args, "V"), _req(args, "B"), _req(args, "K")
+        scheme = large_storage_scheme(V, B, K, mu=mu)
         print(
             f"note: emitted the distinct-replica reduction (R={scheme.params.R}, "
-            f"K={scheme.params.K}) of the R={placement.R} placement",
+            f"K={scheme.params.K}) of the R={B * K // V} placement",
             file=sys.stderr,
         )
     write_scheme(scheme, args.out)

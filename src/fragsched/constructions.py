@@ -5,32 +5,28 @@ The projective plane over F_q gives a symmetric 2-(q^2+q+1, q+1, 1) design
 whose derived scheme has both overlap maxima equal to 1, the best possible for
 a nontrivial replication scheme. Deleting one block (and its points) yields
 the affine plane 2-(q^2, q, 1). The cyclic-shift scheme is the natural naive
-baseline with maximal overlaps K-1 and R-1.
+baseline with maximal overlaps K-1 and R-1. Large storage (K >= V) puts
+every fragment on every server.
 
 Random ensembles place replicas (or MDS-coded fragments) independently and
-uniformly over servers; they are sampled through per-index derived streams so
-sampling is reproducible and order-independent.
+uniformly over servers. A placement is its array of 0-based servers
+(``placement_servers``), drawn from per-index derived streams, so sampling
+is reproducible and order-independent.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from . import rng as _rng
 from .errors import CapacityMismatch, InvalidParams, NotPrime
-from .model import StorageScheme, build_scheme, physical_memory
+from .model import StorageScheme, build_scheme
 
 __all__ = [
-    "ReplicationPlacement",
-    "MdsPlacement",
     "projective_plane",
     "affine_plane",
     "cyclic_shift",
     "large_storage_scheme",
-    "sample_random_replication",
     "sample_random_mds",
 ]
 
@@ -116,92 +112,16 @@ def cyclic_shift(V: int, R: int, mu: float = 1.0) -> StorageScheme:
     return build_scheme(occupancy, mu=mu, B=V)
 
 
-@dataclass(frozen=True)
-class ReplicationPlacement:
-    """Replica placement with multiplicities: ``theta[v-1][r-1]`` is the
-    server holding the r-th replica of fragment v. Unlike a StorageScheme, a
-    server may hold several replicas of one fragment.
+def large_storage_scheme(V: int, B: int, K: int, mu: float = 1.0) -> StorageScheme:
+    """Scheme for servers that each hold at least the whole file (K >= V):
+    every fragment on every server once, so R = B and K = V, and all B
+    servers stay useful until the download completes, under any
+    work-conserving choice.
 
-    ``occupancy`` deduplicates theta per fragment; ``alpha_per_server`` is the
-    exact per-server normalized stored count (1/V) * #replicas.
-    """
-
-    B: int
-    V: int
-    R: int
-    theta: tuple[tuple[int, ...], ...]
-    occupancy: tuple[frozenset[int], ...] = field(init=False)
-    alpha_per_server: tuple[Fraction, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        if len(self.theta) != self.V or any(len(t) != self.R for t in self.theta):
-            raise InvalidParams("theta must be V sequences of R server ids")
-        alpha = _alpha_per_server(self.theta, self.B, self.V)
-        object.__setattr__(self, "occupancy", tuple(frozenset(t) for t in self.theta))
-        object.__setattr__(self, "alpha_per_server", alpha)
-
-    def multiplicity(self, fragment: int, server: int) -> int:
-        return sum(1 for b in self.theta[fragment - 1] if b == server)
-
-    def has_duplicate(self, fragment: int) -> bool:
-        return len(self.occupancy[fragment - 1]) < self.R
-
-
-@dataclass(frozen=True)
-class MdsPlacement:
-    """Placement of V*R coded fragments, each stored on a single server
-    ``chi[v-1]``. Any V coded fragments suffice to rebuild the file."""
-
-    B: int
-    V: int
-    R: int
-    chi: tuple[int, ...]
-    alpha_per_server: tuple[Fraction, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        if len(self.chi) != self.V * self.R:
-            raise InvalidParams("chi must place V*R coded fragments")
-        object.__setattr__(self, "alpha_per_server", _alpha_per_server(self.chi, self.B, self.V))
-
-
-# Peak bytes per server of ``_alpha_per_server``: a count (8), its Python
-# list slot (8), the tuple slot (8), the Fraction (48) and, once V or the
-# counts pass 256, its own int objects (28 each). ``tracemalloc`` measured
-# 73 to 106 bytes a server at B = 10**6.
-_BYTES_PER_SERVER = 128
-
-
-def _alpha_per_server(servers, B: int, V: int) -> tuple[Fraction, ...]:
-    """(1/V) times the number of the 1-based ids ``servers`` (any nesting)
-    on each server 1..B.
-
-    Refuses, before allocating anything B-sized, a B whose per-server fields
-    would exceed physical memory, and any id that is not an integer in
-    [1, B]."""
-    need = B * _BYTES_PER_SERVER
-    physical = physical_memory()
-    if physical is not None and need > physical:
-        raise InvalidParams(f"B={B}: a placement's per-server fields need about "
-                            f"{need / 2**30:,.1f} GiB ({need:,} bytes), more than the "
-                            f"{physical / 2**30:,.1f} GiB of physical memory")
-    ids = np.asarray(servers).ravel()
-    if ids.size and ids.dtype.kind not in "iu":
-        raise InvalidParams(f"server ids must be integers in [1, {B}]")
-    outside = (ids < 1) | (ids > B)
-    if outside.any():
-        raise InvalidParams(f"server id {ids[outside][0]} outside [1, {B}]")
-    counts = np.bincount(ids.astype(np.intp) - 1, minlength=B)
-    return tuple(Fraction(c, V) for c in counts.tolist())
-
-
-def large_storage_scheme(V: int, B: int, K: int) -> ReplicationPlacement:
-    """Placement for servers that each hold at least the whole file (K >= V).
-
-    The first B replicas of every fragment go to servers 1..B, so every
-    fragment sits on every server and all B servers stay useful until the
-    download completes, under any work-conserving choice. The remaining
-    (R-B)*V replicas fill the B*(K-V) leftover slots row-major: slot s lands
-    on server s // (K-V) + 1 and carries fragment s % V + 1.
+    A placement that fills all B*K slots holds R = B*K/V replicas of each
+    fragment, so a server with K > V holds some fragments more than once. A
+    second replica on a server changes no download, so the scheme keeps one
+    of each. Sizes no such placement fills are refused.
     """
     if min(V, B, K) < 1:
         raise InvalidParams(f"V, B and K must be positive, got V={V}, B={B}, K={K}")
@@ -209,12 +129,7 @@ def large_storage_scheme(V: int, B: int, K: int) -> ReplicationPlacement:
         raise CapacityMismatch(f"need K >= V, got K={K} < V={V}")
     if (B * K) % V != 0:
         raise CapacityMismatch(f"B*K={B * K} not a multiple of V={V}")
-    R = B * K // V
-    theta = [list(range(1, B + 1)) for _ in range(V)]
-    spare = K - V
-    for s in range(B * spare):
-        theta[s % V].append(s // spare + 1)
-    return ReplicationPlacement(B=B, V=V, R=R, theta=tuple(tuple(t) for t in theta))
+    return build_scheme([range(1, B + 1)] * V, mu=mu, B=B)
 
 
 def check_ensemble_params(B: int, V: int, R: int) -> None:
@@ -226,22 +141,15 @@ def check_ensemble_params(B: int, V: int, R: int) -> None:
         raise InvalidParams(f"B must be below 2**32, got {B}")
 
 
-def sample_random_replication(B: int, V: int, R: int, seed: int) -> ReplicationPlacement:
-    """Placement with every replica's server i.i.d. uniform on [1, B]: the
-    ``placement_servers`` of sample 0, row v holding the R replicas of
-    fragment v."""
-    check_ensemble_params(B, V, R)
-    servers = placement_servers(seed, range(1), B, V, R)[0]
-    return ReplicationPlacement(B=B, V=V, R=R, theta=tuple(map(tuple, (servers + 1).tolist())))
+def sample_random_mds(B: int, V: int, R: int, seed: int, index: int = 0) -> np.ndarray:
+    """The 0-based servers of the V*R coded fragments of ensemble sample
+    ``index``, flat (V*R,) uint64: that sample's ``placement_servers``.
 
-
-def sample_random_mds(B: int, V: int, R: int, seed: int, index: int = 0) -> MdsPlacement:
-    """Placement with each of the V*R coded fragments on an i.i.d. uniform
-    server; ``index`` selects an independent sample stream."""
+    Nothing in the package calls it; the benchmark's ``sample_mds`` probe
+    does, so it goes when that probe moves to ``placement_servers`` (ROADMAP
+    item 3)."""
     check_ensemble_params(B, V, R)
-    servers = placement_servers(seed, range(index, index + 1), B, V, R)[0]
-    chi = tuple((servers.ravel() + 1).tolist())
-    return MdsPlacement(B=B, V=V, R=R, chi=chi)
+    return placement_servers(seed, range(index, index + 1), B, V, R).reshape(-1)
 
 
 def placement_servers(seed: int, samples: range, B: int, V: int, R: int) -> np.ndarray:

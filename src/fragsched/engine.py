@@ -23,9 +23,9 @@ step per iteration; per run it does the arithmetic of a one-run loop, so
 results are also independent of the batch size. Exact expectations are
 ``mdp``'s: ``exact_mean_download`` is re-exported here.
 
-Random-ensemble samples run on their drawn server arrays, without building a
-placement object, a batch at a time. A batch's placements come from one read
-of its placement streams, turned into servers by one multiply-shift
+Random-ensemble samples run on their drawn server arrays, a batch at a
+time. A batch's placements come from one read of its placement streams,
+turned into servers by one multiply-shift
 (``constructions.placement_servers``). Fragment-uniform order draws each sample's
 permutation from its stream and does the rest in one numpy pass over the
 batch; server-uniform order is a second lockstep kernel that moves the batch
@@ -46,8 +46,7 @@ from math import sqrt
 import numpy as np
 
 from . import rng as _rng
-from .constructions import (MdsPlacement, ReplicationPlacement, check_ensemble_params,
-                            placement_servers)
+from .constructions import check_ensemble_params, placement_servers
 from .errors import EmptyProfile, InvalidParams
 from .mdp import exact_mean_download
 from .model import StorageScheme, check_rate
@@ -63,7 +62,6 @@ __all__ = [
     "monte_carlo",
     "exact_mean_download",
     "mean_download_lower_bound",
-    "simulate_ensemble_profile",
     "ensemble_monte_carlo",
 ]
 
@@ -567,33 +565,6 @@ def mean_download_lower_bound(per_ell_useful, mu: float) -> float:
 # Random-ensemble trajectory simulation
 
 
-def simulate_ensemble_profile(
-    placement: ReplicationPlacement | MdsPlacement,
-    order_mode: str,
-    gen: np.random.Generator,
-) -> np.ndarray:
-    """Useful-server profile N(I_0)..N(I_{V-1}) of one ensemble download.
-
-    ``order_mode='server'`` runs the physical jump chain: the winner is
-    uniform over useful servers and delivers a uniformly chosen one of its
-    remaining fragments. ``order_mode='fragment'`` instead downloads a
-    uniformly random remaining (distinct, or coded for MDS) fragment each
-    step, the idealization under which the ensemble closed forms are exact.
-    """
-    _check_order_mode(order_mode)
-    if isinstance(placement, ReplicationPlacement):
-        servers = np.array(placement.theta, dtype=np.intp).reshape(placement.V, placement.R)
-    elif isinstance(placement, MdsPlacement):
-        servers = np.array(placement.chi, dtype=np.intp).reshape(-1, 1)
-    else:
-        raise InvalidParams(f"unsupported placement {placement!r}")
-    servers -= 1
-    _drop_repeats(servers, placement.B)
-    if order_mode == FRAGMENT_UNIFORM:
-        return _fragment_order(servers[None], placement.B, placement.V, [gen])[:, 0]
-    return _server_order(servers[None], placement.B, _rng.words(gen, placement.V)[:, None])[:, 0]
-
-
 def _check_order_mode(order_mode: str) -> None:
     if order_mode not in (SERVER_UNIFORM, FRAGMENT_UNIFORM):
         raise InvalidParams(f"unknown order mode {order_mode!r}")
@@ -852,6 +823,11 @@ def ensemble_monte_carlo(
 ) -> EnsembleSummary:
     """Sample fresh placements and average their useful-server profiles.
 
+    ``order_mode='server'`` runs the physical jump chain: the winner is
+    uniform over useful servers and delivers a uniformly chosen one of its
+    remaining fragments. ``order_mode='fragment'`` instead downloads a
+    uniformly random remaining (distinct, or coded for MDS) fragment each
+    step, the idealization under which the ensemble closed forms are exact.
     Placement and trajectory of sample s derive from (seed, s) streams, so
     the result is independent of chunking and worker count.
     """

@@ -598,9 +598,9 @@ def scalar_trajectory(rt: ScalarRuntime, mu: float, gen):
 # ---------------------------------------------------------------------------
 # Scalar ensemble download: one sample, one Python step at a time, rescanning
 # every server per step. The reference for the engine's ensemble kernel; it
-# reads placements by their raw fields and draws from ``rng.stream`` itself,
-# by the version-2 contract: each draw onto [0, m) maps one 32-bit half-word
-# h, low half of a word first, to (h * m) >> 32, in Python ints.
+# reads placements as lists of 0-based servers and draws from ``rng.stream``
+# itself, by the version-2 contract: each draw onto [0, m) maps one 32-bit
+# half-word h, low half of a word first, to (h * m) >> 32, in Python ints.
 
 
 def _half_pick(h: int, m: int) -> int:
@@ -615,33 +615,27 @@ def _placement_draws(gen, B: int, count: int) -> list[int]:
     return [_half_pick(h, B) for h in halves[:count]]
 
 
-def _ensemble_holders(placement):
-    """(holders, item_count): the sorted 0-based servers of each item."""
-    if hasattr(placement, "theta"):  # replication: one item per fragment
-        return [sorted({b - 1 for b in t}) for t in placement.theta], placement.V
-    return [[b - 1] for b in placement.chi], placement.V * placement.R
+def scalar_ensemble_profile(servers, B: int, V: int, order_mode: str, gen):
+    """Useful-server profile N(I_0)..N(I_{V-1}) of one ensemble download.
 
-
-def scalar_ensemble_profile(placement, order_mode: str, gen):
-    """Useful-server profile N(I_0)..N(I_{V-1}) of one ensemble download."""
-    holders, item_count = _ensemble_holders(placement)
-    return _scalar_profile(holders, placement.B, item_count, placement.V, order_mode, gen)
-
-
-def _scalar_profile(holders, B: int, item_count: int, steps: int, order_mode: str, gen):
+    ``servers`` lists each item's 0-based servers: a replication placement
+    one row of R replicas per fragment, an MDS placement one row of one
+    server per coded fragment."""
     import numpy as np
 
+    holders = [sorted({int(b) for b in row}) for row in servers]
+    item_count = len(holders)
     count = [0] * B
     for hs in holders:
         for b in hs:
             count[b] += 1
     # count[b] = number of distinct remaining items stored on b
-    profile = np.empty(steps, dtype=np.int64)
+    profile = np.empty(V, dtype=np.int64)
     remaining = [True] * item_count
 
     if order_mode == "fragment":
         order = gen.permutation(item_count)
-        for taken in range(steps):
+        for taken in range(V):
             profile[taken] = sum(1 for c in count if c > 0)
             v = int(order[taken])
             remaining[v] = False
@@ -655,7 +649,7 @@ def _scalar_profile(holders, B: int, item_count: int, steps: int, order_mode: st
     for v, hs in enumerate(holders):
         for b in hs:
             by_server[b].append(v)
-    for taken, word in enumerate(_stream_words(gen, steps).tolist()):
+    for taken, word in enumerate(_stream_words(gen, V).tolist()):
         useful = [b for b in range(B) if count[b] > 0]
         profile[taken] = len(useful)
         w = useful[_half_pick(word & 0xFFFFFFFF, len(useful))]
@@ -682,11 +676,11 @@ def scalar_ensemble_chunk(args):
         place_gen = rng.stream(seed, rng.DOMAIN_PLACEMENT, s)
         servers = _placement_draws(place_gen, B, V * R)
         if kind == "rep":
-            holders = [sorted(set(servers[v * R:(v + 1) * R])) for v in range(V)]
-            dup += sum(1 for hs in holders if len(hs) < R)
-            p = _scalar_profile(holders, B, V, V, order_mode, traj_gen)
+            rows = [servers[v * R:(v + 1) * R] for v in range(V)]
+            dup += sum(1 for row in rows if len(set(row)) < R)
         else:
-            p = _scalar_profile([[b] for b in servers], B, V * R, V, order_mode, traj_gen)
+            rows = [[b] for b in servers]
+        p = scalar_ensemble_profile(rows, B, V, order_mode, traj_gen)
         psum += p
         psumsq += p * p
     return psum, psumsq, dup

@@ -35,7 +35,6 @@ from fragsched import (
     random_mds_expected,
     random_rep_expected,
     scheme_to_design,
-    simulate_ensemble_profile,
     smallest_index_first,
     uniform_diversity,
     verify_t_design,
@@ -43,6 +42,7 @@ from fragsched import (
 from fragsched.engine import FRAGMENT_UNIFORM, SERVER_UNIFORM
 from fragsched.rng import stream
 from oracles import grouped_mean_time, mds_exact_second_step, profile_tolerance
+from test_ensemble_kernel import kernel_profile, large_storage_servers
 
 from conftest import FANO_OCCUPANCY, PAIRED_OCCUPANCY, RING_OCCUPANCY
 
@@ -374,22 +374,23 @@ def test_full_replication_optimality():
     for V, B, K in ((2, 2, 2), (2, 2, 4), (3, 2, 3), (4, 4, 4), (5, 2, 5), (6, 3, 8)):
         if (B * K) % V:
             continue
-        placement = large_storage_scheme(V, B, K)
-        assert all(occ == frozenset(range(1, B + 1)) for occ in placement.occupancy)
+        scheme = large_storage_scheme(V, B, K)
+        assert all(occ == frozenset(range(1, B + 1)) for occ in scheme.occupancy)
         for order in itertools.permutations(range(1, V + 1)):
-            remaining = [set(range(1, V + 1)) for _ in range(B)]
+            remaining = [set(fs) for fs in scheme.fragment_sets]
             for v in order:
                 assert sum(1 for r in remaining if r) == B
                 for r in remaining:
                     r.discard(v)
             exhaustive += 1
 
-    placement = large_storage_scheme(8, 3, 16)  # R = 6 > B
-    for idx in range(1_000):
-        profile = simulate_ensemble_profile(placement, SERVER_UNIFORM, stream(SEED, 5, idx))
-        assert np.all(profile == 3)
+    servers = large_storage_servers(8, 3, 16)  # R = 6 > B
+    for mode in (SERVER_UNIFORM, FRAGMENT_UNIFORM):
+        for idx in range(1_000):
+            profile = kernel_profile(servers, 3, 8, mode, stream(SEED, 5, idx))
+            assert np.all(profile == 3)
     report(
         "full-replication-optimality",
         True,
-        f"{exhaustive} exhaustive orders, 1000 sampled runs at V=8,B=3,K=16",
+        f"{exhaustive} exhaustive orders, 1000 sampled runs per order mode at V=8,B=3,K=16",
     )

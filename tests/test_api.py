@@ -60,3 +60,32 @@ def test_engine_reexports_the_exact_evaluator():
     from fragsched import engine, mdp
 
     assert engine.exact_mean_download is mdp.exact_mean_download is fragsched.exact_mean_download
+
+
+def benchmark_names() -> set[tuple[str, str]]:
+    """(module, name) of every ``from fragsched[.x] import name`` in
+    ``perfbench/run.py`` and of every ``module.name`` read on a module it
+    imports that way."""
+    tree = ast.parse((Path(__file__).parent.parent / "perfbench" / "run.py").read_text())
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fragsched":
+            for alias in node.names:
+                names.add((node.module, alias.name))
+                if node.module == "fragsched":
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            names.add((f"fragsched.{node.value.id}", node.attr))
+    return names
+
+
+def test_benchmark_names_resolve():
+    """Every package name the benchmark reads exists, so deleting one it
+    still calls fails here, not only in a benchmark run."""
+    names = benchmark_names()
+    assert len(names) >= 30
+    missing = [(module, name) for module, name in sorted(names)
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing

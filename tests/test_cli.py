@@ -130,6 +130,17 @@ class TestConstruct:
         scheme = read_scheme(out)
         assert scheme.params.K == 2  # distinct fragments per server
         assert all(s == frozenset({1, 2}) for s in scheme.occupancy)
+        # the file's bytes and the note, pinned: R = B*K/V = 6 replicas per
+        # fragment on 3 servers become the 3 x 4 scheme
+        capsys.readouterr()
+        assert main(["construct", "--kind", "large", "--V", "4", "--B", "3", "--K", "8",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "3a5e844f5efd86ba7b9f04b2d6f98b7aee4a8d54f451678087a5d6eaa971163c")
+        captured = capsys.readouterr()
+        assert captured.err == ("note: emitted the distinct-replica reduction (R=3, K=4) "
+                                "of the R=6 placement\n")
+        assert captured.out.endswith("B=3 V=4 R=3 K=4 hash=93850f1ea59ee925\n")
 
     @pytest.mark.parametrize("V, B, K", [("0", "2", "3"), ("3", "0", "3"), ("3", "2", "0")])
     def test_large_rejects_non_positive_sizes(self, V, B, K, tmp_path, capsys):

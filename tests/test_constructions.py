@@ -1,23 +1,25 @@
 import itertools
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fragsched import (
+    SystemParams,
     affine_plane,
     conservation_check,
     cyclic_shift,
+    duplicate_prob_lb,
+    ensemble_monte_carlo,
     large_storage_scheme,
     overlap_profile,
     projective_plane,
     sample_random_mds,
-    sample_random_replication,
     scheme_to_design,
     verify_t_design,
 )
-from fragsched.constructions import MdsPlacement, ReplicationPlacement
+from fragsched.constructions import placement_servers
+from fragsched.engine import FRAGMENT_UNIFORM
 from fragsched.errors import CapacityMismatch, InvalidParams, NotPrime
 
 
@@ -131,31 +133,41 @@ class TestCyclicShift:
 
 
 class TestLargeStorage:
+    """Large storage (K >= V) is the distinct-replica scheme: every fragment
+    on every server once, so R = B and K = V."""
+
     def test_equal_capacity(self):
-        placement = large_storage_scheme(2, 2, 2)
-        assert placement.R == 2
-        assert all(set(t) == {1, 2} for t in placement.theta)
+        scheme = large_storage_scheme(2, 2, 2)
+        assert (scheme.params.R, scheme.params.K) == (2, 2)
+        assert all(occ == {1, 2} for occ in scheme.occupancy)
 
     def test_double_capacity(self):
-        placement = large_storage_scheme(2, 2, 4)
-        assert placement.R == 4
-        for v in (1, 2):
-            for b in (1, 2):
-                assert placement.multiplicity(v, b) == 2
+        # K = 2V fills each server with two replicas of every fragment; the
+        # second changes no download, so the scheme is K = V's
+        assert large_storage_scheme(2, 2, 4) == large_storage_scheme(2, 2, 2)
 
     def test_every_fragment_everywhere(self):
-        placement = large_storage_scheme(3, 4, 6)
-        for occ in placement.occupancy:
+        scheme = large_storage_scheme(3, 4, 6, mu=2.5)
+        assert scheme.params == SystemParams(B=4, V=3, R=4, K=3, mu=2.5,
+                                             completely_utilizing=True)
+        for occ in scheme.occupancy:
             assert occ == frozenset(range(1, 5))
+
+    def test_capacity_far_past_the_file_is_linear_in_B_and_V(self):
+        # the scheme takes O(B*V), not the B*K slots of the placement
+        start = time.perf_counter()
+        scheme = large_storage_scheme(2, 2, 10**12)
+        assert time.perf_counter() - start < 1.0
+        assert (scheme.params.R, scheme.params.K) == (2, 2)
 
     def test_all_servers_useful_all_orders(self):
         # exhaustively: any download order keeps all B servers useful
         for V, B, K in ((2, 2, 2), (2, 2, 4), (3, 2, 3), (4, 3, 4)):
             if (B * K) % V:
                 continue
-            placement = large_storage_scheme(V, B, K)
+            scheme = large_storage_scheme(V, B, K)
             for order in itertools.permutations(range(1, V + 1)):
-                remaining = [set(range(1, V + 1)) for _ in range(B)]
+                remaining = [set(fs) for fs in scheme.fragment_sets]
                 for ell, v in enumerate(order):
                     useful = sum(1 for r in remaining if r)
                     assert useful == B, (V, B, K, order, ell)
@@ -177,109 +189,66 @@ class TestLargeStorage:
 
 
 class TestRandomReplication:
+    """Replication placements as the ensembles draw them: row v of a
+    sample's ``placement_servers`` holds the 0-based servers of fragment v's
+    R replicas."""
+
     def test_forced_single_server(self):
-        placement = sample_random_replication(1, 3, 4, seed=0)
-        assert all(set(t) == {1} for t in placement.theta)
-        assert placement.alpha_per_server == (Fraction(12, 3),)
+        servers = placement_servers(0, range(1), 1, 3, 4)
+        assert servers.shape == (1, 3, 4)
+        assert not servers.any()
 
     def test_replay_identical(self):
-        a = sample_random_replication(20, 50, 5, seed=123)
-        b = sample_random_replication(20, 50, 5, seed=123)
-        assert a.theta == b.theta
-        assert a.theta != sample_random_replication(20, 50, 5, seed=124).theta
+        a = placement_servers(123, range(1), 20, 50, 5)
+        assert np.array_equal(a, placement_servers(123, range(1), 20, 50, 5))
+        assert not np.array_equal(a, placement_servers(124, range(1), 20, 50, 5))
 
     def test_replica_budget(self):
-        placement = sample_random_replication(6, 9, 4, seed=2)
-        for v in range(1, 10):
-            assert len(placement.theta[v - 1]) == 4
-            assert len(placement.occupancy[v - 1]) <= 4
-        total = sum(a * placement.V for a in placement.alpha_per_server)
-        assert total == placement.V * placement.R
+        servers = placement_servers(2, range(1), 6, 9, 4)[0]
+        assert servers.shape == (9, 4)
+        assert servers.min() >= 0 and servers.max() < 6
 
     def test_alpha_converges_statistically(self):
-        # mean of alpha_b over many seeds approaches R/B within 3 SE
+        # alpha_b = (1/V) * #replicas on server b; its mean over many
+        # samples approaches R/B within 3 SE
         B, V, R = 8, 60, 4
         samples = 400
-        vals = []
-        for s in range(samples):
-            placement = sample_random_replication(B, V, R, seed=s)
-            vals.append(float(placement.alpha_per_server[0]))
-        vals = np.asarray(vals)
+        servers = placement_servers(0, range(samples), B, V, R)
+        vals = (servers == 0).sum(axis=(1, 2)) / V
         se = vals.std(ddof=1) / np.sqrt(samples)
         assert abs(vals.mean() - R / B) <= 3 * se + 1e-12
 
     def test_duplicate_probability_exceeds_bound(self):
-        # frequency of a fragment doubling up on a server vs the closed-form
-        # floor 1 - exp(-alpha(R-1)/2) at alpha = 1/4
-        from fragsched import duplicate_prob_lb
-
+        # frequency of a fragment doubling up on a server, as the ensemble
+        # reports it, vs the closed-form floor 1 - exp(-alpha(R-1)/2) at
+        # alpha = 1/4
         B, V, R = 20, 50, 5
         n = 300
-        hits = total = 0
-        for s in range(n):
-            placement = sample_random_replication(B, V, R, seed=s)
-            for v in range(1, V + 1):
-                hits += placement.has_duplicate(v)
-                total += 1
-        freq = hits / total
+        freq = ensemble_monte_carlo(B, V, R, "rep", FRAGMENT_UNIFORM, n, seed=0).duplicate_frequency
         bound = duplicate_prob_lb(0.25, 5)
         assert bound == pytest.approx(1 - np.exp(-0.5))
-        se = np.sqrt(freq * (1 - freq) / total)
+        se = np.sqrt(freq * (1 - freq) / (n * V))
         assert freq >= bound - 3 * se
 
 
 class TestRandomMds:
+    """The one-sample draw ``sample_random_mds``: sample ``index``'s
+    ``placement_servers``, flat, one 0-based server per coded fragment."""
+
     def test_forced_single_server(self):
-        placement = sample_random_mds(1, 2, 3, seed=0)
-        assert set(placement.chi) == {1}
-        assert len(placement.chi) == 6
+        servers = sample_random_mds(1, 2, 3, seed=0)
+        assert servers.shape == (6,)
+        assert not servers.any()
 
     def test_distinct_server_mean(self):
         # E[#servers used] = 2 * (1 - (1/2)^4) = 15/8 for B=2, V=2, R=2
         n = 4000
-        used = [len(set(sample_random_mds(2, 2, 2, seed=9, index=i).chi)) for i in range(n)]
+        used = [len(set(sample_random_mds(2, 2, 2, seed=9, index=i).tolist())) for i in range(n)]
         used = np.asarray(used, dtype=float)
         se = used.std(ddof=1) / np.sqrt(n)
         assert abs(used.mean() - 15 / 8) <= 3 * se
 
     def test_replay_identical(self):
-        assert sample_random_mds(5, 4, 3, seed=7).chi == sample_random_mds(5, 4, 3, seed=7).chi
-
-
-class TestPlacementFields:
-    """A placement's per-server fields are sized by B: a B whose fields
-    cannot fit in physical memory is refused before they are built, and
-    every server id must be an integer in [1, B]."""
-
-    @pytest.mark.parametrize("sample", [sample_random_replication, sample_random_mds])
-    def test_largest_drawable_B_is_refused_quickly(self, sample):
-        start = time.perf_counter()
-        with pytest.raises(InvalidParams, match=r"B=4294967295: .*\(549,755,813,760 bytes\)"):
-            sample(2**32 - 1, 3, 2, seed=1)
-        assert time.perf_counter() - start < 1.0
-
-    def test_refusal_reads_physical_memory(self, monkeypatch):
-        machine = {"SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}
-        monkeypatch.setattr("os.sysconf", machine.__getitem__)
-        with pytest.raises(InvalidParams, match=r"B=40000: .* physical memory"):
-            sample_random_mds(40_000, 3, 2, seed=1)
-        assert len(sample_random_mds(30_000, 3, 2, seed=1).alpha_per_server) == 30_000
-
-    @pytest.mark.parametrize("ids, match", [
-        ((0, 1, 2, 3, 1, 1), "server id 0 outside"),
-        ((1, 2, 3, 4, 5, 7), "server id 7 outside"),
-        ((1.0,) * 6, "integers"),
-        ((2**70,) + (1,) * 5, "integers"),
-    ])
-    def test_ids_outside_the_servers_are_refused(self, ids, match):
-        with pytest.raises(InvalidParams, match=match):
-            MdsPlacement(B=6, V=3, R=2, chi=ids)
-        with pytest.raises(InvalidParams, match=match):
-            ReplicationPlacement(B=6, V=3, R=2, theta=(ids[:2], ids[2:4], ids[4:]))
-
-    def test_alpha_counts_each_servers_replicas(self):
-        mds = MdsPlacement(B=6, V=3, R=2, chi=(1, 2, 2, 6, 6, 6))
-        assert mds.alpha_per_server == tuple(Fraction(c, 3) for c in (1, 2, 0, 0, 0, 3))
-        rep = ReplicationPlacement(B=4, V=2, R=2, theta=((1, 1), (4, 2)))
-        assert rep.alpha_per_server == tuple(Fraction(c, 2) for c in (2, 1, 0, 1))
-        assert rep.occupancy == (frozenset({1}), frozenset({2, 4}))
+        a = sample_random_mds(5, 4, 3, seed=7, index=3)
+        assert np.array_equal(a, sample_random_mds(5, 4, 3, seed=7, index=3))
+        assert np.array_equal(a, placement_servers(7, range(3, 4), 5, 4, 3).reshape(-1))

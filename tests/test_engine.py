@@ -100,7 +100,40 @@ class TestSimulateRun:
             assert np.all(np.asarray(rec.useful_profile) >= lower)
 
 
+# sha256 of a jump-chain summary at mu = 1 and master seed 2026: the repr of
+# (mean_download_time, stderr), then the bytes of mean_profile, min_profile
+# and max_profile. pp11's row is the table's pp/harmonic-ud.
+JUMP_CHAIN_RUNS = {
+    "pp2-random": (lambda: projective_plane(2), "random", 600),
+    "pp2-harmonic-seeded": (lambda: projective_plane(2), "harmonic-seeded", 600),
+    "cyclic123-ud": (lambda: cyclic_shift(12, 3), "ud", 600),
+    "pp11-harmonic-ud": (lambda: projective_plane(11), "harmonic-init", 256),
+}
+JUMP_CHAIN_PINS = {
+    "pp2-random": "98873395bf75b105dfd9f30e5382e31984fe74bde9ca66a2ec0fbb6b01590510",
+    "pp2-harmonic-seeded": "1c9b1518fd13aec09a9f7936a3668a805704d22b7fad003a0e435f44503f1bb9",
+    "cyclic123-ud": "236082ebdeaa248ed68c372388a00abd744a73c4beb1f7fa5f1f52c19e934b61",
+    "pp11-harmonic-ud": "1d55c856e873f46eed2b8a06c559e2573b9dcd3043139fbfc65fd67b4ea698a8",
+}
+
+
 class TestMonteCarlo:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", JUMP_CHAIN_PINS)
+    def test_summaries_pinned(self, name, threads):
+        """Jump-chain summaries at fixed seeds, pinned as a SHA-256, so a
+        change to a stream, a draw or a decision cannot pass the
+        kernel-vs-oracle tests by changing both sides alike."""
+        make_scheme, kind, runs = JUMP_CHAIN_RUNS[name]
+        scheme = make_scheme()
+        cfg = SimulationConfig(scheme=scheme, policy=make_policy(scheme, kind), mu=1.0,
+                               runs=runs, master_seed=2026)
+        s = monte_carlo(cfg, threads=threads)
+        digest = hashlib.sha256(repr((s.mean_download_time, s.stderr)).encode())
+        for profile in (s.mean_profile, s.min_profile, s.max_profile):
+            digest.update(profile.tobytes())
+        assert digest.hexdigest() == JUMP_CHAIN_PINS[name]
+
     def test_threads_do_not_change_results(self, fano):
         cfg = SimulationConfig(scheme=fano, policy=RandomWorkConserving(), mu=1.0,
                                runs=3000, master_seed=5)

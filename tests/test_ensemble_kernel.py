@@ -3,9 +3,9 @@ for bit; the version-2 half-word draw; and the re-keyed streams both draw
 from.
 
 The oracle (``oracles.scalar_ensemble_profile`` / ``scalar_ensemble_chunk``)
-shares only ``rng.stream`` with the engine: it reads placements by their raw
-fields, makes its own half-word draws in Python ints, and rescans every
-server at every step.
+shares only ``rng.stream`` with the engine: it reads placements as lists of
+0-based servers, makes its own half-word draws in Python ints, and rescans
+every server at every step.
 """
 
 import hashlib
@@ -15,15 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fragsched import (
-    MdsPlacement,
-    ReplicationPlacement,
-    ensemble_monte_carlo,
-    large_storage_scheme,
-    sample_random_mds,
-    sample_random_replication,
-    simulate_ensemble_profile,
-)
+from fragsched import ensemble_monte_carlo, sample_random_mds
 from fragsched import engine, rng
 from fragsched.constructions import placement_servers
 from fragsched.errors import InvalidParams
@@ -37,12 +29,22 @@ def assert_same_state(gen, ref):
     np.testing.assert_equal(gen.bit_generator.state, ref.bit_generator.state)
 
 
-def assert_same_download(placement, mode, index):
+def kernel_profile(servers, B, V, mode, gen):
+    """One sample's profile by the kernels ``_ensemble_chunk`` runs: the
+    items' 0-based servers as a one-sample batch, repeats dropped."""
+    hosts = np.array(servers, dtype=np.intp)[None]
+    engine._drop_repeats(hosts, B)
+    if mode == engine.FRAGMENT_UNIFORM:
+        return engine._fragment_order(hosts, B, V, [gen])[:, 0]
+    return engine._server_order(hosts, B, rng.words(gen, V)[:, None])[:, 0]
+
+
+def assert_same_download(servers, B, V, mode, index):
     """Same profile from the same stream, and the same draws."""
     gen = rng.stream(41, rng.DOMAIN_TRAJECTORY, index)
     ref = rng.stream(41, rng.DOMAIN_TRAJECTORY, index)
-    got = simulate_ensemble_profile(placement, mode, gen)
-    want = scalar_ensemble_profile(placement, mode, ref)
+    got = kernel_profile(servers, B, V, mode, gen)
+    want = scalar_ensemble_profile(servers, B, V, mode, ref)
     assert got.dtype == want.dtype == np.int64
     assert np.array_equal(got, want)
     assert_same_state(gen, ref)
@@ -56,38 +58,50 @@ def rep_placements(draw):
     B = draw(st.integers(1, 6))
     V = draw(st.integers(1, 8))
     R = draw(st.integers(1, 8))
-    theta = draw(st.lists(st.lists(st.integers(1, B), min_size=R, max_size=R),
-                          min_size=V, max_size=V))
-    return ReplicationPlacement(B=B, V=V, R=R, theta=tuple(map(tuple, theta)))
+    servers = draw(st.lists(st.lists(st.integers(0, B - 1), min_size=R, max_size=R),
+                            min_size=V, max_size=V))
+    return servers, B, V
 
 
 @st.composite
 def mds_placements(draw):
+    """V*R coded fragments, one server each, on up to 6 servers."""
     B = draw(st.integers(1, 6))
     V = draw(st.integers(1, 6))
     R = draw(st.integers(1, 4))
-    chi = draw(st.lists(st.integers(1, B), min_size=V * R, max_size=V * R))
-    return MdsPlacement(B=B, V=V, R=R, chi=tuple(chi))
+    servers = draw(st.lists(st.integers(0, B - 1), min_size=V * R, max_size=V * R))
+    return [[b] for b in servers], B, V
 
 
 @settings(max_examples=150, deadline=None)
 @given(rep_placements(), st.sampled_from(MODES), st.integers(0, 1000))
 def test_replication_matches_oracle(placement, mode, index):
-    assert_same_download(placement, mode, index)
+    assert_same_download(*placement, mode, index)
 
 
 @settings(max_examples=150, deadline=None)
 @given(mds_placements(), st.sampled_from(MODES), st.integers(0, 1000))
 def test_mds_matches_oracle(placement, mode, index):
-    assert_same_download(placement, mode, index)
+    assert_same_download(*placement, mode, index)
+
+
+def large_storage_servers(V, B, K):
+    """The R = B*K/V replicas of each fragment that fill B servers of K >= V
+    slots: replicas 0..B-1 on servers 0..B-1, so every server holds every
+    fragment, and the B*(K-V) spare slots row-major, slot s on server
+    s // (K-V) holding fragment s % V, so a server may hold one twice."""
+    servers = [list(range(B)) for _ in range(V)]
+    for s in range(B * (K - V)):
+        servers[s % V].append(s // (K - V))
+    return servers
 
 
 @pytest.mark.parametrize("V,B,K", [(4, 3, 8), (2, 2, 4), (3, 1, 3), (5, 4, 5)])
 @pytest.mark.parametrize("mode", MODES)
 def test_large_storage_matches_oracle(V, B, K, mode):
-    placement = large_storage_scheme(V, B, K)
+    servers = large_storage_servers(V, B, K)
     for index in range(20):
-        assert_same_download(placement, mode, index)
+        assert_same_download(servers, B, V, mode, index)
 
 
 @pytest.mark.parametrize("kind", ["rep", "mds"])
@@ -324,10 +338,8 @@ def test_placements_equal_numpy_draws(B, V, R):
 @pytest.mark.parametrize("B", [2**32, 2**32 + 1, 2**40])
 def test_servers_beyond_one_half_word_are_refused(B):
     """B >= 2**32 is refused before any draw or task, by the ensemble and by
-    both samplers."""
+    the one-sample draw."""
     with pytest.raises(InvalidParams, match="2\\*\\*32"):
         ensemble_monte_carlo(B, 3, 2, "rep", engine.SERVER_UNIFORM, 4, 1, threads=2)
-    with pytest.raises(InvalidParams, match="2\\*\\*32"):
-        sample_random_replication(B, 3, 2, seed=1)
     with pytest.raises(InvalidParams, match="2\\*\\*32"):
         sample_random_mds(B, 3, 2, seed=1)

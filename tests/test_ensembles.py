@@ -3,49 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fragsched import (
-    ensemble_monte_carlo,
-    large_storage_scheme,
-    random_mds_expected,
-    random_rep_expected,
-    sample_random_mds,
-    sample_random_replication,
-    simulate_ensemble_profile,
-)
+from fragsched import ensemble_monte_carlo, random_mds_expected, random_rep_expected
 from fragsched import engine
 from fragsched.engine import FRAGMENT_UNIFORM, SERVER_UNIFORM
 from fragsched.errors import InvalidParams
-from fragsched.rng import stream
 from oracles import mds_exact_second_step, profile_tolerance
-
-
-class TestSimulateEnsembleProfile:
-    def test_single_fragment_both_modes(self):
-        placement = sample_random_replication(2, 1, 1, seed=4)
-        for mode in (SERVER_UNIFORM, FRAGMENT_UNIFORM):
-            profile = simulate_ensemble_profile(placement, mode, stream(1, 9, 0))
-            assert profile.tolist() == [1]
-
-    def test_profile_lengths(self):
-        rep = sample_random_replication(5, 8, 3, seed=1)
-        mds = sample_random_mds(5, 8, 3, seed=1)
-        for placement in (rep, mds):
-            profile = simulate_ensemble_profile(placement, FRAGMENT_UNIFORM, stream(2, 9, 0))
-            assert len(profile) == 8
-            assert profile[0] <= 5
-
-    def test_large_storage_placement_keeps_all_servers(self):
-        placement = large_storage_scheme(4, 3, 8)
-        for mode in (SERVER_UNIFORM, FRAGMENT_UNIFORM):
-            for idx in range(200):
-                profile = simulate_ensemble_profile(placement, mode, stream(3, 9, idx))
-                assert np.all(profile == 3)
-
-    def test_deterministic_given_stream(self):
-        placement = sample_random_mds(4, 5, 2, seed=6)
-        a = simulate_ensemble_profile(placement, SERVER_UNIFORM, stream(8, 9, 1))
-        b = simulate_ensemble_profile(placement, SERVER_UNIFORM, stream(8, 9, 1))
-        assert np.array_equal(a, b)
 
 
 class TestModeGap:
@@ -128,8 +90,3 @@ class TestEnsembleArguments:
         with pytest.raises(InvalidParams, match="threads must be >= 1"):
             ensemble_monte_carlo(3, 4, 2, "rep", SERVER_UNIFORM, samples=10, seed=1,
                                  threads=threads)
-
-    def test_profile_rejects_unknown_mode(self):
-        placement = sample_random_mds(3, 4, 2, seed=1)
-        with pytest.raises(InvalidParams, match="order mode"):
-            simulate_ensemble_profile(placement, "bogus", stream(1, 9, 0))
