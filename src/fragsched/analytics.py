@@ -153,10 +153,15 @@ def bound_envelope(scheme: StorageScheme) -> BoundProfile:
     K = min(len(s) for s in scheme.fragment_sets)
     ov = overlap_profile(scheme)
     general = general_lower_profile(scheme, ov)
-    lower = general.copy()
     if ov.tau_max <= 1 and K >= 2:
-        for ell in range(1, V):
-            lower[ell] = min(B, max(lower[ell], lower[ell - 1] - (ell - 1) // (K - 1)))
+        # lower[l] = max(general[l], lower[l-1] - floor((l-1)/(K-1))) unrolls
+        # to max over j <= l of general[j] + D[j], less D[l], with D the
+        # running sum of the decrements; it stays within [general[l], B]
+        drops = np.zeros(V, dtype=np.int64)
+        drops[1:] = np.cumsum(np.arange(V - 1) // (K - 1))
+        lower = np.maximum.accumulate(general + drops) - drops
+    else:
+        lower = general.copy()
     return replace(useful_upper_bound(B, V, scheme.params.R), lower=lower, lower_general=general)
 
 

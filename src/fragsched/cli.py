@@ -380,8 +380,11 @@ def _table_orders(scheme) -> dict:
 
 def _reproduce_table(args) -> int:
     mu = 1e-5
+    start = time.perf_counter()
     schemes = {"pp": projective_plane(11, mu=mu), "cyclic": cyclic_shift(133, 12, mu=mu)}
     orders = {key: _table_orders(scheme) for key, scheme in schemes.items()}
+    print(f"setup: {len(schemes)} schemes and their sif, ud and +pushback orders in "
+          f"{time.perf_counter() - start:.3f} s", file=sys.stderr)
     results = {}
     rows_out = []
     failures = []

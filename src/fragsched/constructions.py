@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import CapacityMismatch, InvalidParams, NotPrime
-from .model import StorageScheme, build_scheme
+from .model import StorageScheme, SystemParams, build_scheme, physical_memory
 
 __all__ = [
     "projective_plane",
@@ -42,13 +42,67 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def _canonical_points(q: int) -> list[tuple[int, int, int]]:
-    """Representatives of the 1-dim subspaces of F_q^3: the unique scaling
-    with first nonzero coordinate 1, in lexicographic order."""
-    pts = [(0, 0, 1)]
-    pts += [(0, 1, z) for z in range(q)]
-    pts += [(1, y, z) for y in range(q) for z in range(q)]
-    return sorted(pts)
+# Bytes the arrays of one row block of ``_plane_rows`` may hold at once, as
+# in ``model._pair_histogram``.
+_PLANE_BLOCK_BYTES = 1 << 18
+# Bytes a block holds per incidence entry: the int64 product (8) and its
+# boolean zero test (1).
+_BYTES_PER_INCIDENCE = 9
+
+
+def _canonical_points(q: int) -> np.ndarray:
+    """(q^2+q+1, 3) int64: representatives of the 1-dim subspaces of F_q^3,
+    the unique scaling with first nonzero coordinate 1, in lexicographic
+    order: (0, 0, 1), then (0, 1, z), then (1, y, z)."""
+    pts = np.zeros((q * q + q + 1, 3), dtype=np.int64)
+    pts[0, 2] = 1
+    pts[1:q + 1, 1] = 1
+    pts[1:q + 1, 2] = np.arange(q)
+    pts[q + 1:, 0] = 1
+    pts[q + 1:, 1], pts[q + 1:, 2] = np.divmod(np.arange(q * q), q)
+    return pts
+
+
+def _plane_rows(q: int) -> np.ndarray:
+    """(n, q+1) intp, n = q^2+q+1: row i lists, ascending, the 0-based
+    canonical points orthogonal to canonical point i over F_q.
+
+    Read as an incidence, entry (i, j) of ``(P @ P.T) % q == 0`` for the
+    canonical points P: symmetric, with q+1 entries in every row. The
+    product is integer (no float matmul, so no BLAS) and taken in row blocks
+    of reused buffers that stay within ``_PLANE_BLOCK_BYTES`` (256 KiB)
+    while one row of 9 bytes per entry fits, that is up to about 29,000
+    points; past that a block is one row. No n x n array is allocated."""
+    if not _is_prime(q):  # prime powers would need polynomial arithmetic
+        raise NotPrime(f"{q} is not prime")
+    pts = _canonical_points(q)
+    n = len(pts)
+    step = max(1, _PLANE_BLOCK_BYTES // (n * _BYTES_PER_INCIDENCE))
+    dots = np.empty((min(step, n), n), dtype=np.int64)
+    orthogonal = np.empty(dots.shape, dtype=bool)
+    rows = np.empty((n, q + 1), dtype=np.intp)
+    for i0 in range(0, n, step):
+        k = min(step, n - i0)
+        np.matmul(pts[i0:i0 + k], pts.T, out=dots[:k])
+        np.remainder(dots[:k], q, out=dots[:k])
+        np.equal(dots[:k], 0, out=orthogonal[:k])
+        rows[i0:i0 + k] = orthogonal[:k].nonzero()[1].reshape(k, q + 1)
+    return rows
+
+
+def _scheme_of_rows(occupancy: np.ndarray, fragment_sets: np.ndarray, mu: float) -> StorageScheme:
+    """The scheme whose fragment v lies on the 0-based servers
+    ``occupancy[v-1]`` and whose server b holds the 0-based fragments
+    ``fragment_sets[b-1]``, two views of one incidence with distinct
+    entries in every row. Every fragment has R = ``occupancy.shape[1]``
+    replicas and every server K = ``fragment_sets.shape[1]`` fragments, so
+    the scheme is completely utilizing. Passing one array for both views
+    shares their frozensets."""
+    occ = tuple(map(frozenset, (occupancy + 1).tolist()))
+    frags = occ if fragment_sets is occupancy else tuple(map(frozenset, (fragment_sets + 1).tolist()))
+    (V, R), (B, K) = occupancy.shape, fragment_sets.shape
+    params = SystemParams(B=B, V=V, R=R, K=K, mu=mu, completely_utilizing=V * R == B * K)
+    return StorageScheme(params=params, occupancy=occ, fragment_sets=frags)
 
 
 def projective_plane(q: int, mu: float = 1.0) -> StorageScheme:
@@ -58,18 +112,14 @@ def projective_plane(q: int, mu: float = 1.0) -> StorageScheme:
     b collects the points orthogonal to the b-th canonical point. The result
     is a completely utilizing scheme with V = B = q^2+q+1 and K = R = q+1,
     numbered deterministically by the lexicographic point order.
+
+    The incidence is one integer product of the canonical points,
+    ``(P @ P.T) % q == 0``, taken in row blocks within a fixed byte budget
+    (``_plane_rows``). It is symmetric, since block b is dual to point b, so
+    one array of rows gives both the occupancy and the fragment sets.
     """
-    if not _is_prime(q):  # prime powers would need polynomial arithmetic
-        raise NotPrime(f"{q} is not prime")
-    pts = _canonical_points(q)
-    index = {p: i + 1 for i, p in enumerate(pts)}
-    n = len(pts)
-    occupancy: list[set[int]] = [set() for _ in range(n)]
-    for b, (d0, d1, d2) in enumerate(pts, start=1):
-        for p in pts:
-            if (d0 * p[0] + d1 * p[1] + d2 * p[2]) % q == 0:
-                occupancy[index[p] - 1].add(b)
-    return build_scheme(occupancy, mu=mu, B=n)
+    rows = _plane_rows(q)
+    return _scheme_of_rows(rows, rows, mu)
 
 
 def affine_plane(q: int, mu: float = 1.0) -> StorageScheme:
@@ -79,24 +129,21 @@ def affine_plane(q: int, mu: float = 1.0) -> StorageScheme:
     Constructed by deleting one projective block and its points from all
     remaining blocks. The deleted block is the one dual to (0, 0, 1), i.e.
     the points with last coordinate zero; surviving points and blocks are
-    renumbered consecutively in their original order.
+    renumbered consecutively in their original order. Both are taken from
+    the projective plane's incidence rows (``_plane_rows``, the same block
+    budget): a surviving point keeps its row less one, since no surviving
+    point lies on block 1, and every other block loses the one deleted point
+    it meets.
     """
-    pp = projective_plane(q, mu=mu)
-    # Block b is dual to point b; (0,0,1) is the first canonical point.
-    deleted_block = 1
-    deleted_points = pp.fragment_sets[deleted_block - 1]
-    kept = [v for v in range(1, pp.V + 1) if v not in deleted_points]
-    renumber = {v: i + 1 for i, v in enumerate(kept)}
-    blocks = [
-        frozenset(renumber[v] for v in blk if v not in deleted_points)
-        for b, blk in enumerate(pp.fragment_sets, start=1)
-        if b != deleted_block
-    ]
-    occupancy: list[set[int]] = [set() for _ in range(len(kept))]
-    for b, blk in enumerate(blocks, start=1):
-        for v in blk:
-            occupancy[v - 1].add(b)
-    return build_scheme(occupancy, mu=mu, B=len(blocks))
+    rows = _plane_rows(q)
+    # block b is dual to point b, so row b lists block b's points; block 1
+    # (row 0) is dual to (0, 0, 1), the first canonical point
+    kept = np.ones(len(rows), dtype=bool)
+    kept[rows[0]] = False
+    renumber = np.cumsum(kept) - 1
+    blocks = rows[1:]
+    fragment_sets = renumber[blocks[kept[blocks]].reshape(len(blocks), q)]
+    return _scheme_of_rows(rows[kept] - 1, fragment_sets, mu)
 
 
 def cyclic_shift(V: int, R: int, mu: float = 1.0) -> StorageScheme:
@@ -104,12 +151,16 @@ def cyclic_shift(V: int, R: int, mu: float = 1.0) -> StorageScheme:
     consecutive fragments {b, b+1, ..., b+K-1} (wrapping modulo V)."""
     if not 1 <= R <= V:
         raise InvalidParams(f"need 1 <= R <= V, got R={R}, V={V}")
-    occupancy: list[set[int]] = [set() for _ in range(V)]
-    for b in range(1, V + 1):
-        for j in range(R):
-            v = (b - 1 + j) % V + 1
-            occupancy[v - 1].add(b)
-    return build_scheme(occupancy, mu=mu, B=V)
+    first, offset = np.arange(V)[:, None], np.arange(R)
+    # fragment v lies on servers v, v-1, ..., v-R+1; server b holds b..b+R-1
+    return _scheme_of_rows((first - offset) % V, (first + offset) % V, mu)
+
+
+# Bytes ``large_storage_scheme`` holds per (server, fragment) entry: the
+# ru_maxrss growth of one call in a fresh process read 122-324 bytes at
+# V = 2..1000 (B*V = 2*10^5 to 2*10^6), the most at V = 2, where every
+# server's frozenset of two fragments is a hash table of its own.
+_LARGE_BYTES_PER_ENTRY = 330
 
 
 def large_storage_scheme(V: int, B: int, K: int, mu: float = 1.0) -> StorageScheme:
@@ -121,7 +172,9 @@ def large_storage_scheme(V: int, B: int, K: int, mu: float = 1.0) -> StorageSche
     A placement that fills all B*K slots holds R = B*K/V replicas of each
     fragment, so a server with K > V holds some fragments more than once. A
     second replica on a server changes no download, so the scheme keeps one
-    of each. Sizes no such placement fills are refused.
+    of each. Sizes no such placement fills are refused, and so, before
+    anything is built, is a B*V whose estimated memory, 330 bytes an entry
+    (``_LARGE_BYTES_PER_ENTRY``), exceeds this machine's physical memory.
     """
     if min(V, B, K) < 1:
         raise InvalidParams(f"V, B and K must be positive, got V={V}, B={B}, K={K}")
@@ -129,6 +182,12 @@ def large_storage_scheme(V: int, B: int, K: int, mu: float = 1.0) -> StorageSche
         raise CapacityMismatch(f"need K >= V, got K={K} < V={V}")
     if (B * K) % V != 0:
         raise CapacityMismatch(f"B*K={B * K} not a multiple of V={V}")
+    estimate = _LARGE_BYTES_PER_ENTRY * B * V
+    physical = physical_memory()  # None off POSIX, where nothing is refused
+    if physical is not None and estimate > physical:
+        raise InvalidParams(f"B={B}, V={V}: {B * V:,} server-fragment entries, estimated memory "
+                            f"{estimate / 2**30:,.1f} GiB exceeds the {physical / 2**30:,.1f} GiB "
+                            f"of physical memory")
     return build_scheme([range(1, B + 1)] * V, mu=mu, B=B)
 
 

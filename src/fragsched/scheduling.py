@@ -30,6 +30,7 @@ with residual sizes it keeps up to date itself.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -132,29 +133,6 @@ def _distinct(items) -> bool:
     return len(items) == len(set(items))
 
 
-def _max_matching(adjacency: dict[int, list[int]]) -> dict[int, int]:
-    """Maximum bipartite matching (Kuhn's augmenting paths), deterministic for
-    a fixed iteration order. Returns {left: right}."""
-    match_left: dict[int, int] = {}
-    match_right: dict[int, int] = {}
-
-    def augment(u: int, seen: set[int]) -> bool:
-        for v in adjacency[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if v not in match_right or augment(match_right[v], seen):
-                match_left[u] = v
-                match_right[v] = u
-                return True
-        return False
-
-    for u in sorted(adjacency):
-        if u not in match_left:
-            augment(u, set())
-    return match_left
-
-
 def uniform_diversity(scheme: StorageScheme) -> PlacementOrder:
     """Placement order maximizing fragment diversity within each layer.
 
@@ -167,28 +145,55 @@ def uniform_diversity(scheme: StorageScheme) -> PlacementOrder:
     Each server prefers fragments by cyclic distance from its own index, so
     on cyclic-shift schemes the layers come out as the shifted rows
     (r, r+1, ...).
+
+    Each matching is Kuhn's augmenting-path search: servers in ascending
+    order each start one depth-first search, which tries the server's
+    unassigned fragments in preference order and, for a taken fragment,
+    recurses into its owner. A fragment is visited at most once per search:
+    it is marked with the search's stamp, one tick of a counter, in one
+    array for the whole order, so no search allocates. Owners and matches
+    are flat lists indexed by id.
     """
-    V = scheme.V
-    remaining = [
-        sorted(s, key=lambda v, b=b: ((v - b) % V, v))
-        for b, s in enumerate(scheme.fragment_sets, start=1)
-    ]
-    orders: list[list[int]] = [[] for _ in range(scheme.B)]
-    perfect = len({len(s) for s in scheme.fragment_sets}) == 1
-    max_layers = max(len(s) for s in scheme.fragment_sets)
-    for _ in range(max_layers):
-        active = {b: list(remaining[b - 1]) for b in range(1, scheme.B + 1) if remaining[b - 1]}
-        matched = _max_matching(active)
+    V, B = scheme.V, scheme.B
+    remaining = []
+    for b, s in enumerate(scheme.fragment_sets, start=1):
+        # by cyclic distance (v - b) % V: the fragments from b's residue
+        # (b - 1) % V + 1 up, then those below it
+        s = sorted(s)
+        cut = bisect_left(s, (b - 1) % V + 1)
+        remaining.append(s[cut:] + s[:cut])
+    orders: list[list[int]] = [[] for _ in range(B)]
+    perfect = len({len(s) for s in remaining}) == 1
+    seen = [0] * (V + 1)  # the stamp of the last search that visited each fragment
+    stamp = 0
+
+    def augment(b: int) -> bool:
+        for v in remaining[b]:
+            if seen[v] != stamp:
+                seen[v] = stamp
+                a = owner[v]
+                if a < 0 or augment(a):
+                    owner[v] = b
+                    match[b] = v
+                    return True
+        return False
+
+    for _ in range(max(map(len, remaining))):
+        owner = [-1] * (V + 1)  # the 0-based server each fragment is matched to
+        match = [0] * B         # the fragment each server is matched to, 0 if none
+        active = [b for b in range(B) if remaining[b]]
         for b in active:
-            if b in matched:
-                v = matched[b]
-            else:
+            stamp += 1
+            augment(b)
+        for b in active:
+            v = match[b]
+            if not v:
                 # under a maximum matching every fragment of an unmatched
                 # server is taken by another server, so this repeats one
-                v = active[b][0]
+                v = remaining[b][0]
                 perfect = False
-            orders[b - 1].append(v)
-            remaining[b - 1].remove(v)
+            orders[b].append(v)
+            remaining[b].remove(v)
     return PlacementOrder(
         orders=tuple(tuple(o) for o in orders), perfect=perfect, label="ud"
     )
@@ -199,22 +204,22 @@ def pushback(order: PlacementOrder, scheme: StorageScheme, server: int) -> Place
 
     On each server a != server, the fragments shared with the chosen server
     move to the final positions of a's order, keeping their relative order;
-    the chosen server's own order is untouched.
+    the chosen server's own order is untouched. An ``order`` that is not,
+    server by server, a permutation of the scheme's fragments is refused
+    with ``InvalidParams``, as ``compile_policy`` refuses it.
     """
     if not 1 <= server <= scheme.B:
         raise InvalidParams(f"server {server} outside [1, {scheme.B}]")
-    DecisionRule(scheme.fragment_sets, order=order)  # refuses a foreign order
-    target = scheme.fragment_sets[server - 1]
-    new_orders = []
-    for b, o in enumerate(order.orders, start=1):
-        if b == server:
-            new_orders.append(o)
-            continue
-        kept = [v for v in o if v not in target]
-        deferred = [v for v in o if v in target]
-        new_orders.append(tuple(kept + deferred))
+    if len(order.orders) != scheme.B:
+        raise InvalidParams(f"order lists {len(order.orders)} servers, the scheme has {scheme.B}")
+    for b, (o, s) in enumerate(zip(order.orders, scheme.fragment_sets), start=1):
+        if len(o) != len(s) or set(o) != s:
+            raise InvalidParams(f"order for server {b} is not a permutation of its fragments")
+    # a stable sort on membership keeps each part in its relative order
+    shared = scheme.fragment_sets[server - 1].__contains__
     return PlacementOrder(
-        orders=tuple(new_orders),
+        orders=tuple(o if b == server else tuple(sorted(o, key=shared))
+                     for b, o in enumerate(order.orders, start=1)),
         perfect=None,
         label=f"{order.label}+pb{server}",
     )

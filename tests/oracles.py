@@ -45,6 +45,102 @@ def pairwise_overlap_profile(scheme):
     )
 
 
+def transpose(sets, n: int) -> list[set[int]]:
+    """The other view of an incidence: for each of the ids 1..n, the
+    1-based positions of the sets that contain it."""
+    out: list[set[int]] = [set() for _ in range(n)]
+    for i, members in enumerate(sets, start=1):
+        for x in members:
+            out[x - 1].add(i)
+    return out
+
+
+def projective_plane_occupancy(q: int) -> list[set[int]]:
+    """The occupancy sets of ``constructions.projective_plane(q)``, by one
+    dot product per (block, point) pair: fragment v is the v-th canonical
+    point of F_q^3 in lexicographic order, and server b holds the points
+    orthogonal to the b-th."""
+    pts = [(0, 0, 1)] + [(0, 1, z) for z in range(q)]
+    pts += [(1, y, z) for y in range(q) for z in range(q)]
+    pts.sort()
+    index = {p: i for i, p in enumerate(pts)}
+    occupancy: list[set[int]] = [set() for _ in pts]
+    for b, (d0, d1, d2) in enumerate(pts, start=1):
+        for p in pts:
+            if (d0 * p[0] + d1 * p[1] + d2 * p[2]) % q == 0:
+                occupancy[index[p]].add(b)
+    return occupancy
+
+
+def affine_plane_occupancy(q: int) -> list[set[int]]:
+    """The occupancy sets of ``constructions.affine_plane(q)``: the
+    projective plane less block 1 and its points, survivors renumbered
+    consecutively in their original order."""
+    occupancy = projective_plane_occupancy(q)
+    blocks = transpose(occupancy, len(occupancy))
+    deleted = blocks[0]
+    kept = [v for v in range(1, len(occupancy) + 1) if v not in deleted]
+    renumber = {v: i for i, v in enumerate(kept, start=1)}
+    return transpose([{renumber[v] for v in blk - deleted} for blk in blocks[1:]], len(kept))
+
+
+def cyclic_occupancy(V: int, R: int) -> list[set[int]]:
+    """The occupancy sets of ``constructions.cyclic_shift(V, R)``: server b
+    holds fragments b, b+1, ..., b+R-1, wrapping modulo V."""
+    occupancy: list[set[int]] = [set() for _ in range(V)]
+    for b in range(1, V + 1):
+        for j in range(R):
+            occupancy[(b - 1 + j) % V].add(b)
+    return occupancy
+
+
+def max_matching(adjacency: dict[int, list[int]]) -> dict[int, int]:
+    """Maximum bipartite matching by Kuhn's augmenting paths, left vertices
+    in ascending order, each path search with a fresh visited set. Returns
+    {left: right}."""
+    match_left: dict[int, int] = {}
+    match_right: dict[int, int] = {}
+
+    def augment(u: int, seen: set[int]) -> bool:
+        for v in adjacency[u]:
+            if v in seen:
+                continue
+            seen.add(v)
+            if v not in match_right or augment(match_right[v], seen):
+                match_left[u] = v
+                match_right[v] = u
+                return True
+        return False
+
+    for u in sorted(adjacency):
+        if u not in match_left:
+            augment(u, set())
+    return match_left
+
+
+def uniform_diversity_orders(fragment_sets, V: int):
+    """``(orders, perfect)`` of ``scheduling.uniform_diversity``: layer by
+    layer, a ``max_matching`` of the servers with fragments left, each
+    listing them by ((v - b) % V, v); an unmatched server takes its first,
+    and the order is not perfect."""
+    remaining = [sorted(s, key=lambda v, b=b: ((v - b) % V, v))
+                 for b, s in enumerate(fragment_sets, start=1)]
+    orders: list[list[int]] = [[] for _ in fragment_sets]
+    perfect = len({len(s) for s in fragment_sets}) == 1
+    for _ in range(max(len(s) for s in fragment_sets)):
+        active = {b: list(remaining[b - 1]) for b in range(1, len(remaining) + 1) if remaining[b - 1]}
+        matched = max_matching(active)
+        for b in active:
+            if b in matched:
+                v = matched[b]
+            else:
+                v = active[b][0]
+                perfect = False
+            orders[b - 1].append(v)
+            remaining[b - 1].remove(v)
+    return tuple(tuple(o) for o in orders), perfect
+
+
 def random_wc_transition(blocks: list[set[int]], downloaded: set[int]) -> dict[int, Fraction]:
     """Next-fragment distribution when every useful server offers a uniformly
     random remaining fragment and the finisher is uniform over useful servers."""

@@ -1,12 +1,13 @@
 import hashlib
 import json
 import re
+import time
 from unittest import mock
 
 import pytest
 
-from fragsched import (affine_plane, analytics, build_scheme, cyclic_shift, cli, model,
-                       projective_plane, read_scheme, rng, scheme_hash, write_scheme)
+from fragsched import (affine_plane, analytics, build_scheme, constructions, cyclic_shift, cli,
+                       model, projective_plane, read_scheme, rng, scheme_hash, write_scheme)
 from fragsched.cli import ACCEPTANCE_ROWS, main
 from fragsched.errors import (
     DuplicateReplicaOnServer,
@@ -149,6 +150,20 @@ class TestConstruct:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: V, B and K must be positive, got V={V}, B={B}, K={K}\n"
+        assert not out.exists()
+
+    def test_large_beyond_memory_refused_at_once(self, tmp_path, capsys, monkeypatch):
+        # B = 10^8 on an 8 GiB machine: 2*10^8 entries at 330 bytes
+        monkeypatch.setattr(constructions, "physical_memory", lambda: 2**33)
+        out = tmp_path / "lg.json"
+        start = time.perf_counter()
+        assert main(["construct", "--kind", "large", "--V", "2", "--B", "100000000", "--K", "2",
+                     "--out", str(out)]) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err == ("error: B=100000000, V=2: 200,000,000 server-fragment entries, "
+                                "estimated memory 61.5 GiB exceeds the 8.0 GiB of physical memory\n")
+        assert captured.out == ""
         assert not out.exists()
 
     def test_nonprime_exits_one(self, tmp_path, capsys):
@@ -635,3 +650,8 @@ class TestTimingsOnStderr:
         assert [(row, runs) for row, runs in rows] == [(r, "100") for r in ACCEPTANCE_ROWS]
         assert "runs/s" not in captured.out
         assert "runs/s" not in out.read_text()
+        # the set-up line comes first, on stderr only
+        setup = r"setup: 2 schemes and their sif, ud and \+pushback orders in \d+\.\d{3} s"
+        assert re.match(rf"{setup}\n", captured.err)
+        assert "setup:" not in captured.out
+        assert "setup:" not in out.read_text()

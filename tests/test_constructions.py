@@ -1,11 +1,13 @@
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fragsched import (
     SystemParams,
+    constructions,
     affine_plane,
     conservation_check,
     cyclic_shift,
@@ -15,12 +17,14 @@ from fragsched import (
     overlap_profile,
     projective_plane,
     sample_random_mds,
+    scheme_hash,
     scheme_to_design,
     verify_t_design,
 )
 from fragsched.constructions import placement_servers
 from fragsched.engine import FRAGMENT_UNIFORM
 from fragsched.errors import CapacityMismatch, InvalidParams, NotPrime
+from oracles import affine_plane_occupancy, cyclic_occupancy, projective_plane_occupancy, transpose
 
 
 class TestPrimeField:
@@ -132,6 +136,60 @@ class TestCyclicShift:
             cyclic_shift(3, 0)
 
 
+def assert_scheme_is(scheme, occupancy, B, mu=1.0):
+    """``scheme`` is the completely utilizing scheme of the occupancy sets
+    ``occupancy`` on B servers, in both views and in its parameters."""
+    fragment_sets = transpose(occupancy, B)
+    assert scheme.occupancy == tuple(map(frozenset, occupancy))
+    assert scheme.fragment_sets == tuple(map(frozenset, fragment_sets))
+    R, K = len(occupancy[0]), len(fragment_sets[0])
+    assert scheme.params == SystemParams(B=B, V=len(occupancy), R=R, K=K, mu=mu,
+                                         completely_utilizing=True)
+
+
+class TestAgainstSetLoops:
+    """The array constructions against the set loops of ``oracles``, which
+    share no code with them."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+    def test_projective_plane(self, q):
+        occupancy = projective_plane_occupancy(q)
+        assert_scheme_is(projective_plane(q, mu=0.5), occupancy, len(occupancy), mu=0.5)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+    def test_affine_plane(self, q):
+        assert_scheme_is(affine_plane(q), affine_plane_occupancy(q), q * q + q)
+
+    @pytest.mark.parametrize("V", [1, 2, 3, 7, 12, 20])
+    def test_cyclic_shift(self, V):
+        for R in range(1, V + 1):
+            assert_scheme_is(cyclic_shift(V, R), cyclic_occupancy(V, R), V)
+
+    def test_hashes_pinned(self):
+        # written before the incidence product replaced the set loops
+        assert scheme_hash(projective_plane(11)) == "9633ef86d80e3ab5"
+        assert scheme_hash(affine_plane(13)) == "b520292ff4908e31"
+
+    @pytest.mark.parametrize("budget", [1, 1600, 20000])
+    def test_row_blocks_of_any_size(self, budget, monkeypatch):
+        # blocks of 1, 3 and 38 of q = 7's 57 rows, at 9 bytes an entry
+        monkeypatch.setattr(constructions, "_PLANE_BLOCK_BYTES", budget)
+        assert_scheme_is(projective_plane(7), projective_plane_occupancy(7), 57)
+        assert_scheme_is(affine_plane(7), affine_plane_occupancy(7), 56)
+
+    def test_incidence_within_its_block_budget(self):
+        # q = 31: the 993 x 993 int64 product would take 7.9 MB; the rows
+        # take 254 KB and a block's buffers at most 256 KiB
+        tracemalloc.start()
+        try:
+            rows = constructions._plane_rows(31)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (993, 32)
+        assert peak < 2**20
+
+
 class TestLargeStorage:
     """Large storage (K >= V) is the distinct-replica scheme: every fragment
     on every server once, so R = B and K = V."""
@@ -180,6 +238,25 @@ class TestLargeStorage:
         # placement with no servers
         with pytest.raises(InvalidParams, match="V, B and K must be positive"):
             large_storage_scheme(V, B, K)
+
+    def test_refused_beyond_physical_memory(self, monkeypatch):
+        # on a 128 MiB machine, 330 bytes an entry: refused before anything
+        # is built, with B, V and the estimate
+        def no_work(*args, **kwargs):
+            raise AssertionError("scheme built")
+
+        monkeypatch.setattr(constructions, "physical_memory", lambda: 2**27)
+        monkeypatch.setattr(constructions, "build_scheme", no_work)
+        with pytest.raises(InvalidParams, match=r"B=300000, V=2: 600,000 server-fragment entries, "
+                                                r"estimated memory 0\.2 GiB exceeds the 0\.1 GiB "
+                                                r"of physical memory"):
+            large_storage_scheme(2, 300_000, 2)
+        with pytest.raises(AssertionError, match="scheme built"):
+            large_storage_scheme(2, 200_000, 2)  # 0.12 GiB: within it
+
+    def test_no_refusal_where_memory_is_unknown(self, monkeypatch):
+        monkeypatch.setattr(constructions, "physical_memory", lambda: None)
+        assert large_storage_scheme(2, 3, 2).params.B == 3
 
     def test_capacity_mismatch(self):
         with pytest.raises(CapacityMismatch):

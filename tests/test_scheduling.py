@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from fragsched import (
     RandomWorkConserving,
     RankedPolicy,
     SimulationConfig,
+    affine_plane,
     build_scheme,
     cyclic_shift,
     exact_mean_download,
@@ -27,7 +29,8 @@ from fragsched import (
 )
 from fragsched.errors import InvalidParams
 from fragsched.scheduling import compile_policy
-from oracles import all_decision_maps, immediate_reward, order_matches, rule_tables, useful_count
+from oracles import (all_decision_maps, immediate_reward, order_matches, rule_tables,
+                     uniform_diversity_orders, useful_count)
 from test_kernel import IRREGULAR, assert_choices_match_oracle, small_schemes
 
 from conftest import FANO_OCCUPANCY
@@ -115,6 +118,58 @@ class TestUniformDiversity:
         # server 2 stores a single fragment, so it cannot appear in layer 2
         scheme = build_scheme([{1, 2}, {1}], B=2)
         assert uniform_diversity(scheme).perfect is False
+
+
+def assert_ud_matches_oracle(scheme):
+    order = uniform_diversity(scheme)
+    assert (order.orders, order.perfect) == uniform_diversity_orders(scheme.fragment_sets, scheme.V)
+    return order
+
+
+class TestUniformDiversityAgainstSetLoop:
+    """``uniform_diversity`` against ``oracles.uniform_diversity_orders``,
+    the per-layer dict copies and per-search visited sets it replaced,
+    which share no code with it."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+    def test_planes(self, q):
+        assert assert_ud_matches_oracle(projective_plane(q)).perfect
+        assert_ud_matches_oracle(affine_plane(q))
+
+    @pytest.mark.parametrize("V", [1, 2, 5, 9, 16, 24])
+    def test_cyclic_grid(self, V):
+        for R in range(1, V + 1):
+            assert assert_ud_matches_oracle(cyclic_shift(V, R)).perfect
+
+    @pytest.mark.parametrize("occupancy, B", [
+        ([{1, 2}], 2),                                  # both servers hold only fragment 1
+        ([{1, 2, 3}, {1, 2, 3}], 3),                    # three servers, two fragments
+        ([{1, 2}, {2, 3, 4}, {1}, {3, 4, 5}, {2, 5}, {1, 4}, {5}], 6),
+        ([{1, 3}, {1}, {2}, {3}], 5),                   # server 4 and 5 hold one each, B > V
+    ])
+    def test_fallback_layers(self, occupancy, B):
+        # some layer has no perfect matching: an unmatched server repeats
+        # its first remaining fragment
+        order = assert_ud_matches_oracle(build_scheme(occupancy, B=B))
+        assert order.perfect is False
+
+    @settings(max_examples=300, deadline=None)
+    @given(scheme=small_schemes())
+    def test_unequal_servers(self, scheme):
+        # sizes and replica counts vary, B may exceed V, and a server may
+        # hold nothing
+        assert_ud_matches_oracle(scheme)
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: projective_plane(11),
+         "71e44cfd1b34644d72089db75cbb8f47bdbd158d9ec74d5c8081b8abe89341ae"),
+        (lambda: cyclic_shift(133, 12),
+         "0f4b9f7ead6585a5d5b6992523734eb432c8e351ba3a87ef5a507ea3dab1fee3"),
+    ], ids=["pp11", "cyclic133-12"])
+    def test_table_orders_pinned(self, make, digest):
+        # written before the stamp-marked search replaced the set loop
+        order = uniform_diversity(make())
+        assert hashlib.sha256(repr((order.orders, order.perfect)).encode()).hexdigest() == digest
 
 
 class TestPushback:
